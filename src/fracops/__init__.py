@@ -21,7 +21,6 @@ from .rl_core import (
     estimate_order,
     make_family,
     rl_integral,
-    rl_integral_shifted,
     rl_kernel,
 )
 from .rl_nd import commutation_residual, rl_integral_nd, truncated_convolution

@@ -190,14 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig()
     ax = sub.add_parser("axioms", help="run the axiom matrix over the family catalog")
-    ax.add_argument("--family", default="all", choices=("all",) + FAMILY_NAMES)
-    ax.add_argument("--grid-n", type=int, default=2048)
-    ax.add_argument("--interval", type=_interval, default=(0.0, 1.0))
-    ax.add_argument("--tol-identity", type=float, default=1e-6)
-    ax.add_argument("--tol-index", type=float, default=5e-3)
-    ax.add_argument("--tol-continuity", type=float, default=1e-2)
-    ax.add_argument("--tol-positivity", type=float, default=1e-10)
+    ax.add_argument("--family", default=defaults.family, choices=("all",) + FAMILY_NAMES)
+    ax.add_argument("--grid-n", type=int, default=defaults.grid_n)
+    ax.add_argument("--interval", type=_interval, default=defaults.interval)
+    ax.add_argument("--tol-identity", type=float, default=defaults.tol_identity)
+    ax.add_argument("--tol-index", type=float, default=defaults.tol_index)
+    ax.add_argument("--tol-continuity", type=float, default=defaults.tol_continuity)
+    ax.add_argument("--tol-positivity", type=float, default=defaults.tol_positivity)
     ax.add_argument("--out", default=None)
     ax.set_defaults(func=_cmd_axioms)
 

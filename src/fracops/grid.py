@@ -7,7 +7,6 @@ both endpoints present. Values are stored as complex128 throughout, with an
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -174,10 +173,10 @@ def linf_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
     return float(np.max(np.abs(f.values - g.values)))
 
 
-def _axis_trapezoid_weights(g: UniformGrid1D) -> np.ndarray:
-    w = np.full(g.N + 1, g.h)
-    w[0] = 0.5 * g.h
-    w[-1] = 0.5 * g.h
+def trapezoid_weights(h: float, n: int) -> np.ndarray:
+    """Composite trapezoid weights for n subintervals of width h (n + 1 nodes)."""
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = 0.5 * h
     return w
 
 
@@ -185,8 +184,8 @@ def l1_norm_nd(f: SampledFunctionND) -> float:
     """Tensorized trapezoid rule applied to |f| over the box."""
     acc = np.abs(f.values)
     for axis in range(f.grid.dim - 1, -1, -1):
-        w = _axis_trapezoid_weights(f.grid.axes[axis])
-        acc = np.tensordot(acc, w, axes=([axis], [0]))
+        g = f.grid.axes[axis]
+        acc = np.tensordot(acc, trapezoid_weights(g.h, g.N), axes=([axis], [0]))
     return float(acc)
 
 
@@ -194,56 +193,3 @@ def l1_distance_nd(f: SampledFunctionND, g: SampledFunctionND) -> float:
     if f.grid != g.grid:
         raise ValueError("grid mismatch between ND sampled functions")
     return l1_norm_nd(SampledFunctionND(f.grid, f.values - g.values))
-
-
-def dump_csv(f: SampledFunction1D, path: str) -> None:
-    """Write ``t,re,im`` rows, one per node, in round-trip precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re", "im"])
-        for t, v in zip(f.grid.nodes, f.values):
-            writer.writerow([format(t, ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")])
-
-
-def load_csv(path: str) -> SampledFunction1D:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["t", "re", "im"]:
-        raise ValueError(f"{path}: expected header 't,re,im'")
-    ts = np.array([float(r[0]) for r in rows[1:]])
-    vals = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
-    n = len(ts) - 1
-    grid = UniformGrid1D(float(ts[0]), float(ts[-1]), n)
-    return SampledFunction1D(grid, vals)
-
-
-def dump_csv_nd(f: SampledFunctionND, path: str) -> None:
-    """Row-major flattened dump with a header recording per-axis extents."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        shape = ",".join(str(s) for s in f.grid.shape)
-        a = ",".join(format(g.a, ".17g") for g in f.grid.axes)
-        T = ",".join(format(g.T, ".17g") for g in f.grid.axes)
-        writer.writerow([f"# shape={shape} a={a} T={T}"])
-        writer.writerow(["re", "im"])
-        for v in f.values.ravel(order="C"):
-            writer.writerow([format(v.real, ".17g"), format(v.imag, ".17g")])
-
-
-def load_csv_nd(path: str) -> SampledFunctionND:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0][0]
-    if not header.startswith("# shape="):
-        raise ValueError(f"{path}: missing tensor header")
-    fields = dict(part.split("=") for part in header[2:].split(" "))
-    shape = tuple(int(s) for s in fields["shape"].split(","))
-    avals = [float(s) for s in fields["a"].split(",")]
-    tvals = [float(s) for s in fields["T"].split(",")]
-    axes = tuple(
-        UniformGrid1D(avals[i], tvals[i], shape[i] - 1) for i in range(len(shape))
-    )
-    vals = np.array(
-        [complex(float(r[0]), float(r[1])) for r in rows[2:]], dtype=np.complex128
-    ).reshape(shape, order="C")
-    return SampledFunctionND(BoxGridND(axes), vals)

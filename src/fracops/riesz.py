@@ -8,7 +8,6 @@ nonzero mode is multiplied by |xi|^(-alpha), and the zero mode is pinned to
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -174,17 +173,3 @@ def multiplier_family_check(
         violation=violation,
     )
 
-
-def dump_spectrum_csv(values: np.ndarray, path: str) -> None:
-    """Write one ``k_1,...,k_n,re,im`` row per retained Fourier mode."""
-    values = np.asarray(values, dtype=np.complex128)
-    grid = _grid_for(values)
-    spec = np.fft.fftn(values)
-    k = grid.integer_modes().astype(int)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"k_{i + 1}" for i in range(grid.dim)] + ["re", "im"])
-        for idx in np.ndindex(*grid.shape):
-            ks = [k[i] for i in idx]
-            v = spec[idx]
-            writer.writerow(ks + [format(v.real, ".17g"), format(v.imag, ".17g")])

@@ -9,13 +9,12 @@ them are nonsingular.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .grid import BoxGridND, SampledFunctionND, l1_distance_nd
-from .rl_core import _apply_weights, product_quadrature_weights
+from .grid import BoxGridND, SampledFunctionND, l1_distance_nd, trapezoid_weights
+from .rl_core import ORDER_CAP, _sweep
 
 MultiOrder = tuple[float, ...]
 
@@ -25,8 +24,8 @@ def check_multi_order(alpha: Sequence[float], dim: int) -> MultiOrder:
     if len(alpha) != dim:
         raise ValueError(f"order has {len(alpha)} components but the grid is {dim}D")
     for a in alpha:
-        if not math.isfinite(a) or a < 0.0:
-            raise ValueError(f"order components must be finite and >= 0, got {a}")
+        if not 0.0 <= a <= ORDER_CAP:
+            raise ValueError(f"order components must lie in [0, {ORDER_CAP:g}], got {a}")
     return alpha
 
 
@@ -41,13 +40,8 @@ def rl_integral_nd(alpha: Sequence[float], f: SampledFunctionND) -> SampledFunct
     alpha = check_multi_order(alpha, f.grid.dim)
     values = f.values
     for axis, a in enumerate(alpha):
-        if a == 0.0:
-            continue
-        g = f.grid.axes[axis]
-        wl, wr = product_quadrature_weights(a, g.h, g.N)
-        moved = np.moveaxis(values, axis, -1)
-        moved = _apply_weights(np.ascontiguousarray(moved), wl, wr)
-        values = np.moveaxis(moved, -1, axis)
+        if a != 0.0:
+            values = _sweep(a, f.grid.axes[axis].h, values, axis)
     return SampledFunctionND(f.grid, values)
 
 
@@ -66,24 +60,15 @@ def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> Sampled
         raise ValueError("kernel and function must share a grid")
     _corner_at_zero(h.grid)
     grid = h.grid
-    dim = grid.dim
-    base = []
-    for g in grid.axes:
-        w = np.full(g.N + 1, g.h)
-        w[0] = 0.5 * g.h
-        base.append(w)
+    # per axis, the trapezoid weights on [0, t_k] for every node index k
+    axis_weights = [[trapezoid_weights(g.h, k) for k in range(g.N + 1)] for g in grid.axes]
     out = np.zeros(grid.shape, dtype=np.complex128)
     for m in np.ndindex(*grid.shape):
         if any(mi == 0 for mi in m):
             continue
-        wvec = []
-        for j, mi in enumerate(m):
-            w = base[j][: mi + 1].copy()
-            w[-1] = 0.5 * grid.axes[j].h
-            wvec.append(w)
-        weight = wvec[0]
-        for w in wvec[1:]:
-            weight = np.multiply.outer(weight, w)
+        weight = axis_weights[0][m[0]]
+        for j in range(1, grid.dim):
+            weight = np.multiply.outer(weight, axis_weights[j][m[j]])
         hblock = h.values[tuple(slice(0, mi + 1) for mi in m)]
         fblock = f.values[tuple(slice(mi, None, -1) for mi in m)]
         out[m] = np.sum(weight * hblock * fblock)

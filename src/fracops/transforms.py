@@ -31,9 +31,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import BoxGridND, SampledFunction1D, SampledFunctionND, UniformGrid1D
-from .rl_core import OperatorFamily1D, _check_order
-from .special import gamma, upper_gamma
+from .grid import (
+    BoxGridND,
+    SampledFunction1D,
+    SampledFunctionND,
+    UniformGrid1D,
+    trapezoid_weights,
+)
+from .rl_core import OperatorFamily1D, _check_order, product_quadrature_weights
+from .special import upper_gamma
 
 
 @dataclass(frozen=True)
@@ -100,31 +106,25 @@ def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> La
     """Transform of the convolution kernel t^(alpha-1)/Gamma(alpha) on [0, t_big].
 
     Product integration: the exponential factor is replaced by its piecewise
-    linear interpolant and the kernel moments are integrated in closed form
-    cell by cell, handling the origin singularity (alpha < 1) exactly.
+    linear interpolant and integrated against the kernel with the weights of
+    ``product_quadrature_weights`` (the kernel integral read at t = t_big),
+    so the origin singularity (alpha < 1) is handled exactly.
     """
     alpha = _check_order(alpha)
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"transform point must be positive, got x={x}")
     h = t_big / n
-    j = np.arange(n, dtype=np.float64)
-    jp = j + 1.0
-    ha = h ** alpha
-    m0 = ha * (jp ** alpha - j ** alpha) / alpha
-    m1 = h ** (alpha + 1.0) * (
-        (jp ** (alpha + 1.0) - j ** (alpha + 1.0)) / (alpha + 1.0)
-        - j * (jp ** alpha - j ** alpha) / alpha
-    )
+    # weight index d - 1 is the cell [(d-1)h, dh]: wr weighs its left node
+    # and wl its right node, and wl + wr is the cell's kernel mass
+    wl, wr = product_quadrature_weights(alpha, h, n)
     e = np.exp(-x * h * np.arange(n + 1))
-    g = gamma(alpha)
-    value = float((e[:-1] * (m0 - m1 / h) + e[1:] * (m1 / h)).sum() / g)
-    tail = x ** (-alpha) * upper_gamma(alpha, x * t_big) / g
+    value = float((e[:-1] * wr + e[1:] * wl).sum())
+    tail = x ** (-alpha) * upper_gamma(alpha, x * t_big) / math.gamma(alpha)
     # interpolation error of e per cell ~ |second difference|/8, weighted by
     # the cell's kernel mass; factor 1/2 instead of 1/8 keeps it conservative
-    quad_est = 0.5 / g * float(
-        (np.abs(np.diff(e, 2)) * np.maximum(m0[:-1], m0[1:])).sum()
-    )
+    mass = wl + wr
+    quad_est = 0.5 * float((np.abs(np.diff(e, 2)) * np.maximum(mass[:-1], mass[1:])).sum())
     return LaplaceValue(value, tail, quad_est)
 
 
@@ -142,9 +142,7 @@ def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
     acc = f.values.real.copy()
     for axis in range(f.grid.dim - 1, -1, -1):
         g = f.grid.axes[axis]
-        w = np.full(g.N + 1, g.h)
-        w[0] = w[-1] = 0.5 * g.h
-        w = w * np.exp(-xs[axis] * g.nodes)
+        w = trapezoid_weights(g.h, g.N) * np.exp(-xs[axis] * g.nodes)
         acc = np.tensordot(acc, w, axes=([axis], [0]))
     return float(acc)
 
@@ -201,6 +199,9 @@ class TransformTable:
     @staticmethod
     def from_json(text: str) -> "TransformTable":
         payload = json.loads(text)
+        missing = [k for k in ("order_grid", "x_grid", "entries") if k not in payload]
+        if missing:
+            raise ValueError(f"transform table JSON lacks the fields {missing}")
         orders = tuple(
             tuple(o) if isinstance(o, list) else o for o in payload["order_grid"]
         )

@@ -32,8 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import SampledFunction1D, UniformGrid1D, l1_distance, sample
-from .rl_core import _check_order, rl_integral_shifted
-from .special import gamma
+from .rl_core import _check_order, rl_integral
 
 _BOUNDARY_TOL = 1e-12
 _JUMP_MATCH_TOL = 1e-9
@@ -308,7 +307,7 @@ def rl_wrt_phi_direct(
     nodes = g.grid.nodes
     gvals = g.values
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
-    gam = gamma(alpha)
+    gam = math.gamma(alpha)
     for m in range(1, g.grid.N + 1):
         t = float(nodes[m])
         x_img = phi.value(t)
@@ -356,7 +355,7 @@ def rl_wrt_phi_transmuted(
     alpha = _check_order(alpha)
     _check_domain(phi, g.grid)
     pulled = pullback_to_image(phi, g)
-    integrated = rl_integral_shifted(alpha, pulled)
+    integrated = rl_integral(alpha, pulled)
     vnodes = pulled.grid.nodes
 
     def h_interp(u: float) -> complex:

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from fracops.cli import main
+from fracops.cli import build_parser, main
+from fracops.harness import RunConfig
 from fracops.transmute import save_integrator, unit_jump_integrator
 
 
@@ -78,6 +79,36 @@ def test_config_error_exit_two(capsys):
     code = main(["transmute-check", "--phi", "/nonexistent.json", "--alpha", "0.5"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    code = main(
+        [
+            "laplace-fit",
+            "--family",
+            "riemann_liouville",
+            "--alpha-grid",
+            "0.5,1,200",
+            "--x-grid",
+            "1,2",
+            "--grid-n",
+            "256",
+        ]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_axioms_defaults_match_run_config():
+    args = build_parser().parse_args(["axioms"])
+    config = RunConfig()
+    for name in (
+        "family",
+        "grid_n",
+        "interval",
+        "tol_identity",
+        "tol_index",
+        "tol_continuity",
+        "tol_positivity",
+    ):
+        assert getattr(args, name) == getattr(config, name), name
 
 
 def test_laplace_fit_cli(tmp_path):

@@ -12,14 +12,10 @@ from fracops.grid import (
     SampledFunctionND,
     UniformGrid1D,
     cumulative_trapezoid,
-    dump_csv,
-    dump_csv_nd,
     l1_distance,
     l1_norm,
     l1_norm_nd,
     linf_distance,
-    load_csv,
-    load_csv_nd,
     sample,
     sample_nd,
 )
@@ -142,16 +138,6 @@ def test_sample_readback_identity():
     assert np.array_equal(f.values.real, np.cos(g.nodes))
 
 
-def test_csv_round_trip(tmp_path):
-    g = UniformGrid1D(0.0, 1.0, 13)
-    f = sample(lambda t: complex(math.cos(7.3 * t), math.sin(2.1 * t)), g)
-    path = tmp_path / "f.csv"
-    dump_csv(f, str(path))
-    back = load_csv(str(path))
-    assert back.grid == f.grid
-    assert np.array_equal(back.values, f.values)
-
-
 def test_box_grid_and_nd_norm():
     axes = (UniformGrid1D(0.0, 1.0, 8), UniformGrid1D(0.0, 2.0, 10))
     box = BoxGridND(axes)
@@ -164,16 +150,6 @@ def test_box_grid_dimension_cap():
     g = UniformGrid1D(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         BoxGridND((g, g, g, g))
-
-
-def test_nd_csv_round_trip(tmp_path):
-    box = BoxGridND((UniformGrid1D(0.0, 1.0, 3), UniformGrid1D(-1.0, 1.0, 4)))
-    f = sample_nd(lambda x, y: x + 2j * y, box)
-    path = tmp_path / "f.csv"
-    dump_csv_nd(f, str(path))
-    back = load_csv_nd(str(path))
-    assert back.grid == f.grid
-    assert np.array_equal(back.values, f.values)
 
 
 def test_l1_distance_matches_norm_of_difference():

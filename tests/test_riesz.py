@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fracops.riesz import (
     MultiplierFamily,
     PeriodicGridND,
-    dump_spectrum_csv,
     exact_riesz_family,
     multiplier_family_check,
     riesz_potential,
@@ -162,16 +161,6 @@ def test_limit_anchor_near_dimension():
         target = -math.log(xi)
         assert abs(d_near - target) <= abs(d_far - target) + 1e-15
         assert abs(d_near - target) < 1e-12
-
-
-def test_spectrum_dump(tmp_path):
-    t = nodes(8)
-    f = np.sin(TWO_PI * t)
-    path = tmp_path / "spec.csv"
-    dump_spectrum_csv(f, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k_1,re,im"
-    assert len(lines) == 9
 
 
 def test_3d_composition_smoke():

@@ -6,11 +6,13 @@ from scipy.integrate import quad
 
 from fracops.grid import (
     BoxGridND,
+    SampledFunction1D,
     SampledFunctionND,
     UniformGrid1D,
     l1_distance_nd,
     sample_nd,
 )
+from fracops.rl_core import rl_integral
 from fracops.rl_nd import commutation_residual, rl_integral_nd, truncated_convolution
 
 
@@ -80,6 +82,22 @@ def test_order_dimension_mismatch():
         rl_integral_nd((0.5,), ones_nd(8))
     with pytest.raises(ValueError):
         rl_integral_nd((0.5, -0.1), ones_nd(8))
+    with pytest.raises(ValueError):
+        rl_integral_nd((0.5, 200.0), ones_nd(8))
+
+
+def test_single_axis_sweep_is_the_1d_integral_per_row():
+    b = BoxGridND((UniformGrid1D(0.0, 1.0, 9), UniformGrid1D(0.0, 2.0, 14)))
+    f = sample_nd(lambda x, y: complex(math.cos(3 * x + y), x * y - 0.5), b)
+    for axis in (0, 1):
+        alpha = tuple(0.7 if j == axis else 0.0 for j in range(2))
+        out = rl_integral_nd(alpha, f).values
+        line = b.axes[axis]
+        rows = np.moveaxis(f.values, axis, -1)
+        expected = np.stack(
+            [rl_integral(0.7, SampledFunction1D(line, row)).values for row in rows]
+        )
+        assert np.array_equal(np.moveaxis(out, axis, -1), expected)
 
 
 def test_convolution_of_constants_1d():

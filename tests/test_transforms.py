@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from math import gamma
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from fracops.grid import UniformGrid1D, sample
 from fracops.rl_core import AxiomProfile, OperatorFamily1D, make_family, rl_integral
 from fracops.rl_nd import rl_integral_nd
-from fracops.special import gamma
 from fracops.transforms import (
     AdditiveSamples,
     TransformTable,
@@ -122,6 +122,14 @@ def test_table_json_round_trip():
     assert back.x_grid == table.x_grid
     assert np.array_equal(back.entries, table.entries)
     assert back.meta["T_big"] == 40.0
+
+
+def test_table_json_missing_field_is_value_error():
+    text = TransformTable((0.5,), (1.0,), np.array([[1.0]])).to_json()
+    payload = json.loads(text)
+    del payload["x_grid"]
+    with pytest.raises(ValueError, match="x_grid"):
+        TransformTable.from_json(json.dumps(payload))
 
 
 def test_table_validates_entries():

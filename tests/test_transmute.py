@@ -1,5 +1,6 @@
 import json
 import math
+from math import gamma
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.integrate import quad
 
 from fracops.grid import UniformGrid1D, l1_distance, sample
 from fracops.rl_core import rl_integral
-from fracops.special import gamma
 from fracops.transmute import (
     Integrator,
     Jump,
