@@ -106,6 +106,22 @@ class ImageSet:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
 
+def _strictly_increasing(seg: Segment) -> bool:
+    """Exact test: c1*c2 > 0 for exp; for poly, p' is not identically zero and is
+    >= 0, up to rounding, at lo, hi and every critical point of p' in between.
+    """
+    if seg.kind == "exp":
+        _, c1, c2 = seg.coefficients
+        return c1 * c2 > 0.0
+    P = np.polynomial.polynomial
+    d1 = P.polyder(seg.coefficients)
+    crit = P.polyroots(P.polyder(d1)).real
+    probe = np.concatenate([[seg.lo, seg.hi], crit[(crit > seg.lo) & (crit < seg.hi)]])
+    # Horner's error bound: (s - s0)^3 with rounded coefficients must still pass
+    slack = 4.0 * len(d1) * np.finfo(np.float64).eps * P.polyval(np.abs(probe), np.abs(d1))
+    return bool(np.any(d1) and np.all(P.polyval(probe, d1) >= -slack))
+
+
 @dataclass(frozen=True)
 class Integrator:
     """Strictly increasing piecewise-smooth function with finitely many jumps."""
@@ -125,11 +141,9 @@ class Integrator:
                     f"[{cur.lo}, {cur.hi}]"
                 )
         for seg in segments:
-            probe = np.linspace(seg.lo, seg.hi, 129)
-            vals = seg.eval(probe)
-            if not np.all(np.isfinite(vals)):
+            if not np.all(np.isfinite(seg.eval([seg.lo, seg.hi]))):
                 raise ValueError(f"segment on [{seg.lo}, {seg.hi}] is not finite")
-            if not np.all(np.diff(vals) > 0.0):
+            if not _strictly_increasing(seg):
                 raise ValueError(
                     f"segment on [{seg.lo}, {seg.hi}] is not strictly increasing"
                 )
@@ -168,19 +182,19 @@ class Integrator:
     def phi_T(self) -> float:
         return float(self.segments[-1].eval(self.T))
 
-    def _segment_index(self, s: float) -> int:
+    def value(self, s):
+        """Pointwise phi(s), elementwise for an array; at a jump the right limit."""
+        s = np.asarray(s, dtype=np.float64)
+        outside = ~((self.a <= s) & (s <= self.T))
+        if outside.any():
+            raise ValueError(
+                f"{s[outside][0]} outside the integrator domain [{self.a}, {self.T}]"
+            )
         # rightmost segment with lo <= s: realizes the right-limit convention
-        idx = len(self.segments) - 1
-        for i, seg in enumerate(self.segments):
-            if seg.lo <= s <= seg.hi:
-                idx = i
-        return idx
-
-    def value(self, s: float) -> float:
-        """Pointwise phi(s); at a jump point this is the right limit."""
-        if not self.a <= s <= self.T:
-            raise ValueError(f"{s} outside the integrator domain [{self.a}, {self.T}]")
-        return float(self.segments[self._segment_index(s)].eval(s))
+        idx = np.searchsorted([seg.lo for seg in self.segments], s, side="right") - 1
+        conds = [idx == i for i in range(len(self.segments))]
+        out = np.piecewise(s, conds, [seg.eval for seg in self.segments])
+        return float(out) if s.ndim == 0 else out
 
     def image_set(self, u: float, v: float) -> ImageSet:
         """Closed image intervals of [u, v] under phi, one per crossed segment."""
@@ -226,14 +240,14 @@ def compose_Q(
     phi: Integrator, f: Callable[[float], complex], grid: UniformGrid1D
 ) -> SampledFunction1D:
     """Node values f(phi(t_k)) on the given grid (right limits at jumps)."""
-    vals = np.empty(grid.N + 1, dtype=np.complex128)
-    for k, t in enumerate(grid.nodes):
-        y = complex(f(phi.value(float(t))))
-        if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-            raise ValueError(
-                f"composed function undefined at image point phi({t})={phi.value(float(t))}"
-            )
-        vals[k] = y
+    images = phi.value(grid.nodes)
+    vals = np.array([complex(f(float(x))) for x in images], dtype=np.complex128)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"composed function undefined at image point phi({grid.nodes[k]})={images[k]}"
+        )
     return SampledFunction1D(grid, vals)
 
 
@@ -252,10 +266,9 @@ def _check_domain(phi: Integrator, grid: UniformGrid1D) -> None:
 
 
 def _piece_nodes(
-    grid: UniformGrid1D, gvals: np.ndarray, s_lo: float, s_hi: float
+    nodes: np.ndarray, gvals: np.ndarray, s_lo: float, s_hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature s-nodes in [s_lo, s_hi]: the endpoints plus interior grid nodes."""
-    nodes = grid.nodes
     i0 = int(np.searchsorted(nodes, s_lo, side="right"))
     i1 = int(np.searchsorted(nodes, s_hi, side="left"))
     inner = nodes[i0:i1]
@@ -300,43 +313,40 @@ def rl_wrt_phi_direct(
 
     At node t the integral runs over the image of [a, t] piece by piece; the
     integrand g is read back through the inverse of phi implicitly, by
-    carrying grid values to image points segment by segment.
+    carrying grid values to image points segment by segment. Each segment's
+    quadrature nodes and their images are built once; node t's piece of a
+    segment is the prefix of those nodes through t.
     """
     alpha = _check_order(alpha)
     _check_domain(phi, g.grid)
     nodes = g.grid.nodes
-    gvals = g.values
+    x_img = phi.value(nodes)
+    pieces = []
+    for seg in phi.segments:
+        snodes, gv = _piece_nodes(nodes, g.values, max(phi.a, seg.lo), seg.hi)
+        pieces.append((seg.eval(snodes), gv, np.searchsorted(snodes, nodes, side="right")))
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     gam = math.gamma(alpha)
     for m in range(1, g.grid.N + 1):
-        t = float(nodes[m])
-        x_img = phi.value(t)
         acc = 0.0 + 0.0j
-        for seg in phi.segments:
-            s_lo = max(phi.a, seg.lo)
-            s_hi = min(t, seg.hi)
-            if s_hi <= s_lo:
-                continue
-            snodes, gv = _piece_nodes(g.grid, gvals, s_lo, s_hi)
-            unodes = np.asarray(seg.eval(snodes), dtype=np.float64)
-            acc += _singular_piece_quadrature(alpha, x_img, unodes, gv)
+        for unodes, gv, ends in pieces:
+            k = ends[m]  # node t_m lies beyond the segment start iff k >= 2
+            if k >= 2:
+                acc += _singular_piece_quadrature(alpha, x_img[m], unodes[:k], gv[:k])
         out[m] = acc / gam
     return SampledFunction1D(g.grid, out)
 
 
-def pullback_to_image(
-    phi: Integrator, g: SampledFunction1D, n: int | None = None
-) -> SampledFunction1D:
+def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1D:
     """g composed with the inverse of phi on a uniform grid of [phi(a), phi(T)].
 
     Gap intervals left by jumps are filled with zero; the closed image
     intervals win at their endpoints, later segments taking precedence.
     """
     _check_domain(phi, g.grid)
-    n = g.grid.N if n is None else int(n)
-    vgrid = UniformGrid1D(phi.phi_a, phi.phi_T, n)
+    vgrid = UniformGrid1D(phi.phi_a, phi.phi_T, g.grid.N)
     v = vgrid.nodes
-    out = np.zeros(n + 1, dtype=np.complex128)
+    out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     for seg in phi.segments:
         e_lo = float(seg.eval(seg.lo))
         e_hi = float(seg.eval(seg.hi))
@@ -356,12 +366,8 @@ def rl_wrt_phi_transmuted(
     _check_domain(phi, g.grid)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
-    vnodes = pulled.grid.nodes
-
-    def h_interp(u: float) -> complex:
-        return complex(_interp_complex(vnodes, integrated.values, u))
-
-    return compose_Q(phi, h_interp, g.grid)
+    vals = _interp_complex(pulled.grid.nodes, integrated.values, phi.value(g.grid.nodes))
+    return SampledFunction1D(g.grid, vals)
 
 
 def transmutation_residual(
@@ -386,7 +392,7 @@ def l1_norm_pushforward(phi: Integrator, g: SampledFunction1D) -> float:
     total = 0.0
     mods = np.abs(g.values)
     for seg in phi.segments:
-        snodes, gv = _piece_nodes(g.grid, mods.astype(np.complex128), seg.lo, seg.hi)
+        snodes, gv = _piece_nodes(g.grid.nodes, mods.astype(np.complex128), seg.lo, seg.hi)
         unodes = np.asarray(seg.eval(snodes), dtype=np.float64)
         du = np.diff(unodes)
         vals = gv.real
@@ -439,8 +445,3 @@ def integrator_from_dict(payload: dict) -> Integrator:
 def load_integrator(path: str) -> Integrator:
     with open(path) as fh:
         return integrator_from_dict(json.load(fh))
-
-
-def save_integrator(phi: Integrator, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(integrator_to_dict(phi), fh, indent=2, sort_keys=True)

@@ -5,7 +5,7 @@ import pytest
 
 from fracops.cli import build_parser, main
 from fracops.harness import RunConfig
-from fracops.transmute import save_integrator, unit_jump_integrator
+from fracops.transmute import integrator_to_dict, unit_jump_integrator
 
 
 def test_axioms_all_families(tmp_path, capsys):
@@ -163,7 +163,8 @@ def test_riesz_check_cli(tmp_path):
 
 def test_transmute_check_cli(tmp_path):
     spec = tmp_path / "phi.json"
-    save_integrator(unit_jump_integrator(), str(spec))
+    with open(spec, "w") as fh:
+        json.dump(integrator_to_dict(unit_jump_integrator()), fh)
     out = tmp_path / "tm.json"
     code = main(
         [

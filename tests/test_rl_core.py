@@ -68,6 +68,20 @@ def test_unit_order_is_trapezoid_bit_for_bit():
             )
 
 
+def test_each_node_sums_its_subintervals_left_to_right():
+    # reference: the per-node product-quadrature sum, accumulated in order j = 0..m-1
+    n = 40
+    f = sample(lambda t: np.cos(3.0 * t) - 0.4j * t, UniformGrid1D(0.0, 1.0, n))
+    for alpha in (0.3, 2.5):
+        wl, wr = product_quadrature_weights(alpha, f.grid.h, n)
+        ref = np.zeros(n + 1, dtype=np.complex128)
+        for m in range(1, n + 1):
+            terms = wl[m - 1::-1] * f.values[:m] + wr[m - 1::-1] * f.values[1:m + 1]
+            for term in terms:
+                ref[m] += term
+        assert np.array_equal(rl_integral(alpha, f).values, ref)
+
+
 def test_half_order_closed_form_at_endpoint():
     out = rl_integral(0.5, ones_on(n=4096))
     assert abs(out.values[-1].real - TWO_OVER_SQRT_PI) < 1e-4

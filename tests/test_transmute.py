@@ -23,7 +23,6 @@ from fracops.transmute import (
     pushforward_measure,
     rl_wrt_phi_direct,
     rl_wrt_phi_transmuted,
-    save_integrator,
     transmutation_residual,
     unit_jump_integrator,
 )
@@ -34,6 +33,18 @@ SUBSTITUTION_VALUE = 2.0 ** 0.5 * 2.0 / math.sqrt(math.pi)  # 2^a * I^a 1 at t=1
 def exp_integrator():
     # phi(s) = e^s on [0, 1]
     return Integrator((Segment(0.0, 1.0, "exp", (0.0, 1.0, 1.0)),))
+
+
+def off_grid_jump_integrator():
+    # phi(s) = s on [0, 1/3] and s + 1/2 on [1/3, 1]: the boundary is never a node
+    third = 1.0 / 3.0
+    return Integrator(
+        (
+            Segment(0.0, third, "poly", (0.0, 1.0)),
+            Segment(third, 1.0, "poly", (0.5, 1.0)),
+        ),
+        (Jump(third, 0.5),),
+    )
 
 
 # ------------------------------------------------------------- measure layer
@@ -73,6 +84,20 @@ def test_image_set_total_length_matches_value_minus_jumps():
 def test_jump_value_is_right_limit():
     phi = unit_jump_integrator()
     assert phi.value(0.5) == 1.5
+
+
+def test_value_on_array_matches_scalar_calls():
+    phi = off_grid_jump_integrator()
+    s = np.array([[0.0, 0.1, 1.0 / 3.0], [0.5, 0.9, 1.0]])
+    vals = phi.value(s)
+    assert vals.shape == s.shape
+    assert np.array_equal(vals, [[phi.value(float(x)) for x in row] for row in s])
+    assert isinstance(phi.value(0.25), float)
+    assert vals[0, 2] == 1.0 / 3.0 + 0.5  # right limit at the jump
+    with pytest.raises(ValueError, match="domain"):
+        phi.value(np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="domain"):
+        phi.value(-0.1)
 
 
 # ------------------------------------------------------------- composition
@@ -167,6 +192,22 @@ def test_direct_jump_against_quadrature_oracle():
     )
     oracle = (piece1 + piece2) / gamma(0.5)
     assert abs(out.values[-1].real - oracle) < 1e-6
+
+
+def test_direct_off_grid_boundary_against_quadrature_oracle():
+    phi = off_grid_jump_integrator()
+    alpha = 0.5
+    grid = UniformGrid1D(0.0, 1.0, 4096)
+    out = rl_wrt_phi_direct(alpha, phi, sample(lambda t: t, grid))
+    third = 1.0 / 3.0
+    for m in (3000, 4096):
+        x_img = grid.nodes[m] + 0.5
+        piece1, _ = quad(lambda u: (x_img - u) ** (alpha - 1.0) * u, 0.0, third)
+        piece2, _ = quad(
+            lambda u: u - 0.5, third + 0.5, x_img, weight="alg", wvar=(0.0, alpha - 1.0)
+        )
+        oracle = (piece1 + piece2) / gamma(alpha)
+        assert abs(out.values[m].real - oracle) < 1e-9
 
 
 def test_direct_left_endpoint_zero():
@@ -317,6 +358,31 @@ def test_integrator_requires_monotone_segments():
         Integrator((Segment(0.0, 1.0, "poly", (0.0, -1.0)),))
 
 
+def test_integrator_rejects_narrow_dip():
+    # (s - s0)^3 - 1e-6 (s - s0) decreases on |s - s0| < 5.8e-4, a dip narrower than 1/128
+    s0 = 0.5 + 1.0 / 256.0
+    coeffs = (-s0 ** 3 + 1e-6 * s0, 3.0 * s0 ** 2 - 1e-6, -3.0 * s0, 1.0)
+    seg = Segment(0.0, 1.0, "poly", coeffs)
+    assert seg.eval(s0) < seg.eval(s0 - 1e-4)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Integrator((seg,))
+
+
+def test_integrator_monotonicity_is_exact():
+    # s^3 has p' = 0 only at s = 0, so it is strictly increasing
+    Integrator((Segment(-1.0, 1.0, "poly", (0.0, 0.0, 0.0, 1.0)),))
+    # so is (s - 0.1)^3, although its rounded p' reads -3.5e-18 at s = 0.1
+    s0 = 0.1
+    Integrator((Segment(0.0, 1.0, "poly", (-s0 ** 3, 3.0 * s0 ** 2, -3.0 * s0, 1.0)),))
+    Integrator((Segment(0.0, 1.0, "exp", (0.0, -1.0, -1.0)),))  # -e^(-s)
+    for seg in (
+        Segment(0.0, 1.0, "poly", (1.0, 0.0)),
+        Segment(0.0, 1.0, "exp", (0.0, 1.0, -1.0)),
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Integrator((seg,))
+
+
 def test_integrator_rejects_overlapping_images():
     with pytest.raises(ValueError, match="overlap"):
         Integrator(
@@ -360,7 +426,8 @@ def test_grid_domain_mismatch_rejected():
 def test_json_round_trip(tmp_path):
     phi = unit_jump_integrator()
     path = tmp_path / "phi.json"
-    save_integrator(phi, str(path))
+    with open(path, "w") as fh:
+        json.dump(integrator_to_dict(phi), fh)
     back = load_integrator(str(path))
     assert integrator_to_dict(back) == integrator_to_dict(phi)
     payload = json.loads(path.read_text())
