@@ -13,8 +13,8 @@ Two refinements keep the tables accurate enough to fit on a log scale:
   dominates everything else for p < 1);
 * transforms of the singular convolution kernel t^(alpha-1)/Gamma(alpha)
   integrate the piecewise-linear interpolant of the exponential factor
-  against closed-form kernel moments, so the endpoint singularity never
-  meets the trapezoid rule.
+  against the product-quadrature kernel moments (exact on the singular
+  cell), so the endpoint singularity never meets the trapezoid rule.
 
 The module also fits log-affine models to transform tables (scalar and
 multi-order) and extends additive samples from (0, n) to doubled domains,

@@ -4,22 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fracops.grid import (
+    BoxGridND,
     SampledFunction1D,
     UniformGrid1D,
     cumulative_trapezoid,
     l1_distance,
     sample,
+    sample_nd,
 )
+from fracops.harness import TEST_FUNCTIONS
 from fracops.rl_core import (
     FAMILY_NAMES,
+    _FAR_RULE,
+    _NEAR_RULE,
+    _block_size,
     estimate_order,
     make_family,
     product_quadrature_weights,
     rl_integral,
     rl_kernel,
 )
+from fracops.rl_nd import rl_integral_nd
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # closed form of I^0.5 1 at t = 1
 
@@ -68,18 +76,71 @@ def test_unit_order_is_trapezoid_bit_for_bit():
             )
 
 
-def test_each_node_sums_its_subintervals_left_to_right():
-    # reference: the per-node product-quadrature sum, accumulated in order j = 0..m-1
-    n = 40
-    f = sample(lambda t: np.cos(3.0 * t) - 0.4j * t, UniformGrid1D(0.0, 1.0, n))
-    for alpha in (0.3, 2.5):
-        wl, wr = product_quadrature_weights(alpha, f.grid.h, n)
-        ref = np.zeros(n + 1, dtype=np.complex128)
-        for m in range(1, n + 1):
-            terms = wl[m - 1::-1] * f.values[:m] + wr[m - 1::-1] * f.values[1:m + 1]
-            for term in terms:
-                ref[m] += term
-        assert np.array_equal(rl_integral(alpha, f).values, ref)
+def _swept_batch(alpha, line, expr, axis):
+    """expr(s) * (1 + x*y) on a 2D box, s the coordinate along ``axis`` on ``line``
+    and 3 nodes across it, and its integral of order alpha along that axis."""
+    other = UniformGrid1D(0.0, 1.0, 2)
+    axes = (line, other) if axis == 0 else (other, line)
+    f = sample_nd(lambda x, y: expr(x if axis == 0 else y) * (1.0 + x * y), BoxGridND(axes))
+    orders = (alpha, 0.0) if axis == 0 else (0.0, alpha)
+    return f.values, rl_integral_nd(orders, f).values
+
+
+def _exact_node_sums(alpha, h, values, nodes):
+    """Per node m: math.fsum of its product-quadrature terms and the sum of |terms|.
+
+    The terms are wl[m-1-j]*f(t_j) and wr[m-1-j]*f(t_{j+1}), j < m, real and
+    imaginary parts summed separately; returns (ref, mass) for each part.
+    """
+    n = len(values) - 1
+    wl, wr = product_quadrature_weights(alpha, h, n)
+    out = []
+    for part in (values.real, values.imag):
+        ref, mass = [], []
+        for m in nodes:
+            terms = np.concatenate((wl[m - 1::-1] * part[:m], wr[m - 1::-1] * part[1:m + 1]))
+            ref.append(math.fsum(terms))
+            mass.append(float(np.abs(terms).sum()))
+        out.append((np.array(ref), np.array(mass)))
+    return out
+
+
+def _assert_within_rounding(alpha, h, values, got):
+    # every node at small sizes; at large ones the first blocks, both sides
+    # of every block edge, a stride through the rest and the last node
+    n = len(values) - 1
+    if n <= 64:
+        nodes = np.arange(1, n + 1)
+    else:
+        b = _block_size(n)
+        edges = np.arange(b, n + 1, b)
+        nodes = np.unique(np.concatenate((
+            np.arange(1, 2 * b + 1), edges - 1, edges, np.minimum(edges + 1, n),
+            np.arange(1, n + 1, 29), [n],
+        )))
+    eps = np.finfo(np.float64).eps
+    for (ref, mass), out in zip(
+        _exact_node_sums(alpha, h, values, nodes), (got.real, got.imag)
+    ):
+        assert np.all(np.abs(out[nodes] - ref) <= 8.0 * eps * mass)
+
+
+@pytest.mark.parametrize("n", [40, 4096])
+@pytest.mark.parametrize("alpha", [0.3, 2.5])
+def test_each_node_is_within_rounding_of_its_exact_sum(n, alpha):
+    # mixed signs, so partial sums cancel and the bound is relative to sum |terms|
+    expr = lambda t: np.cos(40.0 * t) + 0.2 + 1j * (np.sin(7.0 * t) - 0.3)
+    g = UniformGrid1D(0.0, 1.0, n)
+    f = sample(expr, g)
+    out = rl_integral(alpha, f).values
+    assert np.array_equal(out, rl_integral(alpha, f).values)
+    _assert_within_rounding(alpha, g.h, f.values, out)
+    # the same rows inside a 2D batch, swept along either axis
+    for axis in (0, 1):
+        f_vals, batch = _swept_batch(alpha, g, expr, axis)
+        assert np.array_equal(batch, _swept_batch(alpha, g, expr, axis)[1])
+        for row_in, row_out in zip(np.moveaxis(f_vals, axis, -1), np.moveaxis(batch, axis, -1)):
+            _assert_within_rounding(alpha, g.h, row_in, row_out)
 
 
 def test_half_order_closed_form_at_endpoint():
@@ -135,6 +196,60 @@ def test_positivity_is_exact(vals, alpha):
     out = rl_integral(alpha, SampledFunction1D(g, np.array(vals, dtype=complex)))
     assert np.all(out.values.real >= 0.0)
     assert np.all(out.values.imag == 0.0)
+
+
+def test_gauss_legendre_rules_are_numpys():
+    for rule, k in ((_NEAR_RULE, 16), (_FAR_RULE, 8)):
+        x, w = np.polynomial.legendre.leggauss(k)
+        assert np.array_equal(rule[0], 0.5 * (x + 1.0))
+        assert np.array_equal(rule[1], 0.5 * w)
+
+
+def test_weights_match_quadrature_oracle_at_every_distance():
+    # scipy quad on the cell integrals in x = (t_m - s)/h; the closed-form
+    # moments lost up to 7 digits to cancellation at large distance
+    n = 16384
+    h = 1.0 / n
+    for alpha in (0.05, 0.5, 1.5, 3.7):
+        wl, wr = product_quadrature_weights(alpha, h, n)
+        scale = h ** alpha / math.gamma(alpha)
+        for d in (1, 2, 3, 4, 5, 6, 17, 100, 1000, 9999, 16384):
+            if d == 1:
+                # the kernel singularity sits on this cell: algebraic weight x^(alpha-1)
+                sing = {"weight": "alg", "wvar": (alpha - 1.0, 0.0)}
+                left = quad(lambda x: x, 0.0, 1.0, **sing)[0]
+                right = quad(lambda x: 1.0 - x, 0.0, 1.0, **sing)[0]
+            else:
+                left = quad(lambda x: x ** (alpha - 1.0) * (x - (d - 1)), d - 1, d)[0]
+                right = quad(lambda x: x ** (alpha - 1.0) * (d - x), d - 1, d)[0]
+            assert abs(wl[d - 1] / (scale * left) - 1.0) <= 1e-14, (alpha, d)
+            assert abs(wr[d - 1] / (scale * right) - 1.0) <= 1e-14, (alpha, d)
+
+
+BLOCK = 128  # block edge for 128 < N < 16384; up to 128 nodes the matrix is one block
+RAMP = TEST_FUNCTIONS["ramp"]  # zero on [0, 0.3]
+
+
+def _assert_exactly_nonnegative(f_vals, out, axis):
+    f_rows = np.moveaxis(f_vals, axis, -1)
+    out_rows = np.moveaxis(out, axis, -1)
+    assert np.all(out_rows.real >= 0.0)
+    assert np.all(out_rows.imag == 0.0)
+    assert np.all(out_rows[..., 0] == 0.0)
+    for f_row, out_row in zip(f_rows.reshape(-1, f_rows.shape[-1]), out_rows.reshape(-1, out_rows.shape[-1])):
+        prefix = int(np.argmax(f_row != 0.0)) if np.any(f_row != 0.0) else len(f_row)
+        assert np.all(out_row[:prefix] == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 4096])
+def test_positivity_is_exact_across_block_edges(n):
+    assert _block_size(3 * BLOCK + 7) == BLOCK
+    g = UniformGrid1D(0.0, 1.0, n)
+    f = sample(RAMP, g)
+    for alpha in (0.05, 0.3, 2.5, 7.0):
+        _assert_exactly_nonnegative(f.values, rl_integral(alpha, f).values, 0)
+        for axis in (0, 1):
+            _assert_exactly_nonnegative(*_swept_batch(alpha, g, RAMP, axis), axis)
 
 
 @settings(max_examples=30, deadline=None)
