@@ -17,6 +17,7 @@ reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,8 +67,8 @@ class RunConfig:
             ("tol_continuity", self.tol_continuity),
             ("tol_positivity", self.tol_positivity),
         ):
-            if tol <= 0.0:
-                raise ValueError(f"{name} must be positive, got {tol}")
+            if not 0.0 < tol < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
         if not self.functions:
             raise ValueError("the test-function set must be nonempty")
         unknown = [f for f in self.functions if f not in TEST_FUNCTIONS]

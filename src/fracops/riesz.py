@@ -44,7 +44,7 @@ class PeriodicGridND:
     def xi_norm(self) -> np.ndarray:
         """Euclidean norm of the frequency tuple xi = 2*pi*k at every mode."""
         k = self.integer_modes()
-        mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
+        mesh = np.meshgrid(*([k] * self.dim), indexing="ij", sparse=True)
         sq = sum(m ** 2 for m in mesh)
         return 2.0 * math.pi * np.sqrt(sq)
 

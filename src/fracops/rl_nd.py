@@ -3,17 +3,20 @@
 The multi-order integral factorizes across axes, so it is realized as
 tensorized 1D sweeps (O(N^(n+1)) instead of O(N^(2n)) for an nD kernel
 quadrature). A zero component skips its axis entirely. Truncated
-convolutions use plain tensorized trapezoid weights; the kernels fed to
-them are nonsingular.
+convolutions use the tensorized trapezoid rule on [0, t_m]; per axis, node
+k weighs h * a(k) * a(m - k) with a = (1/2, 1, 1, ...), so the whole rule is
+one causal convolution of the samples, each with its index-0 layers halved.
+The kernels fed to it are nonsingular.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .grid import BoxGridND, SampledFunctionND, l1_distance_nd, trapezoid_weights
+from .grid import BoxGridND, SampledFunctionND, l1_distance_nd
 from .rl_core import ORDER_CAP, _sweep
 
 MultiOrder = tuple[float, ...]
@@ -53,25 +56,33 @@ def _corner_at_zero(grid: BoxGridND) -> None:
 def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> SampledFunctionND:
     """Box-truncated convolution (R_h f)(t) = integral over [0, t] of h(s) f(t-s) ds.
 
-    Tensorized trapezoid weights on [0, t] per output node t; output is 0 on
-    the lower faces (degenerate boxes).
+    The trapezoid rule on [0, t] at every node t, taken as one causal
+    convolution (see the module docstring) by zero-padded real FFTs of the
+    real and imaginary parts. It matches per-node sums only to rounding, so
+    zeros inside the box and nonnegativity are exact only to rounding. Exact:
+    0 on the lower faces (degenerate boxes), 0 for zero input, and real
+    output for real inputs.
     """
     if h.grid != f.grid:
         raise ValueError("kernel and function must share a grid")
     _corner_at_zero(h.grid)
     grid = h.grid
-    # per axis, the trapezoid weights on [0, t_k] for every node index k
-    axis_weights = [[trapezoid_weights(g.h, k) for k in range(g.N + 1)] for g in grid.axes]
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for m in np.ndindex(*grid.shape):
-        if any(mi == 0 for mi in m):
-            continue
-        weight = axis_weights[0][m[0]]
-        for j in range(1, grid.dim):
-            weight = np.multiply.outer(weight, axis_weights[j][m[j]])
-        hblock = h.values[tuple(slice(0, mi + 1) for mi in m)]
-        fblock = f.values[tuple(slice(mi, None, -1) for mi in m)]
-        out[m] = np.sum(weight * hblock * fblock)
+    axes = tuple(range(grid.dim))
+    size = tuple(2 * n - 1 for n in grid.shape)
+    spectra = []
+    for values in (h.values, f.values):
+        halved = values.copy()
+        for axis in axes:
+            halved[(slice(None),) * axis + (0,)] *= 0.5
+        spectra += [np.fft.rfftn(part, size, axes) for part in (halved.real, halved.imag)]
+    hr, hi, fr, fi = spectra
+    box = tuple(slice(0, n) for n in grid.shape)
+    scale = math.prod(g.h for g in grid.axes)
+    out = np.empty(grid.shape, dtype=np.complex128)
+    out.real = scale * np.fft.irfftn(hr * fr - hi * fi, size, axes)[box]
+    out.imag = scale * np.fft.irfftn(hr * fi + hi * fr, size, axes)[box]
+    for axis in axes:
+        out[(slice(None),) * axis + (0,)] = 0.0
     return SampledFunctionND(grid, out)
 
 

@@ -80,8 +80,8 @@ def laplace_transform(
     via the upper incomplete gamma function and reported alongside the value.
     """
     x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"transform point must be positive, got x={x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"transform point must be positive and finite, got x={x}")
     if f.grid.a != 0.0:
         raise ValueError(f"transform grid must start at 0, got a={f.grid.a}")
     fvals = f.real_values
@@ -112,8 +112,8 @@ def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> La
     """
     alpha = _check_order(alpha)
     x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"transform point must be positive, got x={x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"transform point must be positive and finite, got x={x}")
     h = t_big / n
     # weight index d - 1 is the cell [(d-1)h, dh]: wr weighs its left node
     # and wl its right node, and wl + wr is the cell's kernel mass
@@ -133,8 +133,8 @@ def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
     xs = tuple(float(v) for v in x)
     if len(xs) != f.grid.dim:
         raise ValueError(f"{len(xs)} transform points for a {f.grid.dim}D grid")
-    if any(v <= 0.0 for v in xs):
-        raise ValueError(f"transform points must be positive, got {xs}")
+    if not all(0.0 < v < math.inf for v in xs):
+        raise ValueError(f"transform points must be positive and finite, got {xs}")
     if any(g.a != 0.0 for g in f.grid.axes):
         raise ValueError("transform box must have left corner 0")
     if not f.is_real:

@@ -417,7 +417,7 @@ def integrator_to_dict(phi: Integrator) -> dict:
 
 def integrator_from_dict(payload: dict) -> Integrator:
     try:
-        domain = payload["domain"]
+        domain = [float(v) for v in payload["domain"]]
         segs = tuple(
             Segment(
                 float(s["interval"][0]),
@@ -432,10 +432,10 @@ def integrator_from_dict(payload: dict) -> Integrator:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed integrator spec: {exc}") from exc
+    if len(domain) != 2:
+        raise ValueError(f"malformed integrator spec: domain must be [a, T], got {domain}")
     phi = Integrator(segs, jumps)
-    if abs(phi.a - float(domain[0])) > _BOUNDARY_TOL or abs(
-        phi.T - float(domain[1])
-    ) > _BOUNDARY_TOL:
+    if abs(phi.a - domain[0]) > _BOUNDARY_TOL or abs(phi.T - domain[1]) > _BOUNDARY_TOL:
         raise ValueError(
             f"declared domain {domain} does not match segments [{phi.a}, {phi.T}]"
         )

@@ -73,27 +73,43 @@ def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["axioms", "--interval", "zero,one"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["riesz-check", "--dim", "1", "--modes", "16", "--alpha-grid", ","])
+    assert exc.value.code == 2
 
 
-def test_config_error_exit_two(capsys):
+def test_config_error_exit_two(tmp_path, capsys):
     code = main(["transmute-check", "--phi", "/nonexistent.json", "--alpha", "0.5"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
-    code = main(
-        [
-            "laplace-fit",
-            "--family",
-            "riemann_liouville",
-            "--alpha-grid",
-            "0.5,1,200",
-            "--x-grid",
-            "1,2",
-            "--grid-n",
-            "256",
-        ]
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    for alpha_grid, x_grid in (("0.5,1,200", "1,2"), ("0.5,1,1.5", "1,nan")):
+        code = main(
+            [
+                "laplace-fit",
+                "--family",
+                "riemann_liouville",
+                "--alpha-grid",
+                alpha_grid,
+                "--x-grid",
+                x_grid,
+                "--grid-n",
+                "256",
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+    for tol in ("nan", "inf"):
+        code = main(["axioms", "--grid-n", "256", "--tol-index", tol])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+    for domain in (None, [0.0]):
+        spec = integrator_to_dict(unit_jump_integrator())
+        spec["domain"] = domain
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(spec))
+        code = main(["transmute-check", "--phi", str(path), "--alpha", "0.5"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_axioms_defaults_match_run_config():

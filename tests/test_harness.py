@@ -221,8 +221,11 @@ def test_report_schema():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="tol_identity"):
-        RunConfig(tol_identity=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_identity"):
+            RunConfig(tol_identity=tol)
+        with pytest.raises(ValueError, match="tol_index"):
+            RunConfig(tol_index=tol)
     with pytest.raises(ValueError, match="unknown test functions"):
         RunConfig(functions=("one", "nope"))
     with pytest.raises(ValueError, match="unknown family"):

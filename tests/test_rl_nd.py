@@ -124,6 +124,50 @@ def test_convolution_linear_kernel_value():
     assert abs(out.values[-1].real - 0.5) < 1e-6
 
 
+def _per_node_trapezoid_convolution(h, f):
+    # oracle: at every node m, the tensorized trapezoid weights on [0, t_m]
+    # applied to h(s) f(t_m - s), one node at a time
+    grid = h.grid
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for m in np.ndindex(*grid.shape):
+        if any(mi == 0 for mi in m):
+            continue
+        weight = np.ones(())
+        for g, mi in zip(grid.axes, m):
+            w = np.full(mi + 1, g.h)
+            w[0] = w[-1] = 0.5 * g.h
+            weight = np.multiply.outer(weight, w)
+        hblock = h.values[tuple(slice(0, mi + 1) for mi in m)]
+        fblock = f.values[tuple(slice(mi, None, -1) for mi in m)]
+        out[m] = np.sum(weight * hblock * fblock)
+    return out
+
+
+def test_truncated_convolution_matches_per_node_trapezoid_rule():
+    rng = np.random.default_rng(7)
+    boxes = [
+        (UniformGrid1D(0.0, 1.0, 1),),
+        (UniformGrid1D(0.0, 0.7, 7), UniformGrid1D(0.0, 2.5, 13)),
+        (UniformGrid1D(0.0, 1.9, 13), UniformGrid1D(0.0, 0.3, 7)),
+        (UniformGrid1D(0.0, 1.0, 3), UniformGrid1D(0.0, 0.5, 1), UniformGrid1D(0.0, 2.0, 5)),
+    ]
+    for axes in boxes:
+        b = BoxGridND(axes)
+        for is_complex in (True, False):
+            h, f = (
+                SampledFunctionND(
+                    b, rng.standard_normal(b.shape) + 1j * is_complex * rng.standard_normal(b.shape)
+                )
+                for _ in range(2)
+            )
+            out = truncated_convolution(h, f)
+            ref = _per_node_trapezoid_convolution(h, f)
+            assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert out.is_real == (not is_complex)
+            for axis in range(b.dim):
+                assert np.all(np.take(out.values, 0, axis=axis) == 0.0)
+
+
 def test_convolution_requires_matching_grids_and_zero_corner():
     f = ones_nd(8, dims=1)
     g = ones_nd(16, dims=1)

@@ -6,7 +6,7 @@ from math import gamma
 import numpy as np
 import pytest
 
-from fracops.grid import UniformGrid1D, sample
+from fracops.grid import BoxGridND, SampledFunctionND, UniformGrid1D, sample
 from fracops.rl_core import AxiomProfile, OperatorFamily1D, make_family, rl_integral
 from fracops.rl_nd import rl_integral_nd
 from fracops.transforms import (
@@ -60,6 +60,15 @@ def test_transform_rejects_bad_arguments():
     shifted = sample(lambda t: 1.0, UniformGrid1D(1.0, 2.0, 16))
     with pytest.raises(ValueError, match="start at 0"):
         laplace_transform(shifted, 1.0)
+    box = BoxGridND((UniformGrid1D(0.0, 1.0, 8), UniformGrid1D(0.0, 1.0, 8)))
+    ones = SampledFunctionND(box, np.ones(box.shape))
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            laplace_transform(f, x)
+        with pytest.raises(ValueError, match="finite"):
+            kernel_laplace_transform(0.5, x, 40.0, 256)
+        with pytest.raises(ValueError, match="finite"):
+            laplace_transform_nd(ones, (1.0, x))
 
 
 def test_tail_bound_soundness():

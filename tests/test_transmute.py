@@ -442,6 +442,10 @@ def test_json_rejects_malformed_and_mismatched_domain():
     good["domain"] = [0.0, 2.0]
     with pytest.raises(ValueError, match="domain"):
         integrator_from_dict(good)
+    for domain in (None, [0.0], [0.0, 0.5, 1.0], 1.0):
+        good["domain"] = domain
+        with pytest.raises(ValueError, match="malformed"):
+            integrator_from_dict(good)
 
 
 def test_exp_segment_inversion():
