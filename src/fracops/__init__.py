@@ -49,7 +49,6 @@ from .transmute import (
     Integrator,
     Jump,
     Segment,
-    compose_Q,
     identity_integrator,
     linear_integrator,
     load_integrator,

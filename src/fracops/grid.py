@@ -7,6 +7,7 @@ both endpoints present. Values are stored as complex128 throughout, with an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +32,10 @@ class UniformGrid1D:
             raise ValueError(f"grid requires a < T, got a={self.a}, T={self.T}")
         if self.N < 1 or self.N != int(self.N):
             raise ValueError(f"grid requires a positive integer N, got {self.N}")
+        if not math.isfinite(self.h):  # also rejects infinite a or T
+            raise ValueError(
+                f"grid requires finite a, T and step, got a={self.a}, T={self.T}, N={self.N}"
+            )
 
     @property
     def h(self) -> float:

@@ -113,7 +113,10 @@ def product_quadrature_weights(alpha: float, h: float, n: int) -> tuple[np.ndarr
     d = np.arange(2, n + 1, dtype=np.float64)
     near_l, near_r = _cell_moments(alpha, d[:_NEAR_CELLS], _NEAR_RULE)
     far_l, far_r = _cell_moments(alpha, d[_NEAR_CELLS:], _FAR_RULE)
-    scale = h ** alpha / math.gamma(alpha)
+    try:
+        scale = float(h) ** alpha / math.gamma(alpha)
+    except OverflowError:
+        raise ValueError(f"step^order overflows at order {alpha} and step {h}") from None
     wl = np.concatenate(([1.0 / (alpha + 1.0)], near_l, far_l))
     wr = np.concatenate(([1.0 / (alpha * (alpha + 1.0))], near_r, far_r))
     return scale * wl, scale * wr

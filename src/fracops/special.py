@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 
+_MAX_ITER = 500
+_EPS = 1e-15
 
-def upper_gamma(s: float, z: float, max_iter: int = 500, eps: float = 1e-15) -> float:
+
+def upper_gamma(s: float, z: float) -> float:
     """Unnormalized upper incomplete gamma integral from ``z`` to infinity.
 
     Series branch for z < s + 1, modified Lentz continued fraction
@@ -21,11 +24,11 @@ def upper_gamma(s: float, z: float, max_iter: int = 500, eps: float = 1e-15) -> 
         term = 1.0 / s
         total = term
         a = s
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             a += 1.0
             term *= z / a
             total += term
-            if abs(term) < abs(total) * eps:
+            if abs(term) < abs(total) * _EPS:
                 break
         lower = total * math.exp(-z + s * math.log(z))
         return math.gamma(s) - lower
@@ -34,7 +37,7 @@ def upper_gamma(s: float, z: float, max_iter: int = 500, eps: float = 1e-15) -> 
     c = 1.0 / tiny
     d = 1.0 / b
     f = d
-    for i in range(1, max_iter):
+    for i in range(1, _MAX_ITER):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -46,6 +49,6 @@ def upper_gamma(s: float, z: float, max_iter: int = 500, eps: float = 1e-15) -> 
         d = 1.0 / d
         delta = d * c
         f *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < _EPS:
             break
     return math.exp(-z + s * math.log(z)) * f

@@ -98,7 +98,10 @@ def laplace_transform(
         c, p = float(growth_bound[0]), float(growth_bound[1])
         if c < 0.0 or p < 0.0:
             raise ValueError(f"tail-bound parameters must be nonnegative, got C={c}, p={p}")
-        tail = c * x ** (-(p + 1.0)) * upper_gamma(p + 1.0, x * f.grid.T)
+        try:
+            tail = c * x ** (-(p + 1.0)) * upper_gamma(p + 1.0, x * f.grid.T)
+        except OverflowError:
+            raise ValueError(f"tail bound overflows at x={x} (C={c}, p={p})") from None
     return LaplaceValue(float(value), tail, quad_est)
 
 
@@ -114,13 +117,18 @@ def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> La
     x = float(x)
     if not 0.0 < x < math.inf:
         raise ValueError(f"transform point must be positive and finite, got x={x}")
+    if not 0.0 < t_big < math.inf:
+        raise ValueError(f"kernel transform needs a positive finite t_big, got {t_big}")
     h = t_big / n
     # weight index d - 1 is the cell [(d-1)h, dh]: wr weighs its left node
     # and wl its right node, and wl + wr is the cell's kernel mass
     wl, wr = product_quadrature_weights(alpha, h, n)
     e = np.exp(-x * h * np.arange(n + 1))
     value = float((e[:-1] * wr + e[1:] * wl).sum())
-    tail = x ** (-alpha) * upper_gamma(alpha, x * t_big) / math.gamma(alpha)
+    try:
+        tail = x ** (-alpha) * upper_gamma(alpha, x * t_big) / math.gamma(alpha)
+    except OverflowError:
+        raise ValueError(f"kernel tail bound overflows at x={x}, order {alpha}") from None
     # interpolation error of e per cell ~ |second difference|/8, weighted by
     # the cell's kernel mass; factor 1/2 instead of 1/8 keeps it conservative
     mass = wl + wr

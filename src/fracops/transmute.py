@@ -14,12 +14,12 @@ An integrator phi is a piecewise-smooth strictly increasing function on
   image of phi).
 
 The integral with respect to phi is computed two ways: directly, by
-product quadrature of the singular kernel over the image set, segment by
-segment (the kernel can only become singular at the right end of the last
-piece); and by transmutation, pulling g back to a uniform grid on
-[phi(a), phi(T)], applying the ordinary fractional integral there, and
-composing the result with phi. The two routes agree up to resampling
-error, which shrinks under refinement.
+product quadrature of the singular kernel on one image mesh (the image
+nodes of all segments in order, zero-filled across the jump gaps), node t
+reading the mesh prefix that ends at phi(t); and by transmutation, pulling
+g back to a uniform grid on [phi(a), phi(T)], applying the ordinary
+fractional integral there, and composing the result with phi. The two
+routes agree up to resampling error, which shrinks under refinement.
 """
 
 from __future__ import annotations
@@ -236,27 +236,6 @@ def pushforward_measure(phi: Integrator, u: float, v: float) -> float:
     return phi.image_set(u, v).total_length
 
 
-def compose_Q(
-    phi: Integrator, f: Callable[[float], complex], grid: UniformGrid1D
-) -> SampledFunction1D:
-    """Node values f(phi(t_k)) on the given grid (right limits at jumps)."""
-    images = phi.value(grid.nodes)
-    vals = np.array([complex(f(float(x))) for x in images], dtype=np.complex128)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"composed function undefined at image point phi({grid.nodes[k]})={images[k]}"
-        )
-    return SampledFunction1D(grid, vals)
-
-
-def _interp_complex(xs: np.ndarray, ys: np.ndarray, at) -> np.ndarray:
-    re = np.interp(at, xs, ys.real)
-    im = np.interp(at, xs, ys.imag)
-    return re + 1j * im
-
-
 def _check_domain(phi: Integrator, grid: UniformGrid1D) -> None:
     if abs(grid.a - phi.a) > _BOUNDARY_TOL or abs(grid.T - phi.T) > _BOUNDARY_TOL:
         raise ValueError(
@@ -275,12 +254,37 @@ def _piece_nodes(
     snodes = np.concatenate([[s_lo], inner, [s_hi]])
     gv = np.concatenate(
         [
-            [_interp_complex(nodes, gvals, s_lo)],
+            [np.interp(s_lo, nodes, gvals)],
             gvals[i0:i1],
-            [_interp_complex(nodes, gvals, s_hi)],
+            [np.interp(s_hi, nodes, gvals)],
         ]
     )
     return snodes, gv
+
+
+def _image_mesh(
+    phi: Integrator, nodes: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid values on one image mesh u, and the length of each node's prefix.
+
+    Each segment's s-nodes are mapped through it and framed by zero-valued
+    copies of its two end images, segments in order: seam cells have zero
+    length, jump-gap cells are zero-filled, and u[:ends[m]] ends at phi(t_m)
+    (the right limit at a jump).
+    """
+    seg_of = np.searchsorted([seg.lo for seg in phi.segments], nodes, side="right") - 1
+    ends = np.ones(len(nodes), dtype=np.intp)
+    u_parts, g_parts = [], []
+    start = 0
+    for j, seg in enumerate(phi.segments):
+        snodes, gv = _piece_nodes(nodes, values, seg.lo, seg.hi)
+        u = seg.eval(snodes)
+        u_parts += [u[:1], u, u[-1:]]
+        g_parts += [[0.0], gv, [0.0]]
+        mine = seg_of == j
+        ends[mine] = start + 1 + np.searchsorted(snodes, nodes[mine], side="right")
+        start += len(snodes) + 2
+    return np.concatenate(u_parts), np.concatenate(g_parts), ends
 
 
 def _singular_piece_quadrature(
@@ -311,29 +315,17 @@ def rl_wrt_phi_direct(
 ) -> SampledFunction1D:
     """Direct route: integrate the kernel over the image set of [a, t].
 
-    At node t the integral runs over the image of [a, t] piece by piece; the
-    integrand g is read back through the inverse of phi implicitly, by
-    carrying grid values to image points segment by segment. Each segment's
-    quadrature nodes and their images are built once; node t's piece of a
-    segment is the prefix of those nodes through t.
+    Node t_m is one product quadrature over the prefix of the image mesh
+    (``_image_mesh``) that ends at phi(t_m); the zero-filled gap cells add
+    nothing, and the kernel is singular only at the last mesh node.
     """
     alpha = _check_order(alpha)
     _check_domain(phi, g.grid)
-    nodes = g.grid.nodes
-    x_img = phi.value(nodes)
-    pieces = []
-    for seg in phi.segments:
-        snodes, gv = _piece_nodes(nodes, g.values, max(phi.a, seg.lo), seg.hi)
-        pieces.append((seg.eval(snodes), gv, np.searchsorted(snodes, nodes, side="right")))
+    u, gv, ends = _image_mesh(phi, g.grid.nodes, g.values)
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     gam = math.gamma(alpha)
-    for m in range(1, g.grid.N + 1):
-        acc = 0.0 + 0.0j
-        for unodes, gv, ends in pieces:
-            k = ends[m]  # node t_m lies beyond the segment start iff k >= 2
-            if k >= 2:
-                acc += _singular_piece_quadrature(alpha, x_img[m], unodes[:k], gv[:k])
-        out[m] = acc / gam
+    for m, k in enumerate(ends[1:], 1):
+        out[m] = _singular_piece_quadrature(alpha, u[k - 1], u[:k], gv[:k]) / gam
     return SampledFunction1D(g.grid, out)
 
 
@@ -354,7 +346,7 @@ def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1
         if not mask.any():
             continue
         s = np.clip(seg.invert(v[mask]), seg.lo, seg.hi)
-        out[mask] = _interp_complex(g.grid.nodes, g.values, s)
+        out[mask] = np.interp(s, g.grid.nodes, g.values)
     return SampledFunction1D(vgrid, out)
 
 
@@ -366,7 +358,7 @@ def rl_wrt_phi_transmuted(
     _check_domain(phi, g.grid)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
-    vals = _interp_complex(pulled.grid.nodes, integrated.values, phi.value(g.grid.nodes))
+    vals = np.interp(phi.value(g.grid.nodes), pulled.grid.nodes, integrated.values)
     return SampledFunction1D(g.grid, vals)
 
 
@@ -382,22 +374,12 @@ def transmutation_residual(
 
 
 def l1_norm_pushforward(phi: Integrator, g: SampledFunction1D) -> float:
-    """Discrete L1 norm of g against the pushforward measure.
-
-    Change of variables: the norm equals the Lebesgue integral of |g| read
-    through phi over the image, accumulated with trapezoid weights on the
-    (non-uniform) image nodes of each segment.
+    """Discrete L1 norm of g against the pushforward measure, by change of
+    variables the trapezoid rule for |g| on the direct route's image mesh.
     """
     _check_domain(phi, g.grid)
-    total = 0.0
-    mods = np.abs(g.values)
-    for seg in phi.segments:
-        snodes, gv = _piece_nodes(g.grid.nodes, mods.astype(np.complex128), seg.lo, seg.hi)
-        unodes = np.asarray(seg.eval(snodes), dtype=np.float64)
-        du = np.diff(unodes)
-        vals = gv.real
-        total += float(np.dot(du, 0.5 * (vals[:-1] + vals[1:])))
-    return total
+    u, mods, _ = _image_mesh(phi, g.grid.nodes, np.abs(g.values))
+    return float(np.dot(np.diff(u), 0.5 * (mods[:-1] + mods[1:])))
 
 
 def integrator_to_dict(phi: Integrator) -> dict:

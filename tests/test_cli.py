@@ -102,6 +102,18 @@ def test_config_error_exit_two(tmp_path, capsys):
         code = main(["axioms", "--grid-n", "256", "--tol-index", tol])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+    axioms = ["axioms", "--grid-n", "256"]
+    fit = ["laplace-fit", "--family", "riemann_liouville", "--alpha-grid", "0.5,1", "--grid-n", "256"]
+    finite = "grid requires finite a, T and step"
+    for argv, message in (
+        (axioms + ["--interval=0,inf"], finite),
+        (axioms + ["--interval", "0,1e300"], "overflows at order"),
+        (fit + ["--x-grid", "1,2", "--t-big", "inf"], finite),
+        (fit + ["--x-grid", "1e-300,2"], "overflows at x=1e-300"),
+    ):
+        code = main(argv)
+        assert code == 2, argv
+        assert message in capsys.readouterr().err, argv
     for domain in (None, [0.0]):
         spec = integrator_to_dict(unit_jump_integrator())
         spec["domain"] = domain

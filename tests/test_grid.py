@@ -29,6 +29,9 @@ def test_grid_nodes_and_invariants():
         UniformGrid1D(1.0, 0.0, 4)
     with pytest.raises(ValueError):
         UniformGrid1D(0.0, 1.0, 0)
+    for a, T, n in ((0.0, math.inf, 4), (-math.inf, 0.0, 4), (-1e308, 1e308, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            UniformGrid1D(a, T, n)
 
 
 def test_sample_constant():

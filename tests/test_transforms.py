@@ -69,6 +69,13 @@ def test_transform_rejects_bad_arguments():
             kernel_laplace_transform(0.5, x, 40.0, 256)
         with pytest.raises(ValueError, match="finite"):
             laplace_transform_nd(ones, (1.0, x))
+    for t_big in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="t_big"):
+            kernel_laplace_transform(0.5, 1.0, t_big, 256)
+    with pytest.raises(ValueError, match="x=1e-300"):  # tail bounds overflow
+        laplace_transform(ones_on(1.0, 16), 1e-300, growth_bound=(1.0, 0.5))
+    with pytest.raises(ValueError, match="x=1e-300"):
+        kernel_laplace_transform(2.0, 1e-300, 40.0, 64)
 
 
 def test_tail_bound_soundness():

@@ -12,7 +12,9 @@ from fracops.transmute import (
     Integrator,
     Jump,
     Segment,
-    compose_Q,
+    _image_mesh,
+    _piece_nodes,
+    _singular_piece_quadrature,
     identity_integrator,
     integrator_from_dict,
     integrator_to_dict,
@@ -103,47 +105,14 @@ def test_value_on_array_matches_scalar_calls():
 # ------------------------------------------------------------- composition
 
 
-def test_compose_identity_returns_samples():
-    phi = identity_integrator(0.0, 1.0)
-    g = UniformGrid1D(0.0, 1.0, 32)
-    f = sample(math.cos, g)
-    composed = compose_Q(phi, math.cos, g)
-    assert np.allclose(composed.values, f.values, atol=1e-15)
-
-
-def test_compose_with_scaling():
-    phi = linear_integrator(0.0, 1.0, 2.0)
-    g = UniformGrid1D(0.0, 1.0, 16)
-    composed = compose_Q(phi, lambda u: u * u, g)
-    assert np.allclose(composed.values.real, 4.0 * g.nodes ** 2, atol=1e-14)
-
-
-def test_compose_uses_right_limit_at_jump():
-    phi = unit_jump_integrator()
-    g = UniformGrid1D(0.0, 1.0, 4)  # node at 0.5
-    composed = compose_Q(phi, lambda u: u, g)
-    assert composed.values.real[2] == 1.5
-
-
-def test_compose_rejects_undefined_image_values():
-    phi = identity_integrator(0.0, 1.0)
-    g = UniformGrid1D(0.0, 1.0, 4)
-    with pytest.raises(ValueError, match="undefined"):
-        compose_Q(phi, lambda u: float("nan"), g)
-
-
 def test_round_trip_through_image_at_interior_nodes():
     # pull back and re-compose: exact where image nodes land on the grid
     phi = linear_integrator(0.0, 1.0, 2.0)
     g = UniformGrid1D(0.0, 1.0, 64)
     f = sample(lambda t: math.cos(3.0 * t), g)
     pulled = pullback_to_image(phi, f)
-    back = compose_Q(
-        phi,
-        lambda u: complex(np.interp(u, pulled.grid.nodes, pulled.values.real)),
-        g,
-    )
-    assert np.abs(back.values - f.values).max() < 1e-13
+    back = np.interp(phi.value(g.nodes), pulled.grid.nodes, pulled.values)
+    assert np.abs(back - f.values).max() < 1e-13
 
 
 # ------------------------------------------------------------- direct route
@@ -214,6 +183,75 @@ def test_direct_left_endpoint_zero():
     phi = unit_jump_integrator()
     f = sample(lambda t: 1.0, UniformGrid1D(0.0, 1.0, 64))
     assert rl_wrt_phi_direct(0.7, phi, f).values[0] == 0.0
+
+
+def per_segment_direct(alpha, phi, g):
+    # oracle: every node sums one quadrature per segment it has entered,
+    # read on that segment's own nodes, so the gaps never enter the sum
+    nodes = g.grid.nodes
+    x_img = phi.value(nodes)
+    pieces = []
+    for seg in phi.segments:
+        snodes, gv = _piece_nodes(nodes, g.values, seg.lo, seg.hi)
+        pieces.append((seg.eval(snodes), gv, np.searchsorted(snodes, nodes, side="right")))
+    out = np.zeros(g.grid.N + 1, dtype=np.complex128)
+    for m in range(1, g.grid.N + 1):
+        acc = 0.0 + 0.0j
+        for unodes, gv, ends in pieces:
+            k = ends[m]  # node t_m lies beyond the segment start iff k >= 2
+            if k >= 2:
+                acc += _singular_piece_quadrature(alpha, x_img[m], unodes[:k], gv[:k])
+        out[m] = acc / gamma(alpha)
+    return out
+
+
+def cubic_exp_jump_integrator():
+    # cubic s + s^3 on [0, 1/2], then an exponential one unit higher
+    e0 = 0.625 + 1.0 - math.exp(0.5)
+    return Integrator(
+        (
+            Segment(0.0, 0.5, "poly", (0.0, 1.0, 0.0, 1.0)),
+            Segment(0.5, 1.0, "exp", (e0, 1.0, 1.0)),
+        ),
+        (Jump(0.5, 1.0),),
+    )
+
+
+def seamed_integrator():
+    # continuous: s, then 0.09 + 0.4 s + s^2 from 0.3, then an exponential from 0.6
+    return Integrator(
+        (
+            Segment(0.0, 0.3, "poly", (0.0, 1.0)),
+            Segment(0.3, 0.6, "poly", (0.09, 0.4, 1.0)),
+            Segment(0.6, 1.0, "exp", (0.69 - math.exp(0.6), 1.0, 1.0)),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        unit_jump_integrator(),
+        off_grid_jump_integrator(),
+        cubic_exp_jump_integrator(),
+        seamed_integrator(),
+    ],
+    ids=["unit-jump", "off-grid-jump", "cubic-exp", "seams"],
+)
+def test_direct_image_mesh_matches_per_segment_sums(phi):
+    for n in (1, 2, 7, 4096):
+        grid = UniformGrid1D(0.0, 1.0, n)
+        real = sample(lambda t: math.cos(3.0 * t) + 1.0, grid)
+        cplx = sample(lambda t: (1.0 + t) * complex(math.cos(2 * t), math.sin(2 * t)), grid)
+        u, _, ends = _image_mesh(phi, grid.nodes, real.values)
+        assert np.array_equal(u[ends - 1], phi.value(grid.nodes))  # right limits
+        for alpha in (0.3, 1.0, 2.5):
+            for g in (real, cplx):
+                got = rl_wrt_phi_direct(alpha, phi, g)
+                ref = per_segment_direct(alpha, phi, g)
+                assert np.abs(got.values - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
+                assert got.values[0] == 0.0
+                assert got.is_real == (g is real)
 
 
 # --------------------------------------------------------- transmuted route
