@@ -20,6 +20,17 @@ reading the mesh prefix that ends at phi(t); and by transmutation, pulling
 g back to a uniform grid on [phi(a), phi(T)], applying the ordinary
 fractional integral there, and composing the result with phi. The two
 routes agree up to resampling error, which shrinks under refinement.
+
+The direct route costs O(N (J + K + B)) for 0 < alpha < 1: nodes go in
+blocks of B = 64, each takes exact kernel moments on the cells from K = 4
+grid nodes before it, and the rest of its prefix comes from a history of
+J positive-weight exponentials, J = 10 (1 + ceil(log2(40 R / delta))) for
+the image length R and the least image gap delta across K nodes at a block
+start (J = 180 for the unit jump at N = 4096). For alpha >= 1 the kernel is
+bounded and each node takes the exact rule over its whole prefix, O(N^2).
+Either way the result agrees with the exact rule over the whole prefix to
+about 1e-14 relative, node a gives exactly 0, and nonnegative real g gives
+exactly nonnegative real output.
 """
 
 from __future__ import annotations
@@ -32,10 +43,32 @@ from typing import Callable
 import numpy as np
 
 from .grid import SampledFunction1D, UniformGrid1D, l1_distance, sample
-from .rl_core import _check_order, rl_integral
+from .rl_core import _check_order, _gauss_legendre, rl_integral
 
 _BOUNDARY_TOL = 1e-12
 _JUMP_MATCH_TOL = 1e-9
+
+# The direct route's block kernel: nodes per block, grid nodes of exact near
+# field before each block, and the sum of exponentials behind the far field
+# (Gauss points per rule, and s * delta at its top, where e^(-s delta) < 5e-18).
+_BLOCK = 64
+_NEAR = 4
+_BLOCK_ENTRIES = 65536  # most rows x mesh nodes of a block that reads whole prefixes
+_GAUSS_POINTS = 10
+_SOE_CUT = 40.0
+_GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(10)
+    (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+     0.9739065285171717),
+    (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+     0.06667134430868814),
+)
+# Taylor coefficients in z of the two cell moments of _cell_moments, (-1)^n / (n! (n+2))
+# and (-1)^n / (n! (n+1) (n+2)): 19 terms reach double precision for z < 1
+_SERIES = np.array(
+    [[(-1) ** n / (math.factorial(n) * (n + 2)), (-1) ** n / math.factorial(n + 2)]
+     for n in range(19)]
+)
+_SERIES_POWERS = np.arange(len(_SERIES), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -287,27 +320,168 @@ def _image_mesh(
     return np.concatenate(u_parts), np.concatenate(g_parts), ends
 
 
-def _singular_piece_quadrature(
-    alpha: float, x_img: float, unodes: np.ndarray, gv: np.ndarray
-) -> complex:
-    """Product quadrature of (x_img - u)^(alpha-1) g(u) over one image piece.
+def _near_field(
+    alpha: float, x: np.ndarray, u: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """Exact product quadrature of (x - u)^(alpha-1) g(u) over the mesh u, per row x.
 
-    Same construction as the uniform-grid operator: g is replaced by its
-    piecewise-linear interpolant between image nodes and the kernel moments
-    are integrated exactly, which tolerates x_img touching the last node.
+    g is the piecewise-linear interpolant of the real columns G between mesh
+    nodes and the kernel moments of each cell are integrated exactly; cells
+    right of x have r = 0 at both ends and add exactly nothing, so one block
+    of rows shares one mesh window and x may touch its last node.
     """
-    r = x_img - unodes
-    r = np.maximum(r, 0.0)
+    r = np.maximum(x[:, None] - u[None, :], 0.0)
     ra = r ** alpha
-    rb = r ** (alpha + 1.0)
-    m0 = (ra[:-1] - ra[1:]) / alpha
-    m1 = r[:-1] * m0 - (rb[:-1] - rb[1:]) / (alpha + 1.0)
-    du = np.diff(unodes)
-    keep = du > 1e-15 * max(1.0, abs(x_img))
-    slope_w = np.zeros_like(m1)
-    slope_w[keep] = m1[keep] / du[keep]
-    terms = gv[:-1] * (m0 - slope_w) + gv[1:] * slope_w
-    return complex(terms.sum())
+    rb = ra * r
+    m0 = (ra[:, :-1] - ra[:, 1:]) / alpha
+    m1 = r[:, :-1] * m0 - (rb[:, :-1] - rb[:, 1:]) / (alpha + 1.0)
+    du = np.diff(u)
+    inv_du = np.divide(1.0, du, out=np.zeros_like(du), where=du > 0.0)
+    # cells no longer than 1e-15 max(1, |x|) keep only their left value
+    m1 *= inv_du * (du > 1e-15 * np.maximum(1.0, np.abs(x))[:, None])
+    return (m0 - m1) @ G[:-1] + m1 @ G[1:]
+
+
+def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 < alpha < 1.
+
+    Golub-Welsch on the Jacobi matrix of (1 + x)^(-alpha) on [-1, 1], without
+    LAPACK (whose first call costs about 1 MB of resident memory): the
+    eigenvalues are bracketed by Sturm counts and polished by Newton steps on
+    the characteristic polynomial, and each weight is 1 / sum_k p_k(x)^2 for
+    the orthonormal polynomials p_k. The weights are positive and sum to 1.
+    """
+    n = _GAUSS_POINTS
+    b = -alpha
+    k = np.arange(n, dtype=np.float64)
+    diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
+    diag[0] = b / (b + 2.0)
+    k = k[1:]
+    c = 2.0 * k + b
+    off = 2.0 * k * (k - alpha) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
+    off2 = off * off
+
+    def ratios(lam):
+        # q_k = det(T_(k+1) - lam) / det(T_k - lam) and its derivative in lam
+        q, dq = diag[0] - lam, -np.ones_like(lam)
+        yield q, dq
+        for d, e2 in zip(diag[1:], off2):
+            q, dq = d - lam - e2 / q, -1.0 + e2 * dq / (q * q)
+            yield q, dq
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # eigenvalue i lies above exactly i of them: three 32-way multisections
+        lo, width = np.full(n, -1.0), 2.0
+        frac = np.arange(1, 32) / 32.0
+        for _ in range(3):
+            trial = lo[:, None] + width * frac
+            below = sum((q < 0.0).astype(np.intp) for q, _ in ratios(trial))
+            lo = lo + width * (below <= np.arange(n)[:, None]).sum(axis=1) / 32.0
+            width /= 32.0
+        x = lo + 0.5 * width
+        for _ in range(3):
+            step = 1.0 / sum(dq / q for q, dq in ratios(x))
+            x = np.clip(x - np.nan_to_num(step), lo, lo + width)
+    p_prev, p = np.zeros(n), np.ones(n)
+    norm = np.ones(n)
+    for d, e, e_prev in zip(diag[:-1], off, np.concatenate([[0.0], off[:-1]])):
+        p_prev, p = p, ((x - d) * p - e_prev * p_prev) / e
+        norm += p * p
+    return 0.5 * (x + 1.0), 1.0 / norm
+
+
+def _sum_of_exponentials(
+    alpha: float, delta: float, length: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates s_j and positive weights w_j with sum_j w_j e^(-s_j r) = r^(alpha-1).
+
+    For 0 < alpha < 1, r^(alpha-1) = int_0^inf s^(-alpha) e^(-s r) ds / Gamma(1-alpha).
+    Gauss-Jacobi with weight s^(-alpha) covers [0, 1/length] and
+    Gauss-Legendre each dyadic interval above it, up to _SOE_CUT / delta,
+    which leaves a tail below e^(-_SOE_CUT). The relative error stays near
+    2e-15 on [delta, length] for every alpha in (0, 1), and the count is
+    _GAUSS_POINTS * (1 + ceil(log2(_SOE_CUT * length / delta))), whatever alpha.
+    The rates come out sorted.
+    """
+    t, v = _gauss_jacobi(alpha)
+    # (1 - alpha) Gamma(1 - alpha) = Gamma(2 - alpha)
+    s_low = t / length
+    w_low = v * length ** (alpha - 1.0) / math.gamma(2.0 - alpha)
+    octaves = max(1, math.ceil(math.log2(_SOE_CUT * length / delta)))
+    lo = 2.0 ** np.arange(octaves)[:, None] / length
+    y, wy = _GAUSS_RULE
+    s_high = (lo * (1.0 + y)).ravel()
+    w_high = (lo * wy).ravel() * s_high ** (-alpha) / math.gamma(1.0 - alpha)
+    return np.concatenate([s_low, s_high]), np.concatenate([w_low, w_high])
+
+
+def _far_field_exponentials(
+    alpha: float, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The history's exponentials for node images x, or None when there is no far field.
+
+    A block starting at node m0 reads its far field from the cutoff phi(t_(m0-K)),
+    so every far distance lies in [delta, R] with delta the least gap from a
+    block start to its cutoff and R = phi(T) - phi(a). Orders >= 1 have a
+    bounded kernel and take the exact rule over the whole prefix instead.
+    """
+    starts = np.arange(1 + _BLOCK, len(x), _BLOCK)
+    if alpha >= 1.0 or len(starts) == 0:
+        return None
+    delta = float(np.min(x[starts] - x[starts - _NEAR]))
+    if not delta > 0.0:  # image nodes that round together: no safe far field
+        return None
+    return _sum_of_exponentials(alpha, delta, float(x[-1] - x[0]))
+
+
+def _cell_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 w e^(-z w) dw and int_0^1 (1 - w) e^(-z w) dw for z >= 0, both >= 0.
+
+    With w the distance from a cell's right end in cell lengths, they weigh g
+    at the cell's left and right node. The closed forms lose no digits for
+    z >= 1; below that the Taylor series is summed, whose terms alternate in
+    sign and shrink, so its sums stay positive.
+    """
+    zc = np.maximum(z, 1.0)
+    e = np.exp(-zc)
+    left = (1.0 - (1.0 + zc) * e) / zc / zc
+    right = (zc - 1.0 + e) / zc / zc
+    small = z < 1.0
+    if small.any():
+        left[small], right[small] = _SERIES.T @ z[small] ** _SERIES_POWERS[:, None]
+    return left, right
+
+
+def _advance_history(
+    H: np.ndarray, s: np.ndarray, u: np.ndarray, G: np.ndarray, c0: int, c1: int
+) -> None:
+    """Move the history from cutoff u[c0] to u[c1], adding cells c0 .. c1-1 in place.
+
+    H[j] = int_(u < cutoff) e^(-s_j (cutoff - u)) g(u) du for the piecewise-linear
+    g; each new cell adds the exact moments of e^(-s_j (cutoff - u)) against
+    the two linear pieces of g on it. Cells of zero length or with g = 0 at
+    both ends add exactly nothing and are skipped.
+    """
+    H *= np.exp(-s * (u[c1] - u[c0]))[:, None]
+    h = np.diff(u[c0 : c1 + 1])
+    nonzero = (G[c0 : c1 + 1] != 0.0).any(axis=1)
+    live = np.flatnonzero((h > 0.0) & (nonzero[:-1] | nonzero[1:]))
+    if not live.size:
+        return
+    h, gl, gr = h[live], G[c0 + live], G[c0 + 1 + live]
+    decay = np.exp(-np.outer(s, u[c1] - u[c0 + 1 + live]))
+    # rows with s h < 1 on every cell take the series as one product,
+    # sum_n (s_j hmax)^n sum_i decay_ji h_i (h_i / hmax)^n (a_n g_i + b_n g_(i+1))
+    # with (a_n, b_n) = _SERIES[n]; its terms alternate in n and shrink
+    hmax = float(h.max())
+    low = int(np.searchsorted(s, 1.0 / hmax))
+    V = gl[:, None, :] * _SERIES[:, 0, None] + gr[:, None, :] * _SERIES[:, 1, None]
+    V *= (h[:, None] * (h[:, None] / hmax) ** _SERIES_POWERS)[:, :, None]
+    S = (decay[:low] @ V.reshape(len(h), -1)).reshape(low, len(_SERIES), G.shape[1])
+    H[:low] += (((hmax * s[:low, None]) ** _SERIES_POWERS)[:, None, :] @ S)[:, 0]
+    left, right = _cell_moments(np.outer(s[low:], h))
+    decay = decay[low:] * h
+    H[low:] += (decay * left) @ gl + (decay * right) @ gr
 
 
 def rl_wrt_phi_direct(
@@ -316,17 +490,51 @@ def rl_wrt_phi_direct(
     """Direct route: integrate the kernel over the image set of [a, t].
 
     Node t_m is one product quadrature over the prefix of the image mesh
-    (``_image_mesh``) that ends at phi(t_m); the zero-filled gap cells add
+    (``_image_mesh``) that ends at phi(t_m): g is linear between mesh nodes and
+    every cell's kernel moments are exact; the zero-filled gap cells add
     nothing, and the kernel is singular only at the last mesh node.
+
+    Nodes go in blocks of _BLOCK. For 0 < alpha < 1 a block takes the exact
+    moments only on the cells from _NEAR grid nodes before its first node on.
+    Everything left of that cutoff comes from a history of J exponentials
+    whose positive-weight sum matches r^(alpha-1) to about 2e-15 relative
+    (``_sum_of_exponentials``) and which carries across the nonuniform image
+    mesh and its jumps. That costs O(N (J + _NEAR + _BLOCK)) time with
+    J = 10 (1 + ceil(log2(40 R / delta))), R the image length and delta the
+    least image gap from a block start to its cutoff, and temporaries of
+    O(_BLOCK (_NEAR + _BLOCK + J)). For alpha >= 1 the kernel is bounded and
+    every node takes the exact moments over its whole prefix: O(N^2) time, in
+    blocks of at most _BLOCK_ENTRIES kernel entries.
+
+    Either way the result agrees with the exact rule over the whole prefix to
+    about 1e-14 relative, node 0 is exactly 0, and since every weight is
+    nonnegative a nonnegative real g gives an exactly nonnegative real result.
     """
     alpha = _check_order(alpha)
     _check_domain(phi, g.grid)
     u, gv, ends = _image_mesh(phi, g.grid.nodes, g.values)
-    out = np.zeros(g.grid.N + 1, dtype=np.complex128)
-    gam = math.gamma(alpha)
-    for m, k in enumerate(ends[1:], 1):
-        out[m] = _singular_piece_quadrature(alpha, u[k - 1], u[:k], gv[:k]) / gam
-    return SampledFunction1D(g.grid, out)
+    G = gv.view(np.float64).reshape(-1, 2)  # real and imaginary parts as columns
+    x = u[ends - 1]
+    N = g.grid.N
+    out = np.zeros((N + 1, 2))
+    soe = _far_field_exponentials(alpha, x)
+    if soe is not None:
+        s, w = soe
+        H = np.zeros((len(s), 2))
+    # blocks that read whole prefixes get fewer rows, which bounds their temporaries
+    rows = _BLOCK if soe is not None else max(1, min(_BLOCK, _BLOCK_ENTRIES // len(u)))
+    cut = 0
+    for m0 in range(1, N + 1, rows):
+        m1 = min(m0 + rows, N + 1)
+        if soe is not None and m0 > _BLOCK:
+            new_cut = int(ends[m0 - _NEAR]) - 1
+            _advance_history(H, s, u, G, cut, new_cut)
+            cut = new_cut
+            out[m0:m1] = np.exp(-np.outer(x[m0:m1] - u[cut], s)) @ (w[:, None] * H)
+        k = int(ends[m1 - 1])
+        out[m0:m1] += _near_field(alpha, x[m0:m1], u[cut:k], G[cut:k])
+    out /= math.gamma(alpha)
+    return SampledFunction1D(g.grid, out.view(np.complex128).ravel())
 
 
 def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1D:
@@ -358,7 +566,9 @@ def rl_wrt_phi_transmuted(
     _check_domain(phi, g.grid)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
-    vals = np.interp(phi.value(g.grid.nodes), pulled.grid.nodes, integrated.values)
+    # _check_domain lets grid ends miss the domain by _BOUNDARY_TOL; phi.value does not
+    nodes = np.clip(g.grid.nodes, phi.a, phi.T)
+    vals = np.interp(phi.value(nodes), pulled.grid.nodes, integrated.values)
     return SampledFunction1D(g.grid, vals)
 
 

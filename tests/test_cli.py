@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracops.cli import build_parser, main
 from fracops.harness import RunConfig
@@ -213,3 +217,36 @@ def test_transmute_check_cli(tmp_path):
     assert payload["pushforward_measure_full"] == 1.0
     assert payload["jump_total"] == 1.0
     assert max(payload["residuals"].values()) < 5e-3
+
+
+@pytest.fixture(scope="module")
+def unit_jump_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "phi.json"
+    path.write_text(json.dumps(integrator_to_dict(unit_jump_integrator())))
+    return path
+
+
+ALPHAS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e-8", "0.999999", "1", "20", "21"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(alpha=st.sampled_from(ALPHAS), grid_n=st.sampled_from([-3, 0, 1, 2, 7, 64, 129]))
+def test_transmute_check_fuzz_exits_cleanly(unit_jump_spec, alpha, grid_n):
+    # every order and resolution ends in exit 0, 1 or 2, never a traceback;
+    # exit 1 means a FAIL verdict and nothing else (129 nodes reach the far field)
+    out, err = io.StringIO(), io.StringIO()
+    argv = [
+        "transmute-check", "--phi", str(unit_jump_spec), f"--alpha={alpha}",
+        f"--grid-n={grid_n}", "--out", str(unit_jump_spec.with_name("tm.json")),
+    ]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    lines = out.getvalue().splitlines()
+    verdict = [line for line in lines if line.startswith("transmute-check")]
+    if code == 1:
+        assert len(verdict) == 1 and verdict[0].endswith("(FAIL)"), argv
+    elif code == 2:
+        assert not verdict and err.getvalue().startswith("error:"), argv
+    else:
+        assert len(verdict) == 1 and verdict[0].endswith("(pass)"), argv

@@ -12,9 +12,13 @@ from fracops.transmute import (
     Integrator,
     Jump,
     Segment,
+    _BLOCK,
+    _NEAR,
+    _far_field_exponentials,
+    _gauss_jacobi,
     _image_mesh,
     _piece_nodes,
-    _singular_piece_quadrature,
+    _sum_of_exponentials,
     identity_integrator,
     integrator_from_dict,
     integrator_to_dict,
@@ -185,6 +189,31 @@ def test_direct_left_endpoint_zero():
     assert rl_wrt_phi_direct(0.7, phi, f).values[0] == 0.0
 
 
+def _singular_piece_quadrature(alpha, x_img, unodes, gv):
+    # exact product quadrature of (x_img - u)^(alpha-1) g(u) over one image
+    # piece, g piecewise linear between image nodes
+    r = np.maximum(x_img - unodes, 0.0)
+    ra = r ** alpha
+    rb = r ** (alpha + 1.0)
+    m0 = (ra[:-1] - ra[1:]) / alpha
+    m1 = r[:-1] * m0 - (rb[:-1] - rb[1:]) / (alpha + 1.0)
+    du = np.diff(unodes)
+    keep = du > 1e-15 * max(1.0, abs(x_img))
+    slope_w = np.zeros_like(m1)
+    slope_w[keep] = m1[keep] / du[keep]
+    terms = gv[:-1] * (m0 - slope_w) + gv[1:] * slope_w
+    return complex(terms.sum())
+
+
+def per_node_direct(alpha, phi, g):
+    # oracle: every node sums the exact rule over its whole image-mesh prefix
+    u, gv, ends = _image_mesh(phi, g.grid.nodes, g.values)
+    out = np.zeros(g.grid.N + 1, dtype=np.complex128)
+    for m, k in enumerate(ends[1:], 1):
+        out[m] = _singular_piece_quadrature(alpha, u[k - 1], u[:k], gv[:k]) / gamma(alpha)
+    return out
+
+
 def per_segment_direct(alpha, phi, g):
     # oracle: every node sums one quadrature per segment it has entered,
     # read on that segment's own nodes, so the gaps never enter the sum
@@ -228,7 +257,7 @@ def seamed_integrator():
     )
 
 
-@pytest.mark.parametrize(
+IMAGE_MESH_INTEGRATORS = pytest.mark.parametrize(
     "phi",
     [
         unit_jump_integrator(),
@@ -238,6 +267,9 @@ def seamed_integrator():
     ],
     ids=["unit-jump", "off-grid-jump", "cubic-exp", "seams"],
 )
+
+
+@IMAGE_MESH_INTEGRATORS
 def test_direct_image_mesh_matches_per_segment_sums(phi):
     for n in (1, 2, 7, 4096):
         grid = UniformGrid1D(0.0, 1.0, n)
@@ -252,6 +284,89 @@ def test_direct_image_mesh_matches_per_segment_sums(phi):
                 assert np.abs(got.values - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
                 assert got.values[0] == 0.0
                 assert got.is_real == (g is real)
+
+
+@IMAGE_MESH_INTEGRATORS
+def test_direct_nonnegative_input_gives_exactly_nonnegative_output(phi):
+    # exactness gate: every weight, near or far, is nonnegative, so a
+    # nonnegative real g gives an exactly nonnegative real result
+    probes = (
+        lambda t: max(t - 0.4, 0.0),  # a ramp after a zero prefix
+        lambda t: abs(math.sin(40.0 * t)),
+        lambda t: 1e-300 * t,
+    )
+    for n in (1, 2, 7, 129, 4096):
+        grid = UniformGrid1D(0.0, 1.0, n)
+        for expr in probes:
+            g = sample(expr, grid)
+            for alpha in (0.05, 0.3, 0.5, 0.95, 1.0, 2.5):
+                out = rl_wrt_phi_direct(alpha, phi, g).values
+                assert np.all(out.real >= 0.0), (n, alpha)
+                assert np.all(out.imag == 0.0), (n, alpha)
+                assert out[0] == 0.0
+
+
+@pytest.mark.parametrize("phi", [unit_jump_integrator(), cubic_exp_jump_integrator()],
+                         ids=["unit-jump", "cubic-exp"])
+def test_direct_block_edges_match_per_node_loop(phi):
+    # node counts around the near-field width and the block length: from
+    # N = _BLOCK + 1 on, the last block reads its far field from the history
+    for n in (_NEAR - 1, _NEAR, _NEAR + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+        grid = UniformGrid1D(0.0, 1.0, n)
+        for g in (
+            sample(lambda t: math.cos(3.0 * t) + 1.0, grid),
+            sample(lambda t: (1.0 + t) * complex(math.cos(2 * t), math.sin(2 * t)), grid),
+        ):
+            for alpha in (0.05, 0.5, 0.95, 1.5):
+                got = rl_wrt_phi_direct(alpha, phi, g).values
+                ref = per_node_direct(alpha, phi, g)
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
+
+
+def test_sum_of_exponentials_is_uniform_in_alpha():
+    # the count depends on R / delta only, so alpha -> 1 costs no more time
+    # or memory, and the kernel error stays near rounding
+    delta, length = 4.0 / 4096.0, 2.0
+    r = np.geomspace(delta, length, 2001)
+    counts = set()
+    for alpha in (1e-8, 0.5, 0.999, 1.0 - 1e-9):
+        s, w = _sum_of_exponentials(alpha, delta, length)
+        counts.add(len(s))
+        assert np.all(w > 0.0) and np.all(np.diff(s) > 0.0)
+        kernel = np.exp(-np.outer(r, s)) @ w
+        assert np.abs(kernel / r ** (alpha - 1.0) - 1.0).max() < 5e-15, alpha
+    assert counts == {10 * (1 + math.ceil(math.log2(40.0 * length / delta)))}
+    assert counts == {180}
+
+
+def test_gauss_jacobi_matches_lapack():
+    # the rule behind the history's slowest exponentials, against Golub-Welsch by LAPACK
+    for alpha in (1e-8, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+        t, v = _gauss_jacobi(alpha)
+        n = len(t)
+        k = np.arange(1.0, n)
+        b = -alpha
+        diag = np.array([b / (b + 2.0)] + [b * b / ((2 * j + b) * (2 * j + b + 2)) for j in k])
+        off = 2 * k * (k + b) / ((2 * k + b) * np.sqrt((2 * k + b + 1) * (2 * k + b - 1)))
+        x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.abs(t - 0.5 * (x + 1.0)).max() < 1e-15, alpha
+        assert np.abs(v - vec[0] ** 2).max() < 5e-14, alpha
+        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15
+
+
+def test_far_field_count_grows_logarithmically_for_flat_integrator():
+    # phi = 1e-6 s packs the image into [0, 1e-6], so delta is tiny, but only
+    # R / delta enters the count: one octave of Gauss points per doubling of N
+    phi = linear_integrator(0.0, 1.0, 1e-6)
+    counts = []
+    for n in (256, 512, 1024, 2048, 4096):
+        x = phi.value(UniformGrid1D(0.0, 1.0, n).nodes)
+        s, _ = _far_field_exponentials(0.5, x)
+        counts.append(len(s))
+    assert np.all(np.diff(counts) <= 10)
+    assert counts[-1] == 10 * (1 + math.ceil(math.log2(40.0 * 4096 / _NEAR)))
+    assert _far_field_exponentials(1.5, x) is None  # bounded kernel: exact rule
+    assert _far_field_exponentials(0.5, x[: _BLOCK + 1]) is None  # one block, no far field
 
 
 # --------------------------------------------------------- transmuted route
@@ -277,6 +392,23 @@ def test_transmuted_jump_unit_order_value():
     f = sample(lambda t: 1.0, UniformGrid1D(0.0, 1.0, 4096))
     out = rl_wrt_phi_transmuted(1.0, phi, f)
     assert abs(out.values[-1].real - 1.0) < 1e-3
+
+
+def test_grid_ends_within_tolerance_work_on_both_routes():
+    # grid ends within _BOUNDARY_TOL of the domain pass the domain check, so
+    # both routes must evaluate phi on them
+    phi = unit_jump_integrator()
+    g = sample(lambda t: t, UniformGrid1D(0.0, 1.0 + 5e-13, 64))
+    for route in (rl_wrt_phi_direct, rl_wrt_phi_transmuted):
+        assert np.all(np.isfinite(route(0.5, phi, g).values))
+    # with no node on the jump, the nodes move by 5e-13 and so do the residuals
+    for a, T in ((0.0, 1.0 + 5e-13), (-5e-13, 1.0)):
+        for alpha in (0.5, 1.3):
+            for expr in (lambda t: 1.0, lambda t: t):
+                g = sample(expr, UniformGrid1D(a, T, 63))
+                direct = rl_wrt_phi_direct(alpha, phi, g)
+                got = l1_distance(direct, rl_wrt_phi_transmuted(alpha, phi, g))
+                assert abs(got - transmutation_residual(alpha, phi, expr, 63)) < 1e-12
 
 
 def test_pullback_zero_fills_gaps():
