@@ -62,7 +62,6 @@ from .harness import (
     AxiomReport,
     RunConfig,
     check_continuity,
-    check_convolutionization,
     check_identity,
     check_index_law,
     check_positivity,

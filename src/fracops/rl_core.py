@@ -217,14 +217,6 @@ class AxiomProfile:
     continuity: bool
     positivity: bool
 
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "identity": self.identity,
-            "index_law": self.index_law,
-            "continuity": self.continuity,
-            "positivity": self.positivity,
-        }
-
 
 @dataclass(frozen=True)
 class OperatorFamily1D:

@@ -270,7 +270,8 @@ def pushforward_measure(phi: Integrator, u: float, v: float) -> float:
 
 
 def _check_domain(phi: Integrator, grid: UniformGrid1D) -> None:
-    if abs(grid.a - phi.a) > _BOUNDARY_TOL or abs(grid.T - phi.T) > _BOUNDARY_TOL:
+    # exact ends: an end off by 1e-13 moves every node, across a jump too
+    if grid.a != phi.a or grid.T != phi.T:
         raise ValueError(
             f"grid [{grid.a}, {grid.T}] does not match the integrator domain "
             f"[{phi.a}, {phi.T}]"
@@ -545,7 +546,8 @@ def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1
     """
     _check_domain(phi, g.grid)
     vgrid = UniformGrid1D(phi.phi_a, phi.phi_T, g.grid.N)
-    v = vgrid.nodes
+    # the last node can overshoot phi(T) by an ulp and would miss every segment
+    v = np.clip(vgrid.nodes, phi.phi_a, phi.phi_T)
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     for seg in phi.segments:
         e_lo = float(seg.eval(seg.lo))
@@ -566,7 +568,7 @@ def rl_wrt_phi_transmuted(
     _check_domain(phi, g.grid)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
-    # _check_domain lets grid ends miss the domain by _BOUNDARY_TOL; phi.value does not
+    # the last node a + N h can overshoot T by an ulp; phi.value rejects it
     nodes = np.clip(g.grid.nodes, phi.a, phi.T)
     vals = np.interp(phi.value(nodes), pulled.grid.nodes, integrated.values)
     return SampledFunction1D(g.grid, vals)

@@ -2,9 +2,10 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracops.cli import build_parser, main
@@ -250,3 +251,71 @@ def test_transmute_check_fuzz_exits_cleanly(unit_jump_spec, alpha, grid_n):
         assert not verdict and err.getvalue().startswith("error:"), argv
     else:
         assert len(verdict) == 1 and verdict[0].endswith("(pass)"), argv
+
+
+EXTREMES = ["nan", "inf", "-inf", "0", "1e-300", "1e300", "-1"]
+
+
+@st.composite
+def float_flag_argv(draw):
+    """One axioms, laplace-fit or riesz-check call; each float keeps its
+    ordinary value or takes an extreme one (all in '=' form, so '-inf' is a
+    value, not a flag)."""
+
+    def value(ordinary):
+        return draw(st.one_of(st.just(ordinary), st.sampled_from(EXTREMES)))
+
+    def floats(*ordinary):
+        return ",".join(value(v) for v in ordinary)
+
+    command = draw(st.sampled_from(["axioms", "laplace-fit", "riesz-check"]))
+    if command == "axioms":
+        return ["axioms", "--grid-n=32", f"--interval={floats('0', '1')}"] + [
+            f"--tol-{name}={value(ordinary)}"
+            for name, ordinary in (
+                ("identity", "1e-6"),
+                ("index", "5e-3"),
+                ("continuity", "1e-2"),
+                ("positivity", "1e-10"),
+            )
+        ]
+    if command == "laplace-fit":
+        return [
+            "laplace-fit", "--family=riemann_liouville", "--grid-n=64",
+            f"--alpha-grid={floats('0.5', '1', '1.5')}",
+            f"--x-grid={floats('1', '2')}", f"--t-big={value('40')}",
+        ]
+    return [
+        "riesz-check", "--dim=1", "--modes=16",
+        f"--alpha-grid={floats('0.25', '0.5', '0.7')}",
+    ]
+
+
+LAPLACE_HUGE_WINDOW = [
+    "laplace-fit", "--family=riemann_liouville", "--grid-n=64",
+    "--alpha-grid=0.5,1,1.5", "--x-grid=1,2", "--t-big=1e300",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=float_flag_argv())
+@example(argv=LAPLACE_HUGE_WINDOW)
+@example(argv=LAPLACE_HUGE_WINDOW[:4] + ["--x-grid=1e-300,2", "--t-big=1e300"])
+@example(argv=["riesz-check", "--dim=1", "--modes=16", "--alpha-grid=1e-300,1e-300,1e-300"])
+def test_float_flags_fuzz_exit_cleanly(argv):
+    # exit 0, 1 or 2 and never a traceback or a float warning; exit 1 only
+    # with a printed MISMATCH or FAIL verdict, exit 2 only with an error line
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = out.getvalue().splitlines()
+    verdicts = [line for line in lines if "MISMATCH" in line or "FAIL" in line]
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert verdicts, argv
+    elif code == 2:
+        assert err.getvalue().startswith("error:"), argv
+    else:
+        assert not verdicts, argv

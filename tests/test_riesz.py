@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ def test_multiplier_check_exact_family():
     assert report.anchor_violation < 1e-12
     for (xi,), d in zip(report.xi_grid, report.slopes):
         assert abs(d + math.log(abs(xi))) < 1e-12
+
+
+def test_multiplier_check_slopes_at_tiny_orders():
+    # the squares of the orders underflow to 0, and |xi|^(-1e-300) rounds to
+    # 1: the fitted slope is 0, not the 0/0 of the plain normal equation
+    fam = exact_riesz_family(1, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = multiplier_family_check(fam, [1e-300] * 3, xi_set_1d())
+    assert np.all(report.slopes == 0.0)
 
 
 def test_multiplier_check_scaled_family_reports_anchor_violation():

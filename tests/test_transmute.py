@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from math import gamma
 
 import numpy as np
@@ -394,21 +395,30 @@ def test_transmuted_jump_unit_order_value():
     assert abs(out.values[-1].real - 1.0) < 1e-3
 
 
-def test_grid_ends_within_tolerance_work_on_both_routes():
-    # grid ends within _BOUNDARY_TOL of the domain pass the domain check, so
-    # both routes must evaluate phi on them
+def test_grid_ends_off_the_domain_are_rejected():
+    # an end 5e-13 off moves the interior nodes too: node 32 of the first grid
+    # lands left of the jump at 1/2
     phi = unit_jump_integrator()
-    g = sample(lambda t: t, UniformGrid1D(0.0, 1.0 + 5e-13, 64))
-    for route in (rl_wrt_phi_direct, rl_wrt_phi_transmuted):
-        assert np.all(np.isfinite(route(0.5, phi, g).values))
-    # with no node on the jump, the nodes move by 5e-13 and so do the residuals
-    for a, T in ((0.0, 1.0 + 5e-13), (-5e-13, 1.0)):
-        for alpha in (0.5, 1.3):
-            for expr in (lambda t: 1.0, lambda t: t):
-                g = sample(expr, UniformGrid1D(a, T, 63))
-                direct = rl_wrt_phi_direct(alpha, phi, g)
-                got = l1_distance(direct, rl_wrt_phi_transmuted(alpha, phi, g))
-                assert abs(got - transmutation_residual(alpha, phi, expr, 63)) < 1e-12
+    for a, T in ((-5e-13, 1.0), (0.0, 1.0 + 5e-13)):
+        g = sample(lambda t: t, UniformGrid1D(a, T, 64))
+        message = f"grid [{a}, {T}] does not match the integrator domain [0.0, 1.0]"
+        for call in (
+            lambda: rl_wrt_phi_direct(0.5, phi, g),
+            lambda: rl_wrt_phi_transmuted(0.5, phi, g),
+            lambda: pullback_to_image(phi, g),
+            lambda: l1_norm_pushforward(phi, g),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+
+def test_transmuted_route_takes_a_last_node_past_the_domain_end():
+    # on [0, 3] in 187 cells the last node a + N h is 3 + 4.4e-16 on both
+    # sides: phi must still be read there, and the pullback must not zero it
+    phi = identity_integrator(0.0, 3.0)
+    g = sample(lambda t: t, UniformGrid1D(0.0, 3.0, 187))
+    assert g.grid.nodes[-1] > phi.T
+    assert transmutation_residual(0.5, phi, lambda t: t, 187) < 1e-10
 
 
 def test_pullback_zero_fills_gaps():
