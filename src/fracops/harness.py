@@ -75,11 +75,12 @@ class RunConfig:
             raise ValueError(
                 f"unknown family {self.family!r}; valid: all, {', '.join(FAMILY_NAMES)}"
             )
-
-    def sampled_functions(self) -> dict[str, SampledFunction1D]:
-        a, T = self.interval
-        g = UniformGrid1D(float(a), float(T), int(self.grid_n))
-        return {name: sample(expr, g) for name, expr in TEST_FUNCTIONS.items()}
+        a, T = (float(x) for x in self.interval)
+        if math.isfinite(a) and a + 1.0 == a:
+            raise ValueError(
+                f"interval [{a}, {T}] leaves no unit continuity window [a, a + 1]: "
+                f"a + 1 rounds to a = {a}"
+            )
 
 
 def check_identity(
@@ -111,10 +112,9 @@ def check_continuity(
     family: OperatorFamily1D,
     alpha0: float,
     deltas: tuple[float, ...],
-    grid: UniformGrid1D,
+    ones: SampledFunction1D,
 ) -> list[float]:
     """Residual sequence r_i = ||apply(alpha0 + delta_i, 1) - apply(alpha0, 1)||_1."""
-    ones = sample(TEST_FUNCTIONS["one"], grid)
     base = family.apply(alpha0, ones)
     return [
         l1_distance(family.apply(alpha0 + d, ones), base) if d != 0.0 else 0.0
@@ -187,15 +187,18 @@ class AxiomReport:
         }
 
 
-def run_family(family_name: str, config: RunConfig) -> AxiomReport:
+def run_family(
+    family_name: str,
+    config: RunConfig,
+    f_set: dict[str, SampledFunction1D],
+    window_ones: SampledFunction1D,
+) -> AxiomReport:
+    """All four checks on one family, given the probes sampled on the interval
+    and the constant 1 sampled on the continuity window."""
     family = make_family(family_name)
-    f_set = config.sampled_functions()
-    a = float(config.interval[0])
-    window = UniformGrid1D(a, a + 1.0, int(config.grid_n))
-
     identity_res = check_identity(family, f_set)
     index_res = check_index_law(family, INDEX_PAIRS, f_set)
-    cont_res = check_continuity(family, CONTINUITY_ALPHA0, CONTINUITY_DELTAS, window)
+    cont_res = check_continuity(family, CONTINUITY_ALPHA0, CONTINUITY_DELTAS, window_ones)
     nonneg = {
         name: f
         for name, f in f_set.items()
@@ -227,9 +230,17 @@ def run_family(family_name: str, config: RunConfig) -> AxiomReport:
 
 
 def run_matrix(config: RunConfig) -> list[AxiomReport]:
-    """Run all four checks on the requested families, ordered by family name."""
+    """Run all four checks on the requested families, ordered by family name.
+
+    The probes and the window constant are sampled once and shared by every family.
+    """
     names = FAMILY_NAMES if config.family == "all" else (config.family,)
-    return [run_family(name, config) for name in sorted(names)]
+    a, T = (float(x) for x in config.interval)
+    n = int(config.grid_n)
+    grid = UniformGrid1D(a, T, n)
+    f_set = {name: sample(expr, grid) for name, expr in TEST_FUNCTIONS.items()}
+    window_ones = sample(TEST_FUNCTIONS["one"], UniformGrid1D(a, a + 1.0, n))
+    return [run_family(name, config, f_set, window_ones) for name in sorted(names)]
 
 
 def reports_to_json(reports: list[AxiomReport]) -> str:

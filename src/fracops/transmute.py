@@ -8,18 +8,21 @@ An integrator phi is a piecewise-smooth strictly increasing function on
   endpoints, so image sets and pushforward measures are assertable;
 * jumps contribute no mass: the pushforward of Lebesgue measure assigns an
   interval the total length of its image, and single points are null;
-* when pulling a function back to the image domain, the gaps opened by
-  jumps are filled with zero, which is exactly what makes the two
+* when pulling a function back to the image domain, the open gaps that
+  jumps leave are filled with zero, which is exactly what makes the two
   evaluation routes below agree (the defining integral only ever sees the
   image of phi).
 
-The integral with respect to phi is computed two ways: directly, by
-product quadrature of the singular kernel on one image mesh (the image
-nodes of all segments in order, zero-filled across the jump gaps), node t
-reading the mesh prefix that ends at phi(t); and by transmutation, pulling
-g back to a uniform grid on [phi(a), phi(T)], applying the ordinary
-fractional integral there, and composing the result with phi. The two
-routes agree up to resampling error, which shrinks under refinement.
+Both routes read phi only forward, at the image nodes phi(s) of each
+segment's grid nodes and ends; nothing solves phi(s) = v. The integral with
+respect to phi is computed two ways: directly, by product quadrature of the
+singular kernel on one image mesh (those image nodes, all segments in
+order, zero-filled across the jump gaps), node t reading the mesh prefix
+that ends at phi(t); and by transmutation, pulling g back to a uniform grid
+on [phi(a), phi(T)], linear in the image variable between the image nodes,
+applying the ordinary fractional integral there, and composing the result
+with phi at the mesh's phi(t). The two routes agree up to resampling error,
+which shrinks under refinement.
 
 The direct route costs O(N (J + K + B)) for 0 < alpha < 1: nodes go in
 blocks of B = 64, each takes exact kernel moments on the cells from K = 4
@@ -98,24 +101,6 @@ class Segment:
             return np.polynomial.polynomial.polyval(s, self.coefficients)
         c0, c1, c2 = self.coefficients
         return c0 + c1 * np.exp(c2 * s)
-
-    def invert(self, v):
-        """Solve eval(s) = v on [lo, hi] (the segment is strictly increasing)."""
-        v = np.asarray(v, dtype=np.float64)
-        if self.kind == "exp":
-            c0, c1, c2 = self.coefficients
-            return np.log((v - c0) / c1) / c2
-        if len(self.coefficients) == 2:
-            c0, c1 = self.coefficients
-            return (v - c0) / c1
-        lo = np.full(v.shape, self.lo)
-        hi = np.full(v.shape, self.hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.eval(mid) < v
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -541,36 +526,36 @@ def rl_wrt_phi_direct(
 def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1D:
     """g composed with the inverse of phi on a uniform grid of [phi(a), phi(T)].
 
-    Gap intervals left by jumps are filled with zero; the closed image
-    intervals win at their endpoints, later segments taking precedence.
+    Read through the forward map only: each segment's s-nodes (``_piece_nodes``)
+    go through phi, and g is linear in the image variable between those image
+    nodes. The open gaps left by jumps are filled with zero; the closed image
+    intervals keep g at their ends, and at a seam the later segment wins.
     """
     _check_domain(phi, g.grid)
     vgrid = UniformGrid1D(phi.phi_a, phi.phi_T, g.grid.N)
-    # the last node can overshoot phi(T) by an ulp and would miss every segment
-    v = np.clip(vgrid.nodes, phi.phi_a, phi.phi_T)
-    out = np.zeros(g.grid.N + 1, dtype=np.complex128)
-    for seg in phi.segments:
-        e_lo = float(seg.eval(seg.lo))
-        e_hi = float(seg.eval(seg.hi))
-        mask = (v >= e_lo) & (v <= e_hi)
-        if not mask.any():
-            continue
-        s = np.clip(seg.invert(v[mask]), seg.lo, seg.hi)
-        out[mask] = np.interp(s, g.grid.nodes, g.values)
+    v = vgrid.nodes
+    pieces = [_piece_nodes(g.grid.nodes, g.values, seg.lo, seg.hi) for seg in phi.segments]
+    images = [seg.eval(snodes) for seg, (snodes, _) in zip(phi.segments, pieces)]
+    # np.interp takes the last of equal image nodes and clamps a last node past phi(T)
+    out = np.interp(v, np.concatenate(images), np.concatenate([gv for _, gv in pieces]))
+    for left, right in zip(images, images[1:]):
+        out[(v > left[-1]) & (v < right[0])] = 0.0
     return SampledFunction1D(vgrid, out)
 
 
 def rl_wrt_phi_transmuted(
     alpha: float, phi: Integrator, g: SampledFunction1D
 ) -> SampledFunction1D:
-    """Transmuted route: pull back, integrate on the image, compose with phi."""
+    """Transmuted route: pull back, integrate on the image, compose with phi.
+
+    The composition reads phi(t_m) off the direct route's image mesh, so a last
+    node past T by an ulp still reads phi(T).
+    """
     alpha = _check_order(alpha)
-    _check_domain(phi, g.grid)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
-    # the last node a + N h can overshoot T by an ulp; phi.value rejects it
-    nodes = np.clip(g.grid.nodes, phi.a, phi.T)
-    vals = np.interp(phi.value(nodes), pulled.grid.nodes, integrated.values)
+    u, _, ends = _image_mesh(phi, g.grid.nodes, g.values)
+    vals = np.interp(u[ends - 1], pulled.grid.nodes, integrated.values)
     return SampledFunction1D(g.grid, vals)
 
 

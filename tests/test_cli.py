@@ -115,6 +115,10 @@ def test_config_error_exit_two(tmp_path, capsys):
         (axioms + ["--interval", "0,1e300"], "overflows at order"),
         (fit + ["--x-grid", "1,2", "--t-big", "inf"], finite),
         (fit + ["--x-grid", "1e-300,2"], "overflows at x=1e-300"),
+        (
+            ["axioms", "--grid-n", "64", "--interval=1e17,1e18"],
+            "interval [1e+17, 1e+18] leaves no unit continuity window [a, a + 1]",
+        ),
     ):
         code = main(argv)
         assert code == 2, argv

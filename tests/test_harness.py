@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracops import harness
 from fracops.grid import UniformGrid1D, l1_distance, l1_norm, sample
 from fracops.harness import (
+    TEST_FUNCTIONS,
     RunConfig,
     check_continuity,
     check_identity,
@@ -26,7 +28,12 @@ def small_config(**overrides):
 
 
 def f_set(config):
-    return config.sampled_functions()
+    grid = UniformGrid1D(*config.interval, config.grid_n)
+    return {name: sample(expr, grid) for name, expr in TEST_FUNCTIONS.items()}
+
+
+def ones_on(grid):
+    return sample(lambda t: 1.0, grid)
 
 
 def test_identity_exact_for_riemann_liouville():
@@ -71,7 +78,7 @@ def test_index_residual_phase_small():
 def test_continuity_residuals_decrease():
     grid = UniformGrid1D(0.0, 1.0, 512)
     for name in ("riemann_liouville", "scaled_order", "doubled_order"):
-        res = check_continuity(make_family(name), 0.7, (0.1, 0.01, 0.001), grid)
+        res = check_continuity(make_family(name), 0.7, (0.1, 0.01, 0.001), ones_on(grid))
         assert res[0] > res[1] > res[2]
         assert res[2] < 1e-2
 
@@ -81,7 +88,7 @@ def test_continuity_residuals_match_closed_form():
     from scipy.integrate import quad
 
     grid = UniformGrid1D(0.0, 1.0, 1024)
-    got = check_continuity(make_family("riemann_liouville"), 0.7, (0.1, 0.01), grid)
+    got = check_continuity(make_family("riemann_liouville"), 0.7, (0.1, 0.01), ones_on(grid))
 
     def closed_form_distance(delta):
         val, _ = quad(
@@ -100,7 +107,7 @@ def test_continuity_residuals_match_closed_form():
 
 def test_continuity_zero_delta_is_exactly_zero():
     grid = UniformGrid1D(0.0, 1.0, 128)
-    res = check_continuity(make_family("geometric"), 0.7, (0.1, 0.0), grid)
+    res = check_continuity(make_family("geometric"), 0.7, (0.1, 0.0), ones_on(grid))
     assert res[-1] == 0.0
 
 
@@ -193,7 +200,9 @@ def test_reports_are_deterministic():
 
 
 def test_report_schema():
-    rep = run_family("riemann_liouville", small_config(grid_n=128)).as_dict()
+    config = small_config(grid_n=128)
+    ones = ones_on(UniformGrid1D(0.0, 1.0, 128))
+    rep = run_family("riemann_liouville", config, f_set(config), ones).as_dict()
     assert set(rep) == {"family", "axioms", "expected_profile", "match", "config_echo"}
     assert set(rep["axioms"]) == {"identity", "index_law", "continuity", "positivity"}
     assert set(rep["axioms"]["identity"]) == {"residual", "pass"}
@@ -210,6 +219,22 @@ def test_config_validation():
             RunConfig(tol_index=tol)
     with pytest.raises(ValueError, match="unknown family"):
         RunConfig(family="nope")
+
+
+def test_run_matrix_samples_each_probe_once(monkeypatch):
+    # five probes on the interval and the constant on the continuity window,
+    # shared by all five families
+    calls = []
+
+    def counting_sample(expr, grid):
+        calls.append(grid)
+        return sample(expr, grid)
+
+    monkeypatch.setattr(harness, "sample", counting_sample)
+    reports = run_matrix(small_config(grid_n=64, interval=(2.0, 5.0)))
+    assert len(reports) == 5
+    assert len(calls) == len(TEST_FUNCTIONS) + 1
+    assert calls[-1] == UniformGrid1D(2.0, 3.0, 64)
 
 
 def test_single_family_run():

@@ -6,6 +6,7 @@ from math import gamma
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fracops.grid import UniformGrid1D, l1_distance, sample
 from fracops.rl_core import rl_integral
@@ -431,6 +432,59 @@ def test_pullback_zero_fills_gaps():
     assert np.all(pulled.values[~in_gap].real == 1.0)
 
 
+def pullback_probe(t):
+    return math.cos(3.0 * t) + t * t
+
+
+def brentq_inverse(phi, v):
+    # s with phi(s) = v on the closed image interval holding v, None in a gap
+    for seg in phi.segments:
+        lo, hi = seg.eval([seg.lo, seg.hi])
+        if lo <= v <= hi:
+            return brentq(lambda s: float(seg.eval(s)) - v, seg.lo, seg.hi, xtol=1e-15)
+    return None
+
+
+def test_pullback_converges_to_g_through_the_inverse():
+    # linear in the image variable between image nodes: second order against
+    # g o phi^-1 on the closed image intervals, exactly 0 inside the open gap
+    phi = cubic_exp_jump_integrator()
+    left_end = float(phi.segments[0].eval(0.5))
+    right_end = float(phi.segments[1].eval(0.5))
+    errors = []
+    for n in (128, 256, 512, 1024):
+        pulled = pullback_to_image(phi, sample(pullback_probe, UniformGrid1D(0.0, 1.0, n)))
+        v = pulled.grid.nodes
+        gap = (v > left_end) & (v < right_end)
+        assert gap.any() and np.all(pulled.values[gap] == 0.0)
+        ref = [pullback_probe(brentq_inverse(phi, min(x, phi.phi_T))) for x in v[~gap]]
+        errors.append(np.abs(pulled.values[~gap] - ref).max())
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((orders > 1.9) & (orders < 2.1)), orders
+
+
+def test_pullback_keeps_g_at_the_closed_gap_ends():
+    # s + s^3, then 4^s - 3/8 one unit higher: the gap ends 5/8 and 13/8 and
+    # phi(1) = 29/8 are exact, so the image grid meets both ends when 29 | N
+    phi = Integrator(
+        (
+            Segment(0.0, 0.5, "poly", (0.0, 1.0, 0.0, 1.0)),
+            Segment(0.5, 1.0, "exp", (-0.375, 1.0, 2.0 * math.log(2.0))),
+        ),
+        (Jump(0.5, 1.0),),
+    )
+    assert phi.phi_T == 3.625 and phi.segments[1].eval(0.5) == 1.625
+    n = 29 * 16
+    g = sample(pullback_probe, UniformGrid1D(0.0, 1.0, n))
+    pulled = pullback_to_image(phi, g)
+    v = pulled.grid.nodes
+    seam = g.values[n // 2]
+    assert v[5 * 16] == 0.625 and pulled.values[5 * 16] == seam
+    assert v[13 * 16] == 1.625 and pulled.values[13 * 16] == seam
+    assert np.all(pulled.values[5 * 16 + 1 : 13 * 16] == 0.0)
+    assert np.all(pulled.values[13 * 16 :] != 0.0)
+
+
 def test_transmutation_residual_identity():
     phi = identity_integrator(0.0, 1.0)
     assert transmutation_residual(0.7, phi, math.cos, 1024) < 1e-10
@@ -458,11 +512,36 @@ def test_transmutation_residual_exponential_integrator():
 # ------------------------------------------------------------- norm layer
 
 
+def invert_segment(seg, v):
+    # reference inverse of one strictly increasing segment: closed forms for
+    # exp and linear pieces, 80 bisection steps on [lo, hi] otherwise
+    v = np.asarray(v, dtype=np.float64)
+    if seg.kind == "exp":
+        c0, c1, c2 = seg.coefficients
+        return np.log((v - c0) / c1) / c2
+    if len(seg.coefficients) == 2:
+        c0, c1 = seg.coefficients
+        return (v - c0) / c1
+    lo = np.full(v.shape, seg.lo)
+    hi = np.full(v.shape, seg.hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = seg.eval(mid) < v
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def test_compose_preserves_pushforward_norm():
     # norm of g against the pushforward equals the Lebesgue norm of g read
     # through the inverse of phi over the image, by change of variables;
     # the image side is integrated per segment on its own uniform subgrid
-    for phi in (linear_integrator(0.0, 1.0, 2.0), exp_integrator(), unit_jump_integrator()):
+    for phi in (
+        linear_integrator(0.0, 1.0, 2.0),
+        exp_integrator(),
+        unit_jump_integrator(),
+        cubic_exp_jump_integrator(),
+    ):
         g = UniformGrid1D(0.0, 1.0, 2048)
         f = sample(lambda t: math.cos(2.0 * t) + 1.5, g)
         lhs = l1_norm_pushforward(phi, f)
@@ -470,7 +549,7 @@ def test_compose_preserves_pushforward_norm():
         for seg in phi.segments:
             e_lo, e_hi = float(seg.eval(seg.lo)), float(seg.eval(seg.hi))
             v = np.linspace(e_lo, e_hi, 4097)
-            s = np.clip(np.asarray(seg.invert(v)), seg.lo, seg.hi)
+            s = np.clip(invert_segment(seg, v), seg.lo, seg.hi)
             vals = np.abs(np.interp(s, g.nodes, f.values.real))
             rhs += float(np.trapezoid(vals, v))
         assert abs(lhs - rhs) < 1e-6
@@ -626,10 +705,3 @@ def test_json_rejects_malformed_and_mismatched_domain():
         good["domain"] = domain
         with pytest.raises(ValueError, match="malformed"):
             integrator_from_dict(good)
-
-
-def test_exp_segment_inversion():
-    seg = Segment(0.0, 1.0, "exp", (0.0, 1.0, 1.0))
-    v = np.array([1.0, 1.5, math.e])
-    s = seg.invert(v)
-    assert np.allclose(seg.eval(s), v, atol=1e-12)
