@@ -3,11 +3,15 @@
 Mean-zero trigonometric polynomials on the unit torus stand in for test
 functions on the whole space: mode k carries frequency xi = 2*pi*k, every
 nonzero mode is multiplied by |xi|^(-alpha), and the zero mode is pinned to
-0 (which is why the input must have negligible mean).
+0 (which is why the input must have negligible mean). Real input goes through
+real FFTs on the half spectrum and comes back as an exactly real float64
+array; complex input takes full complex FFTs. log|xi| is tabulated once per
+grid, so each call costs one forward and one inverse transform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -52,33 +56,76 @@ class PeriodicGridND:
 
 def _grid_for(values: np.ndarray) -> PeriodicGridND:
     shape = values.shape
-    if len(set(shape)) != 1:
+    if len(set(shape)) > 1:
         raise ValueError(f"periodic grids need equal extents per axis, got {shape}")
-    return PeriodicGridND(values.ndim, shape[0])
+    # 0-d input gets dimension 0, which the grid rejects before its mode count
+    return PeriodicGridND(values.ndim, shape[0] if shape else 0)
+
+
+@functools.lru_cache(maxsize=8)
+def _log_xi(grid: PeriodicGridND, half: bool) -> np.ndarray:
+    """log|xi| at every mode, +inf at the zero mode so that exp(-alpha * .) is 0.
+
+    With ``half`` the last axis keeps modes 0..M/2, the layout of ``rfftn``;
+    index M/2 holds k = -M/2 in the full layout, of the same modulus.
+    """
+    xi = grid.xi_norm()
+    if half:
+        xi = xi[..., : grid.modes // 2 + 1]
+    table = np.full(xi.shape, np.inf)
+    nz = xi > 0.0
+    table[nz] = np.log(xi[nz])
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """Forward transform of a validated periodic sample."""
+
+    grid: PeriodicGridND
+    coeffs: np.ndarray
+    real: bool  # rfftn half spectrum of real input, else fftn of complex input
+
+
+def _transform(values: np.ndarray) -> _Spectrum:
+    """Check that ``values`` is a finite, mean-zero periodic sample; transform it."""
+    values = np.asarray(values)
+    grid = _grid_for(values)
+    real = np.isrealobj(values)
+    values = values.astype(np.float64 if real else np.complex128, copy=False)
+    finite = np.isfinite(values)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"non-finite sample at index {idx}")
+    mean = values.mean()
+    if abs(mean) >= MEAN_TOL:
+        raise ValueError(
+            f"input mean {complex(mean)} exceeds {MEAN_TOL}; the zero mode would be ill-defined"
+        )
+    coeffs = np.fft.rfftn(values) if real else np.fft.fftn(values)
+    return _Spectrum(grid, coeffs, real)
+
+
+def _potential(alpha: float, spectrum: _Spectrum) -> np.ndarray:
+    """Multiply a spectrum by |xi|^(-alpha), zero mode 0, and transform back."""
+    grid = spectrum.grid
+    if not 0.0 < alpha < grid.dim:
+        raise ValueError(f"order must lie in (0, {grid.dim}), got {alpha}")
+    mult = np.exp(-alpha * _log_xi(grid, spectrum.real))
+    if spectrum.real:
+        return np.fft.irfftn(spectrum.coeffs * mult, s=grid.shape, axes=tuple(range(grid.dim)))
+    return np.fft.ifftn(spectrum.coeffs * mult)
 
 
 def riesz_potential(alpha: float, values: np.ndarray) -> np.ndarray:
     """Multiply every nonzero mode of ``values`` by |xi|^(-alpha).
 
-    Requires 0 < alpha < n and an input mean below 1e-10 in modulus; the
-    zero mode of the output is set to 0. Real input stays real up to
-    rounding (the multiplier is even and real).
+    Requires 0 < alpha < n and finite input whose mean is below 1e-10 in
+    modulus; the zero mode of the output is 0. Real input returns an exactly
+    real float64 array, complex input a complex128 one.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    grid = _grid_for(values)
-    n = grid.dim
-    if not 0.0 < alpha < n:
-        raise ValueError(f"order must lie in (0, {n}), got {alpha}")
-    mean = complex(values.mean())
-    if abs(mean) >= MEAN_TOL:
-        raise ValueError(
-            f"input mean {mean} exceeds {MEAN_TOL}; the zero mode would be ill-defined"
-        )
-    xi = grid.xi_norm()
-    mult = np.zeros_like(xi)
-    nz = xi > 0.0
-    mult[nz] = xi[nz] ** (-alpha)
-    return np.fft.ifftn(np.fft.fftn(values) * mult)
+    return _potential(alpha, _transform(values))
 
 
 @dataclass(frozen=True)

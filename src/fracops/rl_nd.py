@@ -58,10 +58,10 @@ def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> Sampled
 
     The trapezoid rule on [0, t] at every node t, taken as one causal
     convolution (see the module docstring) by zero-padded real FFTs of the
-    real and imaginary parts. It matches per-node sums only to rounding, so
-    zeros inside the box and nonnegativity are exact only to rounding. Exact:
-    0 on the lower faces (degenerate boxes), 0 for zero input, and real
-    output for real inputs.
+    real and imaginary parts; when both inputs are real, of the real parts
+    alone. It matches per-node sums only to rounding, so zeros inside the box
+    and nonnegativity are exact only to rounding. Exact: 0 on the lower faces
+    (degenerate boxes), 0 for zero input, and real output for real inputs.
     """
     if h.grid != f.grid:
         raise ValueError("kernel and function must share a grid")
@@ -69,18 +69,24 @@ def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> Sampled
     grid = h.grid
     axes = tuple(range(grid.dim))
     size = tuple(2 * n - 1 for n in grid.shape)
+    real = h.is_real and f.is_real
     spectra = []
     for values in (h.values, f.values):
-        halved = values.copy()
+        halved = values.real.copy() if real else values.copy()
         for axis in axes:
             halved[(slice(None),) * axis + (0,)] *= 0.5
-        spectra += [np.fft.rfftn(part, size, axes) for part in (halved.real, halved.imag)]
-    hr, hi, fr, fi = spectra
+        parts = (halved,) if real else (halved.real, halved.imag)
+        spectra.append([np.fft.rfftn(part, size, axes) for part in parts])
     box = tuple(slice(0, n) for n in grid.shape)
     scale = math.prod(g.h for g in grid.axes)
-    out = np.empty(grid.shape, dtype=np.complex128)
-    out.real = scale * np.fft.irfftn(hr * fr - hi * fi, size, axes)[box]
-    out.imag = scale * np.fft.irfftn(hr * fi + hi * fr, size, axes)[box]
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    if real:
+        (hr,), (fr,) = spectra
+        out.real = scale * np.fft.irfftn(hr * fr, size, axes)[box]
+    else:
+        (hr, hi), (fr, fi) = spectra
+        out.real = scale * np.fft.irfftn(hr * fr - hi * fi, size, axes)[box]
+        out.imag = scale * np.fft.irfftn(hr * fi + hi * fr, size, axes)[box]
     for axis in axes:
         out[(slice(None),) * axis + (0,)] = 0.0
     return SampledFunctionND(grid, out)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracops import riesz
 from fracops.cli import build_parser, main
 from fracops.harness import RunConfig
 from fracops.transmute import integrator_to_dict, unit_jump_integrator
@@ -196,6 +197,22 @@ def test_riesz_check_cli(tmp_path):
     assert payload["multiplier"]["pass"]
     assert payload["composition"]["pass"]
     assert payload["multiplier"]["max_residual"] < 1e-12
+
+
+def test_riesz_check_second_step_goes_through_the_operator(monkeypatch, tmp_path):
+    # a perturbed operator must show up as a composition gap: the two-step
+    # side is a real round trip, not a product of multipliers
+    original = riesz.riesz_potential
+    monkeypatch.setattr(
+        riesz, "riesz_potential", lambda alpha, values: original(alpha, values) + 1e-9
+    )
+    out = tmp_path / "riesz.json"
+    argv = ["riesz-check", "--dim", "1", "--modes", "64", "--alpha-grid", "0.2,0.3,0.4"]
+    assert main(argv + ["--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["multiplier"]["pass"]
+    assert payload["composition"]["pass"] is False
+    assert payload["composition"]["max_pointwise"] == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_transmute_check_cli(tmp_path):

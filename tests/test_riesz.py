@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fracops.riesz import (
     MultiplierFamily,
     PeriodicGridND,
+    _log_xi,
     exact_riesz_family,
     multiplier_family_check,
     riesz_potential,
@@ -57,10 +58,62 @@ def test_spectral_semigroup_property(alpha, beta):
 
 def test_real_input_stays_real():
     rng = np.random.default_rng(42)
-    f = rng.standard_normal(128)
-    f -= f.mean()
-    out = riesz_potential(0.6, f)
-    assert np.abs(out.imag).max() < 1e-12
+    for shape in ((128,), (32, 32), (8, 8, 8)):
+        f = rng.standard_normal(shape)
+        f -= f.mean()
+        out = riesz_potential(0.6, f)
+        assert np.isrealobj(out)
+        assert out.dtype == np.float64
+        assert out.shape == shape
+
+
+def _complex_fft_reference(alpha, values):
+    # the full complex-FFT route with |xi|^(-alpha) taken by power
+    values = np.asarray(values, dtype=np.complex128)
+    xi = PeriodicGridND(values.ndim, values.shape[0]).xi_norm()
+    mult = np.zeros_like(xi)
+    mult[xi > 0] = xi[xi > 0] ** (-alpha)
+    return np.fft.ifftn(np.fft.fftn(values) * mult)
+
+
+def test_complex_input_matches_complex_fft_reference():
+    rng = np.random.default_rng(3)
+    for shape, alpha in (((256,), 0.45), ((64, 64), 1.3), ((16, 16, 16), 2.2)):
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f -= f.mean()
+        out = riesz_potential(alpha, f)
+        ref = _complex_fft_reference(alpha, f)
+        assert out.dtype == np.complex128
+        assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+        # real input agrees with the same reference
+        g = f.real - f.real.mean()
+        ref = _complex_fft_reference(alpha, g)
+        assert np.abs(riesz_potential(alpha, g) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_output_zero_mode_is_zero():
+    # an admissible mean below 1e-10 is dropped, not multiplied by 0^(-alpha)
+    t = nodes(64)
+    f = np.sin(TWO_PI * t) + 5e-11
+    for values in (f, f.astype(np.complex128)):
+        out = riesz_potential(0.5, values)
+        assert np.all(np.isfinite(out))
+        assert abs(out.sum()) < 1e-14
+
+
+def test_alternating_grids_match_fresh_tables():
+    rng = np.random.default_rng(5)
+    inputs = []
+    for shape in ((256,), (64, 64), (16, 16, 16), (64,), (16, 16)):
+        f = rng.standard_normal(shape)
+        inputs += [f - f.mean(), (f - f.mean()).astype(np.complex128)]
+    fresh = []
+    for f in inputs:
+        _log_xi.cache_clear()
+        fresh.append(riesz_potential(0.7, f))
+    for _ in range(2):
+        for f, ref in zip(inputs + inputs[::-1], fresh + fresh[::-1]):
+            assert np.array_equal(riesz_potential(0.7, f), ref)
 
 
 def test_parseval_consistency():
@@ -105,6 +158,23 @@ def test_grid_validation():
         PeriodicGridND(1, 5)
     with pytest.raises(ValueError, match="equal extents"):
         riesz_potential(0.5, np.zeros((4, 8)))
+    for values in (np.float64(0.0), np.zeros((4,) * 4)):
+        with pytest.raises(ValueError, match=r"dimension must be 1\.\.3"):
+            riesz_potential(0.5, values)
+
+
+def test_rejects_non_finite_samples_by_index():
+    f = np.sin(TWO_PI * nodes(64))
+    for bad in (np.nan, np.inf, -np.inf):
+        g = f.copy()
+        g[17] = bad
+        g[40] = bad
+        with pytest.raises(ValueError, match=r"non-finite sample at index \(17,\)"):
+            riesz_potential(0.5, g)
+    g = np.zeros((8, 8), dtype=np.complex128)
+    g[3, 5] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match=r"non-finite sample at index \(3, 5\)"):
+        riesz_potential(0.5, g)
 
 
 def xi_set_1d():

@@ -143,6 +143,50 @@ def _per_node_trapezoid_convolution(h, f):
     return out
 
 
+def _mixed_route_convolution(h, f):
+    # the general route on real and imaginary parts: four forward real FFTs
+    # and two inverse ones, whatever the imaginary parts hold
+    grid = h.grid
+    axes = tuple(range(grid.dim))
+    size = tuple(2 * n - 1 for n in grid.shape)
+    spectra = []
+    for values in (h.values, f.values):
+        halved = values.copy()
+        for axis in axes:
+            halved[(slice(None),) * axis + (0,)] *= 0.5
+        spectra += [np.fft.rfftn(part, size, axes) for part in (halved.real, halved.imag)]
+    hr, hi, fr, fi = spectra
+    box = tuple(slice(0, n) for n in grid.shape)
+    scale = math.prod(g.h for g in grid.axes)
+    out = np.empty(grid.shape, dtype=np.complex128)
+    out.real = scale * np.fft.irfftn(hr * fr - hi * fi, size, axes)[box]
+    out.imag = scale * np.fft.irfftn(hr * fi + hi * fr, size, axes)[box]
+    for axis in axes:
+        out[(slice(None),) * axis + (0,)] = 0.0
+    return out
+
+
+def test_truncated_convolution_real_route_is_bit_identical_to_mixed_route():
+    rng = np.random.default_rng(11)
+    boxes = [
+        (UniformGrid1D(0.0, 1.0, 96),),
+        (UniformGrid1D(0.0, 1.0, 96), UniformGrid1D(0.0, 1.0, 96)),
+        (UniformGrid1D(0.0, 0.7, 7), UniformGrid1D(0.0, 2.5, 13)),
+        (UniformGrid1D(0.0, 1.0, 3), UniformGrid1D(0.0, 0.5, 1), UniformGrid1D(0.0, 2.0, 5)),
+    ]
+    for axes in boxes:
+        b = BoxGridND(axes)
+        h, f = (
+            SampledFunctionND(b, rng.standard_normal(b.shape).astype(np.complex128))
+            for _ in range(2)
+        )
+        assert h.is_real and f.is_real
+        out = truncated_convolution(h, f).values
+        ref = _mixed_route_convolution(h, f)
+        assert np.array_equal(out.real, ref.real)
+        assert np.array_equal(out.imag, ref.imag)
+
+
 def test_truncated_convolution_matches_per_node_trapezoid_rule():
     rng = np.random.default_rng(7)
     boxes = [
