@@ -123,28 +123,36 @@ def product_quadrature_weights(alpha: float, h: float, n: int) -> tuple[np.ndarr
 
 
 def _block_size(n: int) -> int:
-    """Toeplitz block edge for n nodes: one block up to 128 nodes, then 128, and 256 from 16384.
+    """Toeplitz block edge for n nodes: one block up to 128 nodes, then 128, and 256 from 32768.
 
-    Timed on one core for 1 to 257 rows and n = 64..16384, these edges were
-    the fastest or within 5% of it; sqrt(n)-sized blocks ran up to 1.5x
-    slower, because their n/B GEMM calls are each too small.
+    Timed on one core with one GEMM column per real row. At n = 16384, one
+    row took 4.9 ms with 128-node blocks against 5.3 ms with 256, and two
+    rows 8.1 against 8.3 ms, while 4 to 17 rows ran 3-5% faster with 256;
+    at n = 32768, 4 to 17 rows ran 4-7% faster with 256. For n = 256..4096
+    and 1 to 257 rows, 128 was within 9% of the fastest of 64, 128 and 256;
+    sqrt(n)-sized blocks ran up to 1.5x slower, because their n/B GEMM
+    calls are each too small.
     """
     if n <= 128:
         return n
-    return 128 if n < 16384 else 256
+    return 128 if n < 32768 else 256
 
 
 def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Integral of order alpha along ``axis`` of ``values`` (step h, origin at index 0).
 
-    The caller validates alpha. Node k >= 1 enters output node m >= k with
-    the Toeplitz symbol T[m-k], T[0] = wr[0] and T[d] = wl[d-1] + wr[d], and
-    node 0 with the rank-1 column wl[m-1]. Nodes 1..n are cut into B-node
-    blocks; every block pair at the same lag L shares one B x B matrix M_L,
-    so each lag is one GEMM whose columns are the real and the imaginary part
-    of every row, blocks side by side. M_L is copied out of a sliding window
-    on the zero-padded symbol as its column-reversed (Hankel) form, which
-    multiplies the block-reversed samples.
+    The caller validates alpha. Non-finite samples are rejected with a
+    ``ValueError`` naming the first one's node index: a NaN or infinity times
+    a zero weight would reach nodes that do not depend on it. Node k >= 1
+    enters output node m >= k with the Toeplitz symbol T[m-k], T[0] = wr[0]
+    and T[d] = wl[d-1] + wr[d], and node 0 with the rank-1 column wl[m-1].
+    Nodes 1..n are cut into B-node blocks; every block pair at the same lag L
+    shares one B x B matrix M_L, so each lag is one GEMM, blocks side by
+    side. Its columns are the real parts of the rows, and the imaginary parts
+    enter as further columns only when some imaginary part of the batch is
+    nonzero. M_L is copied out of a sliding window on the zero-padded symbol
+    as its column-reversed (Hankel) form, which multiplies the block-reversed
+    samples.
 
     What holds by construction:
 
@@ -161,40 +169,48 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
     """
     rows = np.moveaxis(values, axis, -1)
     n = rows.shape[-1] - 1
-    out = np.zeros(rows.shape, dtype=np.complex128)
-    if alpha == 1.0:
-        w = 0.5 * h
-        out[..., 1:] = np.cumsum(w * rows[..., :-1] + w * rows[..., 1:], axis=-1)
-        return np.moveaxis(out, -1, axis)
-    wl, wr = product_quadrature_weights(alpha, h, n)
-    b = _block_size(n)
-    nb = -(-n // b)
     flat = rows.reshape(-1, n + 1)
     r = flat.shape[0]
-    c = 2 * r
-    x = np.zeros((c, nb * b))
-    x[:r, :n] = flat.real[:, 1:]
-    x[r:, :n] = flat.imag[:, 1:]
-    # xr[k, J*c + col] is node 1 + J*b + (b-1-k) of column col
-    xr = x.reshape(c, nb, b)[:, :, ::-1].transpose(2, 1, 0).reshape(b, nb * c)
-    symbol = np.zeros(nb * b + b - 1)
-    symbol[b - 1] = wr[0]
-    symbol[b:b + n - 1] = wl[:-1] + wr[1:]
-    # windows[i] = symbol[i:i+b], a strided view (no copy); hankel_L is
-    # windows[L*b:(L+1)*b]. numpy's sliding_window_view gives the same view,
-    # but in long in-process runs a 939 KiB block allocated inside it stayed
-    # alive (seen with tracemalloc).
-    windows = np.ndarray((symbol.size - b + 1, b), buffer=symbol, strides=2 * symbol.strides)
-    y = np.zeros((b, nb * c))
-    for lag in range(nb):
-        hankel = np.ascontiguousarray(windows[lag * b:(lag + 1) * b])
-        y[:, lag * c:] += hankel @ xr[:, :(nb - lag) * c]
-    res = y.reshape(b, nb, c).transpose(2, 1, 0).reshape(c, nb * b)[:, :n]
-    res[:r] += wl * flat.real[:, :1]
-    res[r:] += wl * flat.imag[:, :1]
+    # one column per part: the real parts of the r rows, then their imaginary
+    # parts if any is nonzero; zero imaginary parts are finite, so checking
+    # the columns checks the input
+    cols = np.concatenate((flat.real, flat.imag) if flat.imag.any() else (flat.real,))
+    if not np.isfinite(cols).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise ValueError(f"non-finite sample at node index {idx[0] if len(idx) == 1 else idx}")
+    c = cols.shape[0]
+    if alpha == 1.0:
+        w = 0.5 * h
+        res = np.cumsum(w * cols[:, :-1] + w * cols[:, 1:], axis=-1)
+    else:
+        wl, wr = product_quadrature_weights(alpha, h, n)
+        b = _block_size(n)
+        nb = -(-n // b)
+        x = np.zeros((c, nb * b))
+        x[:, :n] = cols[:, 1:]
+        # xr[k, J*c + col] is node 1 + J*b + (b-1-k) of column col; for one
+        # column the reshape is a negatively strided view, which BLAS cannot take
+        xr = x.reshape(c, nb, b)[:, :, ::-1].transpose(2, 1, 0).reshape(b, nb * c)
+        xr = np.ascontiguousarray(xr)
+        symbol = np.zeros(nb * b + b - 1)
+        symbol[b - 1] = wr[0]
+        symbol[b:b + n - 1] = wl[:-1] + wr[1:]
+        # windows[i] = symbol[i:i+b], a strided view (no copy); hankel_L is
+        # windows[L*b:(L+1)*b]. numpy's sliding_window_view gives the same
+        # view, but in long in-process runs a 939 KiB block allocated inside
+        # it stayed alive (seen with tracemalloc).
+        windows = np.ndarray((symbol.size - b + 1, b), buffer=symbol, strides=2 * symbol.strides)
+        y = np.zeros((b, nb * c))
+        for lag in range(nb):
+            hankel = np.ascontiguousarray(windows[lag * b:(lag + 1) * b])
+            y[:, lag * c:] += hankel @ xr[:, :(nb - lag) * c]
+        res = y.reshape(b, nb, c).transpose(2, 1, 0).reshape(c, nb * b)[:, :n]
+        res += wl * cols[:, :1]
+    out = np.zeros(rows.shape, dtype=np.complex128)
     o = out.reshape(r, n + 1)
     o.real[:, 1:] = res[:r]
-    o.imag[:, 1:] = res[r:]
+    if c > r:
+        o.imag[:, 1:] = res[r:]
     return np.moveaxis(out, -1, axis)
 
 
@@ -202,7 +218,8 @@ def rl_integral(alpha: float, f: SampledFunction1D) -> SampledFunction1D:
     """Fractional integral of order alpha with origin at the grid's left endpoint.
 
     The weights depend only on the step, so the result is translation
-    invariant: moving the grid moves the output with it.
+    invariant: moving the grid moves the output with it. A non-finite sample
+    raises a ``ValueError`` naming its node index.
     """
     alpha = _check_order(alpha)
     return SampledFunction1D(f.grid, _sweep(alpha, f.grid.h, f.values))

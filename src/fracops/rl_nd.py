@@ -38,7 +38,8 @@ def rl_integral_nd(alpha: Sequence[float], f: SampledFunctionND) -> SampledFunct
     Axes with alpha_j = 0 are left untouched; with all components zero the
     input values are returned unchanged. Sweeps are applied in axis order,
     but the output is axis-order independent up to rounding (the sweeps
-    commute).
+    commute). A non-finite sample raises a ``ValueError`` naming its node
+    index, unless every component is zero.
     """
     alpha = check_multi_order(alpha, f.grid.dim)
     values = f.values

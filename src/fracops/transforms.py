@@ -123,6 +123,9 @@ def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> La
         raise ValueError(f"transform point must be positive and finite, got x={x}")
     if not 0.0 < t_big < math.inf:
         raise ValueError(f"kernel transform needs a positive finite t_big, got {t_big}")
+    if not 1 <= n < math.inf or n != int(n):
+        raise ValueError(f"kernel transform needs a positive integer n, got {n}")
+    n = int(n)
     h = t_big / n
     # weight index d - 1 is the cell [(d-1)h, dh]: wr weighs its left node
     # and wl its right node, and wl + wr is the cell's kernel mass

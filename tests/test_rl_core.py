@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from fracops.grid import (
     BoxGridND,
     SampledFunction1D,
+    SampledFunctionND,
     UniformGrid1D,
     cumulative_trapezoid,
     l1_distance,
@@ -125,22 +126,65 @@ def _assert_within_rounding(alpha, h, values, got):
         assert np.all(np.abs(out[nodes] - ref) <= 8.0 * eps * mass)
 
 
+def _mixed_batch(alpha, line, real_expr, complex_expr, axis):
+    """Three rows along ``axis`` on ``line``, the middle one complex and the
+    others real, and their integral of order alpha along that axis."""
+    s = line.nodes
+    rows = np.stack((real_expr(s), complex_expr(s), 0.5 - real_expr(s)))
+    other = UniformGrid1D(0.0, 1.0, 2)
+    box = BoxGridND((line, other) if axis == 0 else (other, line))
+    f = SampledFunctionND(box, np.moveaxis(rows, 0, 1 - axis))
+    orders = (alpha, 0.0) if axis == 0 else (0.0, alpha)
+    return f.values, rl_integral_nd(orders, f).values
+
+
 @pytest.mark.parametrize("n", [40, 4096])
 @pytest.mark.parametrize("alpha", [0.3, 2.5])
 def test_each_node_is_within_rounding_of_its_exact_sum(n, alpha):
-    # mixed signs, so partial sums cancel and the bound is relative to sum |terms|
-    expr = lambda t: np.cos(40.0 * t) + 0.2 + 1j * (np.sin(7.0 * t) - 0.3)
+    # mixed signs, so partial sums cancel and the bound is relative to sum |terms|;
+    # real input sweeps only real GEMM columns, complex input adds imaginary ones
+    real_expr = lambda t: np.cos(40.0 * t) + 0.2
+    complex_expr = lambda t: real_expr(t) + 1j * (np.sin(7.0 * t) - 0.3)
     g = UniformGrid1D(0.0, 1.0, n)
-    f = sample(expr, g)
-    out = rl_integral(alpha, f).values
-    assert np.array_equal(out, rl_integral(alpha, f).values)
-    _assert_within_rounding(alpha, g.h, f.values, out)
-    # the same rows inside a 2D batch, swept along either axis
+    for expr in (complex_expr, real_expr):
+        f = sample(expr, g)
+        out = rl_integral(alpha, f).values
+        assert np.array_equal(out, rl_integral(alpha, f).values)
+        _assert_within_rounding(alpha, g.h, f.values, out)
+        if expr is real_expr:
+            assert np.all(out.imag == 0.0)
+        # the same rows inside a 2D batch, swept along either axis
+        for axis in (0, 1):
+            f_vals, batch = _swept_batch(alpha, g, expr, axis)
+            assert np.array_equal(batch, _swept_batch(alpha, g, expr, axis)[1])
+            for row_in, row_out in zip(np.moveaxis(f_vals, axis, -1), np.moveaxis(batch, axis, -1)):
+                _assert_within_rounding(alpha, g.h, row_in, row_out)
+    # one complex row among real ones: both column sets in one GEMM, and the
+    # real rows keep exactly zero imaginary parts (the oracle's bound is 0)
     for axis in (0, 1):
-        f_vals, batch = _swept_batch(alpha, g, expr, axis)
-        assert np.array_equal(batch, _swept_batch(alpha, g, expr, axis)[1])
-        for row_in, row_out in zip(np.moveaxis(f_vals, axis, -1), np.moveaxis(batch, axis, -1)):
+        f_vals, batch = _mixed_batch(alpha, g, real_expr, complex_expr, axis)
+        assert np.array_equal(batch, _mixed_batch(alpha, g, real_expr, complex_expr, axis)[1])
+        rows_in, rows_out = np.moveaxis(f_vals, axis, -1), np.moveaxis(batch, axis, -1)
+        assert np.all(rows_out[[0, 2]].imag == 0.0)
+        for row_in, row_out in zip(rows_in, rows_out):
             _assert_within_rounding(alpha, g.h, row_in, row_out)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+def test_non_finite_samples_are_rejected_by_node_index(bad):
+    # a NaN or infinity times a zero weight would reach earlier nodes
+    vals = np.array([0.0, 1.0, bad, 1.0, 1.0], dtype=complex)
+    f = SampledFunction1D(UniformGrid1D(0.0, 1.0, 4), vals)
+    for alpha in (0.5, 1.0, 2.5):
+        with pytest.raises(ValueError, match=r"non-finite sample at node index 2\b"):
+            rl_integral(alpha, f)
+    box = BoxGridND((UniformGrid1D(0.0, 1.0, 3), UniformGrid1D(0.0, 1.0, 4)))
+    grid_vals = np.ones(box.shape, dtype=complex)
+    grid_vals[1, 3] = bad
+    f_nd = SampledFunctionND(box, grid_vals)
+    for orders in ((0.5, 0.0), (0.0, 0.5), (0.3, 1.0)):
+        with pytest.raises(ValueError, match=r"non-finite sample at node index \(1, 3\)"):
+            rl_integral_nd(orders, f_nd)
 
 
 def test_half_order_closed_form_at_endpoint():
@@ -226,7 +270,8 @@ def test_weights_match_quadrature_oracle_at_every_distance():
             assert abs(wr[d - 1] / (scale * right) - 1.0) <= 1e-14, (alpha, d)
 
 
-BLOCK = 128  # block edge for 128 < N < 16384; up to 128 nodes the matrix is one block
+BLOCK = 128  # block edge for 128 < N < 32768; up to 128 nodes the matrix is one block
+WIDE = 32768  # first N with 256-node blocks
 RAMP = TEST_FUNCTIONS["ramp"]  # zero on [0, 0.3]
 
 
@@ -241,9 +286,10 @@ def _assert_exactly_nonnegative(f_vals, out, axis):
         assert np.all(out_row[:prefix] == 0.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 4096])
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 4096, WIDE])
 def test_positivity_is_exact_across_block_edges(n):
     assert _block_size(3 * BLOCK + 7) == BLOCK
+    assert (_block_size(WIDE - 1), _block_size(WIDE)) == (BLOCK, 2 * BLOCK)
     g = UniformGrid1D(0.0, 1.0, n)
     f = sample(RAMP, g)
     for alpha in (0.05, 0.3, 2.5, 7.0):

@@ -73,6 +73,9 @@ def test_transform_rejects_bad_arguments():
     for t_big in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="t_big"):
             kernel_laplace_transform(0.5, 1.0, t_big, 256)
+    for n in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="positive integer n"):
+            kernel_laplace_transform(0.5, 1.0, 40.0, n)
     with pytest.raises(ValueError, match="x=1e-300"):  # tail bounds overflow
         laplace_transform(ones_on(1.0, 16), 1e-300, growth_bound=(1.0, 0.5))
     with pytest.raises(ValueError, match="x=1e-300"):
