@@ -41,6 +41,7 @@ from .transforms import (
 from .riesz import (
     MultiplierFamily,
     PeriodicGridND,
+    composition_residual,
     exact_riesz_family,
     multiplier_family_check,
     riesz_potential,

@@ -127,19 +127,7 @@ def _cmd_riesz_check(args) -> int:
     f = np.sin(2.0 * np.pi * mesh[0]) + 0.5 * np.cos(6.0 * np.pi * mesh[0])
     for axis in range(1, dim):
         f = f * np.cos(2.0 * np.pi * mesh[axis])
-    # one forward transform of f serves every first step and one-step order;
-    # the second step goes back through the public operator
-    spectrum = riesz._transform(f)
-    comp_worst = 0.0
-    for a in alphas:
-        partners = [b for b in alphas if a + b < dim]
-        if not partners:
-            continue
-        first = riesz._potential(a, spectrum)
-        for b in partners:
-            two_step = riesz.riesz_potential(b, first)
-            one_step = riesz._potential(a + b, spectrum)
-            comp_worst = max(comp_worst, float(np.abs(two_step - one_step).max()))
+    comp_worst = riesz.composition_residual(alphas, f)
     mult_pass = report.max_residual < RIESZ_TOL and report.multiplicative
     comp_pass = comp_worst < RIESZ_TOL
     payload = {

@@ -3,10 +3,12 @@
 Mean-zero trigonometric polynomials on the unit torus stand in for test
 functions on the whole space: mode k carries frequency xi = 2*pi*k, every
 nonzero mode is multiplied by |xi|^(-alpha), and the zero mode is pinned to
-0 (which is why the input must have negligible mean). Real input goes through
-real FFTs on the half spectrum and comes back as an exactly real float64
-array; complex input takes full complex FFTs. log|xi| is tabulated once per
-grid, so each call costs one forward and one inverse transform.
+0 (which is why the input must have negligible mean). One route of real FFTs
+on the half spectrum serves all input: complex input is taken as two real
+samples, its real and imaginary parts, and real input comes back exactly
+real. log|xi| is tabulated once per grid, so each call costs one forward and
+one inverse transform per part. ``composition_residual`` checks the law
+I^b I^a = I^(a+b) with one forward transform of its sample.
 """
 
 from __future__ import annotations
@@ -63,15 +65,12 @@ def _grid_for(values: np.ndarray) -> PeriodicGridND:
 
 
 @functools.lru_cache(maxsize=8)
-def _log_xi(grid: PeriodicGridND, half: bool) -> np.ndarray:
-    """log|xi| at every mode, +inf at the zero mode so that exp(-alpha * .) is 0.
+def _log_xi(grid: PeriodicGridND) -> np.ndarray:
+    """log|xi| on the ``rfftn`` half spectrum, +inf at the zero mode so that exp(-alpha * .) is 0.
 
-    With ``half`` the last axis keeps modes 0..M/2, the layout of ``rfftn``;
-    index M/2 holds k = -M/2 in the full layout, of the same modulus.
+    Index M/2 of the last axis holds k = -M/2 of the full layout, of equal modulus.
     """
-    xi = grid.xi_norm()
-    if half:
-        xi = xi[..., : grid.modes // 2 + 1]
+    xi = grid.xi_norm()[..., : grid.modes // 2 + 1]
     table = np.full(xi.shape, np.inf)
     nz = xi > 0.0
     table[nz] = np.log(xi[nz])
@@ -79,17 +78,8 @@ def _log_xi(grid: PeriodicGridND, half: bool) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class _Spectrum:
-    """Forward transform of a validated periodic sample."""
-
-    grid: PeriodicGridND
-    coeffs: np.ndarray
-    real: bool  # rfftn half spectrum of real input, else fftn of complex input
-
-
-def _transform(values: np.ndarray) -> _Spectrum:
-    """Check that ``values`` is a finite, mean-zero periodic sample; transform it."""
+def _transform(values: np.ndarray) -> tuple[PeriodicGridND, list[np.ndarray]]:
+    """Check that ``values`` is a finite, mean-zero periodic sample; ``rfftn`` each part."""
     values = np.asarray(values)
     grid = _grid_for(values)
     real = np.isrealobj(values)
@@ -103,19 +93,22 @@ def _transform(values: np.ndarray) -> _Spectrum:
         raise ValueError(
             f"input mean {complex(mean)} exceeds {MEAN_TOL}; the zero mode would be ill-defined"
         )
-    coeffs = np.fft.rfftn(values) if real else np.fft.fftn(values)
-    return _Spectrum(grid, coeffs, real)
+    parts = (values,) if real else (values.real, values.imag)
+    return grid, [np.fft.rfftn(part) for part in parts]
 
 
-def _potential(alpha: float, spectrum: _Spectrum) -> np.ndarray:
-    """Multiply a spectrum by |xi|^(-alpha), zero mode 0, and transform back."""
-    grid = spectrum.grid
+def _potential(alpha: float, grid: PeriodicGridND, spectra: list[np.ndarray]) -> np.ndarray:
+    """Multiply each part's spectrum by |xi|^(-alpha), zero mode 0, and transform back."""
     if not 0.0 < alpha < grid.dim:
         raise ValueError(f"order must lie in (0, {grid.dim}), got {alpha}")
-    mult = np.exp(-alpha * _log_xi(grid, spectrum.real))
-    if spectrum.real:
-        return np.fft.irfftn(spectrum.coeffs * mult, s=grid.shape, axes=tuple(range(grid.dim)))
-    return np.fft.ifftn(spectrum.coeffs * mult)
+    mult = np.exp(-alpha * _log_xi(grid))
+    axes = tuple(range(grid.dim))
+    parts = [np.fft.irfftn(coeffs * mult, s=grid.shape, axes=axes) for coeffs in spectra]
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty(grid.shape, dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
 
 
 def riesz_potential(alpha: float, values: np.ndarray) -> np.ndarray:
@@ -123,9 +116,31 @@ def riesz_potential(alpha: float, values: np.ndarray) -> np.ndarray:
 
     Requires 0 < alpha < n and finite input whose mean is below 1e-10 in
     modulus; the zero mode of the output is 0. Real input returns an exactly
-    real float64 array, complex input a complex128 one.
+    real float64 array, complex input a complex128 one whose real and
+    imaginary parts are the potentials of the input's parts.
     """
-    return _potential(alpha, _transform(values))
+    return _potential(alpha, *_transform(values))
+
+
+def composition_residual(alpha_grid: Sequence[float], values: np.ndarray) -> float:
+    """Largest pointwise |I^b(I^a f) - I^(a+b) f| over grid orders a, b with a + b < n.
+
+    One forward transform of f serves every first step I^a f and one-step
+    I^(a+b) f; the second step is a full ``riesz_potential`` round trip. With
+    no pair in range the residual is 0.
+    """
+    grid, spectra = _transform(values)
+    worst = 0.0
+    for a in alpha_grid:
+        partners = [b for b in alpha_grid if a + b < grid.dim]
+        if not partners:
+            continue
+        first = _potential(a, grid, spectra)
+        for b in partners:
+            two_step = riesz_potential(b, first)
+            one_step = _potential(a + b, grid, spectra)
+            worst = max(worst, float(np.abs(two_step - one_step).max()))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ _FAR_RULE = _gauss_legendre(
 _NEAR_CELLS = 3  # d = 2..4
 
 
-def _cell_moments(
+def _power_cell_moments(
     alpha: float, d: np.ndarray, rule: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of x^(alpha-1) * (x - (d-1)) and x^(alpha-1) * (d - x) over [d-1, d]."""
@@ -111,8 +111,8 @@ def product_quadrature_weights(alpha: float, h: float, n: int) -> tuple[np.ndarr
         w = np.full(n, 0.5 * h)
         return w, w.copy()
     d = np.arange(2, n + 1, dtype=np.float64)
-    near_l, near_r = _cell_moments(alpha, d[:_NEAR_CELLS], _NEAR_RULE)
-    far_l, far_r = _cell_moments(alpha, d[_NEAR_CELLS:], _FAR_RULE)
+    near_l, near_r = _power_cell_moments(alpha, d[:_NEAR_CELLS], _NEAR_RULE)
+    far_l, far_r = _power_cell_moments(alpha, d[_NEAR_CELLS:], _FAR_RULE)
     try:
         scale = float(h) ** alpha / math.gamma(alpha)
     except OverflowError:
@@ -138,14 +138,16 @@ def _block_size(n: int) -> int:
     return 128 if n < 32768 else 256
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing result is rejected below
 def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Integral of order alpha along ``axis`` of ``values`` (step h, origin at index 0).
 
     The caller validates alpha. Non-finite samples are rejected with a
     ``ValueError`` naming the first one's node index: a NaN or infinity times
-    a zero weight would reach nodes that do not depend on it. Node k >= 1
-    enters output node m >= k with the Toeplitz symbol T[m-k], T[0] = wr[0]
-    and T[d] = wl[d-1] + wr[d], and node 0 with the rank-1 column wl[m-1].
+    a zero weight would reach nodes that do not depend on it. An overflowing
+    result raises one naming the order and step. Node k >= 1 enters output
+    node m >= k with the Toeplitz symbol T[m-k], T[0] = wr[0] and
+    T[d] = wl[d-1] + wr[d], and node 0 with the rank-1 column wl[m-1].
     Nodes 1..n are cut into B-node blocks; every block pair at the same lag L
     shares one B x B matrix M_L, so each lag is one GEMM, blocks side by
     side. Its columns are the real parts of the rows, and the imaginary parts
@@ -206,6 +208,8 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
             y[:, lag * c:] += hankel @ xr[:, :(nb - lag) * c]
         res = y.reshape(b, nb, c).transpose(2, 1, 0).reshape(c, nb * b)[:, :n]
         res += wl * cols[:, :1]
+    if not np.isfinite(res).all():
+        raise ValueError(f"the order-{alpha} integral overflows at step {h}")
     out = np.zeros(rows.shape, dtype=np.complex128)
     o = out.reshape(r, n + 1)
     o.real[:, 1:] = res[:r]

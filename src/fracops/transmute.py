@@ -65,8 +65,9 @@ _GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(
     (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
      0.06667134430868814),
 )
-# Taylor coefficients in z of the two cell moments of _cell_moments, (-1)^n / (n! (n+2))
-# and (-1)^n / (n! (n+1) (n+2)): 19 terms reach double precision for z < 1
+# Taylor coefficients in z of the two moments of _exponential_cell_moments,
+# (-1)^n / (n! (n+2)) and (-1)^n / (n! (n+1) (n+2)): 19 terms reach double
+# precision for z < 1
 _SERIES = np.array(
     [[(-1) ** n / (math.factorial(n) * (n + 2)), (-1) ** n / math.factorial(n + 2)]
      for n in range(19)]
@@ -420,7 +421,7 @@ def _far_field_exponentials(
     return _sum_of_exponentials(alpha, delta, float(x[-1] - x[0]))
 
 
-def _cell_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exponential_cell_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int_0^1 w e^(-z w) dw and int_0^1 (1 - w) e^(-z w) dw for z >= 0, both >= 0.
 
     With w the distance from a cell's right end in cell lengths, they weigh g
@@ -465,7 +466,7 @@ def _advance_history(
     V *= (h[:, None] * (h[:, None] / hmax) ** _SERIES_POWERS)[:, :, None]
     S = (decay[:low] @ V.reshape(len(h), -1)).reshape(low, len(_SERIES), G.shape[1])
     H[:low] += (((hmax * s[:low, None]) ** _SERIES_POWERS)[:, None, :] @ S)[:, 0]
-    left, right = _cell_moments(np.outer(s[low:], h))
+    left, right = _exponential_cell_moments(np.outer(s[low:], h))
     decay = decay[low:] * h
     H[low:] += (decay * left) @ gl + (decay * right) @ gr
 
@@ -568,15 +569,6 @@ def transmutation_residual(
     direct = rl_wrt_phi_direct(alpha, phi, g)
     transmuted = rl_wrt_phi_transmuted(alpha, phi, g)
     return l1_distance(direct, transmuted)
-
-
-def l1_norm_pushforward(phi: Integrator, g: SampledFunction1D) -> float:
-    """Discrete L1 norm of g against the pushforward measure, by change of
-    variables the trapezoid rule for |g| on the direct route's image mesh.
-    """
-    _check_domain(phi, g.grid)
-    u, mods, _ = _image_mesh(phi, g.grid.nodes, np.abs(g.values))
-    return float(np.dot(np.diff(u), 0.5 * (mods[:-1] + mods[1:])))
 
 
 def integrator_to_dict(phi: Integrator) -> dict:

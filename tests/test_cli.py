@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,7 @@ def test_config_error_exit_two(tmp_path, capsys):
     for argv, message in (
         (axioms + ["--interval=0,inf"], finite),
         (axioms + ["--interval", "0,1e300"], "overflows at order"),
+        (["axioms", "--grid-n", "8", "--interval=0,1e80"], "integral overflows at step"),
         (fit + ["--x-grid", "1,2", "--t-big", "inf"], finite),
         (fit + ["--x-grid", "1e-300,2"], "overflows at x=1e-300"),
         (
@@ -213,6 +215,22 @@ def test_riesz_check_second_step_goes_through_the_operator(monkeypatch, tmp_path
     assert payload["multiplier"]["pass"]
     assert payload["composition"]["pass"] is False
     assert payload["composition"]["max_pointwise"] == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_riesz_check_writes_the_composition_residual(tmp_path):
+    # the CLI's composition value is riesz.composition_residual on its sample
+    out = tmp_path / "riesz.json"
+    for dim, modes, alphas in ((1, 256, [0.25, 0.5, 0.7]), (2, 32, [0.3, 0.6, 0.9])):
+        argv = ["riesz-check", f"--dim={dim}", f"--modes={modes}"]
+        argv += [f"--alpha-grid={','.join(map(str, alphas))}", "--out", str(out)]
+        assert main(argv) == 0
+        written = json.loads(out.read_text())["composition"]["max_pointwise"]
+        t = riesz.PeriodicGridND(dim, modes).axis_nodes()
+        mesh = np.meshgrid(*([t] * dim), indexing="ij")
+        f = np.sin(2.0 * np.pi * mesh[0]) + 0.5 * np.cos(6.0 * np.pi * mesh[0])
+        for axis in range(1, dim):
+            f = f * np.cos(2.0 * np.pi * mesh[axis])
+        assert riesz.composition_residual(alphas, f) == written
 
 
 def test_transmute_check_cli(tmp_path):

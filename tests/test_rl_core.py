@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,17 @@ def test_non_finite_samples_are_rejected_by_node_index(bad):
     for orders in ((0.5, 0.0), (0.0, 0.5), (0.3, 1.0)):
         with pytest.raises(ValueError, match=r"non-finite sample at node index \(1, 3\)"):
             rl_integral_nd(orders, f_nd)
+
+
+def test_overflowing_integral_names_order_and_step():
+    # every sample is finite; the integral is not, on the cumsum and GEMM paths
+    f = SampledFunction1D(UniformGrid1D(0.0, 100.0, 8), np.full(9, 1e307, dtype=complex))
+    for alpha in (1.0, 2.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            message = rf"the order-{alpha} integral overflows at step 12\.5"
+            with pytest.raises(ValueError, match=message):
+                rl_integral(alpha, f)
 
 
 def test_half_order_closed_form_at_endpoint():

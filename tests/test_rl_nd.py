@@ -100,6 +100,15 @@ def test_single_axis_sweep_is_the_1d_integral_per_row():
         assert np.array_equal(np.moveaxis(out, axis, -1), expected)
 
 
+def test_overflowing_sweep_is_not_reported_as_bad_input():
+    # the first axis overflows on finite samples; the error names the order
+    # and step, not a non-finite sample that the second axis would see
+    b = box(8, T=100.0)
+    f = SampledFunctionND(b, np.full(b.shape, 1e307))
+    with pytest.raises(ValueError, match=r"the order-2\.0 integral overflows at step 12\.5"):
+        rl_integral_nd((2.0, 2.0), f)
+
+
 def test_convolution_of_constants_1d():
     f = ones_nd(64, dims=1)
     out = truncated_convolution(f, f)
