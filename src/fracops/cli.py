@@ -123,7 +123,7 @@ def _cmd_riesz_check(args) -> int:
     report = riesz.multiplier_family_check(fam, alphas, xis)
 
     nodes = grid.axis_nodes()
-    mesh = np.meshgrid(*([nodes] * dim), indexing="ij")
+    mesh = np.meshgrid(*([nodes] * dim), indexing="ij", sparse=True)
     f = np.sin(2.0 * np.pi * mesh[0]) + 0.5 * np.cos(6.0 * np.pi * mesh[0])
     for axis in range(1, dim):
         f = f * np.cos(2.0 * np.pi * mesh[axis])

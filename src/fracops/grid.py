@@ -160,11 +160,26 @@ def cumulative_trapezoid(f: SampledFunction1D) -> SampledFunction1D:
     return SampledFunction1D(f.grid, out)
 
 
+def _finite_norm(norm: float, values: np.ndarray, step: str) -> float:
+    if math.isfinite(norm):
+        return norm
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite sample at node index {tuple(int(i) for i in bad[0])}")
+    raise ValueError(f"the L1 norm integral overflows at {step}")
+
+
 def l1_norm(f: SampledFunction1D) -> float:
-    """Trapezoid rule applied to |f| over the grid."""
-    mod = np.abs(f.values)
+    """Trapezoid rule applied to |f| over the grid.
+
+    A norm that is not finite is a ``ValueError`` naming the non-finite
+    sample or, for finite samples, the step at which the norm overflows.
+    """
     h = f.grid.h
-    return float(h * (0.5 * mod[0] + mod[1:-1].sum() + 0.5 * mod[-1]))
+    with np.errstate(over="ignore"):
+        mod = np.abs(f.values)
+        norm = float(h * (0.5 * mod[0] + mod[1:-1].sum() + 0.5 * mod[-1]))
+    return _finite_norm(norm, f.values, f"step {h}")
 
 
 def l1_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
@@ -186,12 +201,13 @@ def trapezoid_weights(h: float, n: int) -> np.ndarray:
 
 
 def l1_norm_nd(f: SampledFunctionND) -> float:
-    """Tensorized trapezoid rule applied to |f| over the box."""
-    acc = np.abs(f.values)
-    for axis in range(f.grid.dim - 1, -1, -1):
-        g = f.grid.axes[axis]
-        acc = np.tensordot(acc, trapezoid_weights(g.h, g.N), axes=([axis], [0]))
-    return float(acc)
+    """Tensorized trapezoid rule applied to |f| over the box; errors as in ``l1_norm``."""
+    with np.errstate(over="ignore"):
+        acc = np.abs(f.values)
+        for axis in range(f.grid.dim - 1, -1, -1):
+            g = f.grid.axes[axis]
+            acc = np.tensordot(acc, trapezoid_weights(g.h, g.N), axes=([axis], [0]))
+    return _finite_norm(float(acc), f.values, f"steps {tuple(g.h for g in f.grid.axes)}")
 
 
 def l1_distance_nd(f: SampledFunctionND, g: SampledFunctionND) -> float:

@@ -8,7 +8,10 @@ on the half spectrum serves all input: complex input is taken as two real
 samples, its real and imaginary parts, and real input comes back exactly
 real. log|xi| is tabulated once per grid, so each call costs one forward and
 one inverse transform per part. ``composition_residual`` checks the law
-I^b I^a = I^(a+b) with one forward transform of its sample.
+I^b I^a = I^(a+b) with one forward transform of its sample and one of each
+first step I^a f, and one inverse per first step, per distinct order sum and
+per compared pair: 5 ``rfftn`` and 30 ``irfftn`` for 4 orders on a real 3D
+sample.
 """
 
 from __future__ import annotations
@@ -97,10 +100,14 @@ def _transform(values: np.ndarray) -> tuple[PeriodicGridND, list[np.ndarray]]:
     return grid, [np.fft.rfftn(part) for part in parts]
 
 
+def _check_order(alpha: float, dim: int) -> None:
+    if not 0.0 < alpha < dim:  # also rejects NaN
+        raise ValueError(f"order must lie in (0, {dim}), got {alpha}")
+
+
 def _potential(alpha: float, grid: PeriodicGridND, spectra: list[np.ndarray]) -> np.ndarray:
     """Multiply each part's spectrum by |xi|^(-alpha), zero mode 0, and transform back."""
-    if not 0.0 < alpha < grid.dim:
-        raise ValueError(f"order must lie in (0, {grid.dim}), got {alpha}")
+    _check_order(alpha, grid.dim)
     mult = np.exp(-alpha * _log_xi(grid))
     axes = tuple(range(grid.dim))
     parts = [np.fft.irfftn(coeffs * mult, s=grid.shape, axes=axes) for coeffs in spectra]
@@ -125,21 +132,35 @@ def riesz_potential(alpha: float, values: np.ndarray) -> np.ndarray:
 def composition_residual(alpha_grid: Sequence[float], values: np.ndarray) -> float:
     """Largest pointwise |I^b(I^a f) - I^(a+b) f| over grid orders a, b with a + b < n.
 
-    One forward transform of f serves every first step I^a f and one-step
-    I^(a+b) f; the second step is a full ``riesz_potential`` round trip. With
-    no pair in range the residual is 0.
+    Every order must lie in (0, n); one outside is rejected before any
+    transform. One forward transform of f serves every first step I^a f and
+    every one-step I^(a+b) f, which is inverted once per distinct sum (a + b
+    and b + a are the same float). The second step is a full round trip: each
+    first step is checked and transformed once, on first use, and every b
+    reuses that spectrum. With no pair in range the residual is 0.
     """
-    grid, spectra = _transform(values)
-    worst = 0.0
+    grid = _grid_for(np.asarray(values))
     for a in alpha_grid:
-        partners = [b for b in alpha_grid if a + b < grid.dim]
-        if not partners:
-            continue
-        first = _potential(a, grid, spectra)
-        for b in partners:
-            two_step = riesz_potential(b, first)
-            one_step = _potential(a + b, grid, spectra)
-            worst = max(worst, float(np.abs(two_step - one_step).max()))
+        _check_order(a, grid.dim)
+    orders = list(dict.fromkeys(alpha_grid))  # a repeated order adds no pair
+    pairs_by_sum: dict[float, list[tuple[float, float]]] = {}
+    for a in orders:
+        for b in orders:
+            if a + b < grid.dim:
+                pairs_by_sum.setdefault(a + b, []).append((a, b))
+    _, spectra = _transform(values)
+    first_spectra: dict[float, list[np.ndarray]] = {}
+    worst = 0.0
+    for total, pairs in pairs_by_sum.items():
+        one_step = _potential(total, grid, spectra)
+        for a, b in pairs:
+            if a not in first_spectra:
+                first_spectra[a] = _transform(_potential(a, grid, spectra))[1]
+            diff = _potential(b, grid, first_spectra[a])
+            diff -= one_step
+            # the modulus of complex output is real, so it takes a new array
+            mod = np.abs(diff, out=diff) if np.isrealobj(diff) else np.abs(diff)
+            worst = max(worst, float(mod.max()))
     return worst
 
 

@@ -201,20 +201,38 @@ def test_riesz_check_cli(tmp_path):
     assert payload["multiplier"]["max_residual"] < 1e-12
 
 
-def test_riesz_check_second_step_goes_through_the_operator(monkeypatch, tmp_path):
-    # a perturbed operator must show up as a composition gap: the two-step
-    # side is a real round trip, not a product of multipliers
-    original = riesz.riesz_potential
-    monkeypatch.setattr(
-        riesz, "riesz_potential", lambda alpha, values: original(alpha, values) + 1e-9
-    )
+def test_riesz_check_second_step_transforms_the_first_step(monkeypatch, tmp_path):
+    # a first step perturbed in physical space, before its forward transform,
+    # must show up as a composition gap: the two-step side is a real round
+    # trip, not a product of multipliers
+    eps = 1e-9
+    original = riesz._transform
+    calls = []
+
+    def tampered(values):
+        calls.append(values)
+        # the first call transforms the sample f itself; every later one is a first step
+        return original(values * (1.0 + eps) if len(calls) > 1 else values)
+
+    monkeypatch.setattr(riesz, "_transform", tampered)
     out = tmp_path / "riesz.json"
+    alphas = [0.2, 0.3, 0.4]
     argv = ["riesz-check", "--dim", "1", "--modes", "64", "--alpha-grid", "0.2,0.3,0.4"]
     assert main(argv + ["--out", str(out)]) == 1
+    assert len(calls) == 1 + len(alphas)
     payload = json.loads(out.read_text())
     assert payload["multiplier"]["pass"]
     assert payload["composition"]["pass"] is False
-    assert payload["composition"]["max_pointwise"] == pytest.approx(1e-9, rel=1e-3)
+    # (1 + eps) I^b I^a f - I^(a+b) f = eps I^(a+b) f up to rounding
+    monkeypatch.undo()
+    f = calls[0]
+    expected = max(
+        eps * float(np.abs(riesz.riesz_potential(a + b, f)).max())
+        for a in alphas
+        for b in alphas
+        if a + b < 1.0
+    )
+    assert payload["composition"]["max_pointwise"] == pytest.approx(expected, rel=1e-3)
 
 
 def test_riesz_check_writes_the_composition_residual(tmp_path):

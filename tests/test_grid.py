@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -175,3 +177,31 @@ def test_sample_nd_rejects_nonfinite():
     box = BoxGridND((UniformGrid1D(0.0, 1.0, 2), UniformGrid1D(0.0, 1.0, 2)))
     with pytest.raises(ValueError, match="node index"):
         sample_nd(lambda x, y: float("nan") if (x, y) == (0.5, 0.5) else 1.0, box)
+
+
+def test_l1_norm_overflow_is_an_error_naming_the_step():
+    # finite samples whose norm overflows: in the step, in the sum or in |f|
+    wide = UniformGrid1D(0.0, 1e80, 8)
+    unit = UniformGrid1D(0.0, 1.0, 2)
+    cases = (
+        (SampledFunction1D(wide, np.full(9, 1e300)), "step 1.25e+79"),
+        (SampledFunction1D(unit, np.full(3, 1e308)), "step 0.5"),
+        (SampledFunction1D(unit, np.full(3, 1e308 + 1e308j)), "step 0.5"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, step in cases:
+            message = re.escape(f"L1 norm integral overflows at {step}")
+            with pytest.raises(ValueError, match=message):
+                l1_norm(f)
+        box = BoxGridND((wide, unit))
+        with pytest.raises(ValueError, match=r"overflows at steps \(1\.25e\+79, 0\.5\)"):
+            l1_norm_nd(SampledFunctionND(box, np.full(box.shape, 1e300)))
+        # a non-finite sample is named as such, not as an overflow
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            vals = np.ones(9, dtype=complex)
+            vals[5] = bad
+            with pytest.raises(ValueError, match=re.escape("non-finite sample at node index (5,)")):
+                l1_norm(SampledFunction1D(wide, vals))
+        # the largest finite norms still come back
+        assert l1_norm(SampledFunction1D(unit, np.full(3, 1e307))) == pytest.approx(1e307)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracops import riesz
 from fracops.riesz import (
     MultiplierFamily,
     PeriodicGridND,
@@ -120,6 +121,77 @@ def test_composition_residual_takes_complex_input():
     )
     # no pair a + b below the dimension: nothing to compare
     assert composition_residual([0.6, 0.7], g) == 0.0
+
+
+def _pairwise_composition_residual(alpha_grid, values):
+    # the pair-by-pair loop: a first step per order, then for every partner a
+    # full riesz_potential round trip and a one-step potential of its own
+    grid, spectra = riesz._transform(values)
+    worst = 0.0
+    for a in alpha_grid:
+        partners = [b for b in alpha_grid if a + b < grid.dim]
+        if not partners:
+            continue
+        first = riesz._potential(a, grid, spectra)
+        for b in partners:
+            two_step = riesz_potential(b, first)
+            one_step = riesz._potential(a + b, grid, spectra)
+            worst = max(worst, float(np.abs(two_step - one_step).max()))
+    return worst
+
+
+def _periodic_sample(dim, m):
+    mesh = np.meshgrid(*([nodes(m)] * dim), indexing="ij", sparse=True)
+    f = np.sin(TWO_PI * mesh[0]) + 0.5 * np.cos(6.0 * math.pi * mesh[0])
+    for axis in range(1, dim):
+        f = f * np.cos(TWO_PI * mesh[axis])
+    return f
+
+
+def test_composition_residual_matches_pairwise_loop_bit_for_bit():
+    base = [0.3, 0.5, 0.5, 0.9, 1.2]
+    # scaled by n / 2 so that every order is in (0, n) and some pairs are not
+    for dim, m in ((1, 64), (2, 32), (3, 16)):
+        alphas = [a * dim / 2 for a in base]
+        assert any(a + b >= dim for a in alphas for b in alphas)
+        f = _periodic_sample(dim, m)
+        g = f + 1j * np.roll(f, 3, axis=0) ** 2
+        g -= g.mean()
+        for values in (f, g):
+            assert composition_residual(alphas, values) == _pairwise_composition_residual(
+                alphas, values
+            )
+    f = _periodic_sample(2, 32)
+    assert composition_residual(base, f) == _pairwise_composition_residual(base, f)
+
+
+def test_composition_residual_transforms_once_per_first_step_and_sum(monkeypatch):
+    counts = {"rfftn": 0, "irfftn": 0}
+    for name in counts:
+        fft = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _fft=fft, **kwargs):
+            counts[_name] += 1
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    # 4 orders, all 16 pairs in range, 10 distinct sums: 1 + 4 forward
+    # transforms and 4 first steps + 10 one-step + 16 two-step inverses
+    composition_residual([0.25, 0.5, 0.7, 1.0], _periodic_sample(3, 64))
+    assert counts == {"rfftn": 5, "irfftn": 30}
+
+
+def test_composition_residual_rejects_orders_outside_range_before_transforming(monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform before the order check")
+
+    monkeypatch.setattr(np.fft, "rfftn", no_transform)
+    f = _periodic_sample(1, 64)
+    for bad in (5.0, math.nan, 1.0, 0.0, -0.3, math.inf):
+        with pytest.raises(ValueError, match=r"order must lie in \(0, 1\)"):
+            composition_residual([0.3, bad], f)
+    with pytest.raises(ValueError, match=r"order must lie in \(0, 3\)"):
+        composition_residual([0.25, 3.0], _periodic_sample(3, 8))
 
 
 def test_output_zero_mode_is_zero():
