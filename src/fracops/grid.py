@@ -131,15 +131,31 @@ def _require_same_grid(f: SampledFunction1D, g: SampledFunction1D) -> None:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
 
 
-def sample(expr: Callable[[float], complex], grid: UniformGrid1D) -> SampledFunction1D:
-    """Evaluate ``expr`` at every node; rejects non-finite values by node index."""
-    nodes = grid.nodes
-    vals = np.array([complex(expr(t)) for t in nodes], dtype=np.complex128)
+def _finite_samples(grid: UniformGrid1D, nodes: np.ndarray, vals: np.ndarray) -> SampledFunction1D:
     bad = np.nonzero(~np.isfinite(vals.real) | ~np.isfinite(vals.imag))[0]
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"non-finite sample at node index {k} (t={nodes[k]})")
     return SampledFunction1D(grid, vals)
+
+
+def sample(expr: Callable[[float], complex], grid: UniformGrid1D) -> SampledFunction1D:
+    """Evaluate ``expr`` at every node; rejects non-finite values by node index."""
+    nodes = grid.nodes
+    vals = np.array([complex(expr(t)) for t in nodes], dtype=np.complex128)
+    return _finite_samples(grid, nodes, vals)
+
+
+def sample_array(expr: Callable[[np.ndarray], np.ndarray], grid: UniformGrid1D) -> SampledFunction1D:
+    """Evaluate the array expression ``expr`` once on all nodes.
+
+    An overflow is not a warning: like any non-finite value, it is rejected
+    by node index as in ``sample``.
+    """
+    nodes = grid.nodes
+    with np.errstate(over="ignore"):
+        vals = np.asarray(expr(nodes), dtype=np.complex128)
+    return _finite_samples(grid, nodes, vals)
 
 
 def sample_nd(expr: Callable[..., complex], grid: BoxGridND) -> SampledFunctionND:

@@ -9,10 +9,15 @@ Four checks per family, each measuring a residual against its tolerance:
 * positivity: nonnegative inputs must give outputs with nonnegative real
   part and negligible imaginary part.
 
-The probes are the fixed module constants below. Continuity runs on the unit
-window [a, a + 1] at the interval's left end: every catalog family is
-translation invariant, and on a window of length L the residuals grow by
-about L^(alpha0 + 1), which no absolute tolerance absorbs.
+The probes are the fixed module constants below, array expressions
+evaluated once per run; a non-finite probe value, overflow included, is a
+``ValueError``, so the CLI exits 2. Continuity runs on the unit window
+[a, a + 1] at the interval's left end: every catalog family is translation
+invariant, and on a window of length L the residuals grow by about
+L^(alpha0 + 1), which no absolute tolerance absorbs.
+
+Every family is a scalar or order rewrite of the same integral, so each
+(order, probe) integral is computed once per run and shared by the families.
 
 A report per family records residuals, verdicts, the expected profile, and
 whether they agree. Identical configurations produce byte-identical
@@ -24,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,17 +38,17 @@ from .grid import (
     UniformGrid1D,
     cumulative_trapezoid,
     l1_distance,
-    sample,
+    sample_array,
 )
-# unused here, but perfbench's tracer test reads harness.rl_integral
-from .rl_core import FAMILY_NAMES, OperatorFamily1D, make_family, rl_integral  # noqa: F401
+from .rl_core import FAMILY_NAMES, OperatorFamily1D, make_family, rl_integral
 
+# array expressions, valid on scalars too
 TEST_FUNCTIONS = {
-    "one": lambda t: 1.0,
+    "one": lambda t: np.ones_like(t),
     "t": lambda t: t,
     "cos": lambda t: np.cos(t),
     "exp_neg": lambda t: np.exp(-t),
-    "ramp": lambda t: max(0.0, t - 0.3),
+    "ramp": lambda t: np.maximum(0.0, t - 0.3),
 }
 INDEX_PAIRS = ((0.5, 0.5),)
 CONTINUITY_ALPHA0 = 0.7
@@ -192,10 +198,13 @@ def run_family(
     config: RunConfig,
     f_set: dict[str, SampledFunction1D],
     window_ones: SampledFunction1D,
+    integral: Callable[[float, SampledFunction1D], SampledFunction1D] | None = None,
 ) -> AxiomReport:
     """All four checks on one family, given the probes sampled on the interval
-    and the constant 1 sampled on the continuity window."""
-    family = make_family(family_name)
+    and the constant 1 sampled on the continuity window.
+
+    The family applies ``integral`` (default: ``rl_integral``)."""
+    family = make_family(family_name, integral)
     identity_res = check_identity(family, f_set)
     index_res = check_index_law(family, INDEX_PAIRS, f_set)
     cont_res = check_continuity(family, CONTINUITY_ALPHA0, CONTINUITY_DELTAS, window_ones)
@@ -229,18 +238,46 @@ def run_family(
     )
 
 
+def _shared_integral(
+    probes: list[SampledFunction1D],
+) -> Callable[[float, SampledFunction1D], SampledFunction1D]:
+    """``rl_integral`` that computes each (order, probe) pair once.
+
+    Probes are keyed by identity, which is safe while the caller keeps them
+    alive. Any other input is an intermediate that a family made, and goes
+    straight to ``rl_integral``, looked up at each call.
+    """
+    probe_ids = {id(p) for p in probes}
+    memo: dict[tuple[float, int], SampledFunction1D] = {}
+
+    def integral(alpha: float, f: SampledFunction1D) -> SampledFunction1D:
+        if id(f) not in probe_ids:
+            return rl_integral(alpha, f)
+        key = (float(alpha), id(f))
+        if key not in memo:
+            memo[key] = rl_integral(alpha, f)
+        return memo[key]
+
+    return integral
+
+
 def run_matrix(config: RunConfig) -> list[AxiomReport]:
     """Run all four checks on the requested families, ordered by family name.
 
-    The probes and the window constant are sampled once and shared by every family.
+    The probes and the window constant are sampled once, each as one array
+    expression. The families share one integral, which computes each
+    (order, probe) pair once per run; the memo goes with the run.
     """
     names = FAMILY_NAMES if config.family == "all" else (config.family,)
     a, T = (float(x) for x in config.interval)
     n = int(config.grid_n)
     grid = UniformGrid1D(a, T, n)
-    f_set = {name: sample(expr, grid) for name, expr in TEST_FUNCTIONS.items()}
-    window_ones = sample(TEST_FUNCTIONS["one"], UniformGrid1D(a, a + 1.0, n))
-    return [run_family(name, config, f_set, window_ones) for name in sorted(names)]
+    f_set = {name: sample_array(expr, grid) for name, expr in TEST_FUNCTIONS.items()}
+    window_ones = sample_array(TEST_FUNCTIONS["one"], UniformGrid1D(a, a + 1.0, n))
+    integral = _shared_integral([*f_set.values(), window_ones])
+    return [
+        run_family(name, config, f_set, window_ones, integral) for name in sorted(names)
+    ]
 
 
 def reports_to_json(reports: list[AxiomReport]) -> str:

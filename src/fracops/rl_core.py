@@ -254,31 +254,32 @@ def _rl_growth(alpha: float) -> tuple[float, float]:
     return 1.0 / math.gamma(alpha + 1.0), alpha
 
 
+# each entry applies the integral it is given: (integral, alpha, f) -> function
 _CATALOG: dict[str, tuple[Callable, AxiomProfile, Callable]] = {
     "riemann_liouville": (
-        lambda a, f: rl_integral(a, f),
+        lambda integral, a, f: integral(a, f),
         AxiomProfile(True, True, True, True),
         _rl_growth,
     ),
     "scaled_order": (
         # order used only as a scalar on the unit-order integral
-        lambda a, f: _check_order(a) * rl_integral(1.0, f),
+        lambda integral, a, f: _check_order(a) * integral(1.0, f),
         AxiomProfile(True, False, True, True),
         lambda a: (a, 1.0),
     ),
     "doubled_order": (
-        lambda a, f: rl_integral(2.0 * _check_order(a), f),
+        lambda integral, a, f: integral(2.0 * _check_order(a), f),
         AxiomProfile(False, True, True, True),
         lambda a: (1.0 / math.gamma(2.0 * a + 1.0), 2.0 * a),
     ),
     "geometric": (
-        lambda a, f: (2.0 ** _check_order(a)) * rl_integral(a, f),
+        lambda integral, a, f: (2.0 ** _check_order(a)) * integral(a, f),
         AxiomProfile(False, True, True, True),
         lambda a: (2.0 ** a / math.gamma(a + 1.0), a),
     ),
     "phase": (
         # unit-modulus scalar: full rotations at integer orders only
-        lambda a, f: complex(np.exp(2j * np.pi * _check_order(a))) * rl_integral(a, f),
+        lambda integral, a, f: complex(np.exp(2j * np.pi * _check_order(a))) * integral(a, f),
         AxiomProfile(True, True, True, False),
         _rl_growth,
     ),
@@ -287,15 +288,24 @@ _CATALOG: dict[str, tuple[Callable, AxiomProfile, Callable]] = {
 FAMILY_NAMES = tuple(sorted(_CATALOG))
 
 
-def make_family(name: str) -> OperatorFamily1D:
-    """Build a catalog family by name; unknown names list the valid ones."""
+def make_family(
+    name: str,
+    integral: Callable[[float, SampledFunction1D], SampledFunction1D] | None = None,
+) -> OperatorFamily1D:
+    """Build a catalog family by name; unknown names list the valid ones.
+
+    The family applies ``integral`` (alpha, f) -> I^alpha f, by default
+    ``rl_integral``, looked up at each call.
+    """
     try:
         apply_fn, profile, growth = _CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown family {name!r}; valid names: {', '.join(FAMILY_NAMES)}"
         ) from None
-    return OperatorFamily1D(name, apply_fn, profile, growth)
+    return OperatorFamily1D(
+        name, lambda a, f: apply_fn(integral or rl_integral, a, f), profile, growth
+    )
 
 
 def _order_objective(beta: float, logs_t: np.ndarray, logs_g: np.ndarray) -> float:

@@ -116,6 +116,10 @@ def test_config_error_exit_two(tmp_path, capsys):
         (axioms + ["--interval=0,inf"], finite),
         (axioms + ["--interval", "0,1e300"], "overflows at order"),
         (["axioms", "--grid-n", "8", "--interval=0,1e80"], "integral overflows at step"),
+        (
+            ["axioms", "--grid-n", "8", "--interval=-710,-709"],
+            "non-finite sample at node index 0 (t=-710.0)",
+        ),
         (fit + ["--x-grid", "1,2", "--t-big", "inf"], finite),
         (fit + ["--x-grid", "1e-300,2"], "overflows at x=1e-300"),
         (
@@ -359,6 +363,7 @@ LAPLACE_HUGE_WINDOW = [
 @example(argv=LAPLACE_HUGE_WINDOW)
 @example(argv=LAPLACE_HUGE_WINDOW[:4] + ["--x-grid=1e-300,2", "--t-big=1e300"])
 @example(argv=["riesz-check", "--dim=1", "--modes=16", "--alpha-grid=1e-300,1e-300,1e-300"])
+@example(argv=["axioms", "--grid-n=8", "--interval=-710,-709"])  # e^(-t) overflows
 def test_float_flags_fuzz_exit_cleanly(argv):
     # exit 0, 1 or 2 and never a traceback or a float warning; exit 1 only
     # with a printed MISMATCH or FAIL verdict, exit 2 only with an error line

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracops import harness
-from fracops.grid import UniformGrid1D, l1_distance, l1_norm, sample
+from fracops.grid import UniformGrid1D, l1_distance, l1_norm, sample, sample_array
 from fracops.harness import (
     TEST_FUNCTIONS,
     RunConfig,
@@ -18,7 +18,7 @@ from fracops.harness import (
     run_family,
     run_matrix,
 )
-from fracops.rl_core import make_family
+from fracops.rl_core import FAMILY_NAMES, make_family, rl_integral
 
 ELEVEN_24TH = float(Fraction(11, 24))
 
@@ -221,20 +221,81 @@ def test_config_validation():
         RunConfig(family="nope")
 
 
-def test_run_matrix_samples_each_probe_once(monkeypatch):
+def test_run_matrix_evaluates_each_probe_once(monkeypatch):
     # five probes on the interval and the constant on the continuity window,
-    # shared by all five families
+    # each one array expression evaluated on all nodes, shared by all five families
     calls = []
 
-    def counting_sample(expr, grid):
-        calls.append(grid)
-        return sample(expr, grid)
+    def counting(name, expr):
+        def probe(t):
+            calls.append((name, t))
+            return expr(t)
 
-    monkeypatch.setattr(harness, "sample", counting_sample)
+        return probe
+
+    for name, expr in TEST_FUNCTIONS.items():
+        monkeypatch.setitem(TEST_FUNCTIONS, name, counting(name, expr))
     reports = run_matrix(small_config(grid_n=64, interval=(2.0, 5.0)))
     assert len(reports) == 5
-    assert len(calls) == len(TEST_FUNCTIONS) + 1
-    assert calls[-1] == UniformGrid1D(2.0, 3.0, 64)
+    assert [name for name, _ in calls] == [*TEST_FUNCTIONS, "one"]
+    for _, t in calls[:-1]:
+        np.testing.assert_array_equal(t, UniformGrid1D(2.0, 5.0, 64).nodes)
+    np.testing.assert_array_equal(calls[-1][1], UniformGrid1D(2.0, 3.0, 64).nodes)
+
+
+def counted_integrals(monkeypatch, config):
+    """(order, probe index or None) of every rl_integral call one run_matrix makes."""
+    probes = []
+    calls = []
+
+    def recording_sample(expr, grid):
+        probes.append(sample_array(expr, grid))
+        return probes[-1]
+
+    def counting_integral(alpha, f):
+        index = next((i for i, p in enumerate(probes) if p is f), None)
+        calls.append((float(alpha), index))
+        return rl_integral(alpha, f)
+
+    monkeypatch.setattr(harness, "sample_array", recording_sample)
+    monkeypatch.setattr(harness, "rl_integral", counting_integral)
+    run_matrix(config)
+    return calls
+
+
+def test_run_matrix_integrates_each_order_and_probe_once(monkeypatch):
+    calls = counted_integrals(monkeypatch, RunConfig())
+    on_probes = [c for c in calls if c[1] is not None]
+    assert len(on_probes) == len(set(on_probes)) == 34
+    assert len(calls) == 59  # 195 without sharing
+
+
+def test_run_matrix_keeps_no_state_across_runs(monkeypatch):
+    first = counted_integrals(monkeypatch, small_config(grid_n=64))
+    second = counted_integrals(monkeypatch, small_config(grid_n=64))
+    assert len(second) == len(first) == 59
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"interval": (-1.0, 1.0)}, {"grid_n": 64, "interval": (2.0, 5.0)}]
+)
+def test_shared_integral_reports_equal_unshared_families(overrides):
+    # run_family without an integral builds plain families, one rl_integral per apply
+    config = RunConfig(**overrides)
+    a, T = config.interval
+    grid = UniformGrid1D(a, T, config.grid_n)
+    probes = {name: sample_array(expr, grid) for name, expr in TEST_FUNCTIONS.items()}
+    ones = sample_array(TEST_FUNCTIONS["one"], UniformGrid1D(a, a + 1.0, config.grid_n))
+    unshared = [run_family(name, config, probes, ones) for name in FAMILY_NAMES]
+    assert reports_to_json(run_matrix(config)) == reports_to_json(unshared)
+
+
+def test_array_probes_match_node_by_node_sampling():
+    grid = UniformGrid1D(-1.0, 2.0, 300)
+    for expr in TEST_FUNCTIONS.values():
+        np.testing.assert_array_equal(
+            sample_array(expr, grid).values, sample(expr, grid).values
+        )
 
 
 def test_single_family_run():
