@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import riesz, transmute
-from .harness import RunConfig, reports_to_json, run_matrix
+from .harness import TEST_FUNCTIONS, RunConfig, reports_to_json, run_matrix
 from .rl_core import FAMILY_NAMES, make_family
 from .transforms import fit_affine, semigroup_table
 
@@ -153,12 +153,12 @@ def _cmd_riesz_check(args) -> int:
 
 def _cmd_transmute_check(args) -> int:
     phi = transmute.load_integrator(args.phi)
-    results = {}
-    worst = 0.0
-    for name, expr in (("one", lambda t: 1.0), ("t", lambda t: t)):
-        res = transmute.transmutation_residual(args.alpha, phi, expr, args.grid_n)
-        results[name] = res
-        worst = max(worst, res)
+    names = ("one", "t")
+    residuals = transmute.transmutation_residual(
+        args.alpha, phi, [TEST_FUNCTIONS[name] for name in names], args.grid_n
+    )
+    results = dict(zip(names, residuals))
+    worst = max(residuals)
     measure = transmute.pushforward_measure(phi, phi.a, phi.T)
     jump_total = sum(j.size for j in phi.jumps)
     payload = {

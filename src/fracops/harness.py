@@ -265,15 +265,18 @@ def run_matrix(config: RunConfig) -> list[AxiomReport]:
     """Run all four checks on the requested families, ordered by family name.
 
     The probes and the window constant are sampled once, each as one array
-    expression. The families share one integral, which computes each
-    (order, probe) pair once per run; the memo goes with the run.
+    expression; on a unit interval the window constant is the ``one`` probe
+    itself, so the memo below serves its integrals too. The families share
+    one integral, which computes each (order, probe) pair once per run; the
+    memo goes with the run.
     """
     names = FAMILY_NAMES if config.family == "all" else (config.family,)
     a, T = (float(x) for x in config.interval)
     n = int(config.grid_n)
     grid = UniformGrid1D(a, T, n)
     f_set = {name: sample_array(expr, grid) for name, expr in TEST_FUNCTIONS.items()}
-    window_ones = sample_array(TEST_FUNCTIONS["one"], UniformGrid1D(a, a + 1.0, n))
+    window = UniformGrid1D(a, a + 1.0, n)
+    window_ones = f_set["one"] if window == grid else sample_array(TEST_FUNCTIONS["one"], window)
     integral = _shared_integral([*f_set.values(), window_ones])
     return [
         run_family(name, config, f_set, window_ones, integral) for name in sorted(names)

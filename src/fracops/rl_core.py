@@ -88,7 +88,10 @@ def _power_cell_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of x^(alpha-1) * (x - (d-1)) and x^(alpha-1) * (d - x) over [d-1, d]."""
     nodes, weights = rule
-    kern = (d[:, None] - 1.0 + nodes) ** (alpha - 1.0) * weights
+    # in place: one n x len(nodes) temporary instead of two
+    kern = d[:, None] - 1.0 + nodes
+    kern **= alpha - 1.0
+    kern *= weights
     return kern @ nodes, kern @ (1.0 - nodes)
 
 

@@ -33,7 +33,11 @@ start (J = 180 for the unit jump at N = 4096). For alpha >= 1 the kernel is
 bounded and each node takes the exact rule over its whole prefix, O(N^2).
 Either way the result agrees with the exact rule over the whole prefix to
 about 1e-14 relative, node a gives exactly 0, and nonnegative real g gives
-exactly nonnegative real output.
+exactly nonnegative real output. None of the kernel work depends on g: the
+image mesh, the exponential rates, the decays and the cell and kernel
+moments are paid once per call, and one call takes several functions on
+one grid, each adding only its GEMM columns. ``transmutation_residual``
+builds the mesh once for both routes and every probe.
 """
 
 from __future__ import annotations
@@ -41,11 +45,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import SampledFunction1D, UniformGrid1D, l1_distance, sample
+from .grid import (
+    SampledFunction1D,
+    UniformGrid1D,
+    _require_same_grid,
+    l1_distance,
+    sample_array,
+)
 from .rl_core import _check_order, _gauss_legendre, rl_integral
 
 _BOUNDARY_TOL = 1e-12
@@ -264,47 +274,82 @@ def _check_domain(phi: Integrator, grid: UniformGrid1D) -> None:
         )
 
 
-def _piece_nodes(
-    nodes: np.ndarray, gvals: np.ndarray, s_lo: float, s_hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature s-nodes in [s_lo, s_hi]: the endpoints plus interior grid nodes."""
-    i0 = int(np.searchsorted(nodes, s_lo, side="right"))
-    i1 = int(np.searchsorted(nodes, s_hi, side="left"))
-    inner = nodes[i0:i1]
-    snodes = np.concatenate([[s_lo], inner, [s_hi]])
-    gv = np.concatenate(
-        [
-            [np.interp(s_lo, nodes, gvals)],
-            gvals[i0:i1],
-            [np.interp(s_hi, nodes, gvals)],
-        ]
-    )
-    return snodes, gv
-
-
-def _image_mesh(
-    phi: Integrator, nodes: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid values on one image mesh u, and the length of each node's prefix.
-
-    Each segment's s-nodes are mapped through it and framed by zero-valued
-    copies of its two end images, segments in order: seam cells have zero
-    length, jump-gap cells are zero-filled, and u[:ends[m]] ends at phi(t_m)
-    (the right limit at a jump).
+def _piece_nodes(nodes: np.ndarray, s_lo: float, s_hi: float) -> tuple[np.ndarray, slice]:
+    """Quadrature s-nodes in [s_lo, s_hi], the endpoints plus interior grid nodes,
+    and the slice of grid nodes they take.
     """
+    inner = slice(
+        int(np.searchsorted(nodes, s_lo, side="right")),
+        int(np.searchsorted(nodes, s_hi, side="left")),
+    )
+    return np.concatenate([[s_lo], nodes[inner], [s_hi]]), inner
+
+
+def _piece_values(
+    nodes: np.ndarray, gvals: np.ndarray, s_lo: float, s_hi: float, inner: slice
+) -> np.ndarray:
+    """g at the s-nodes of ``_piece_nodes``: interpolated at the two ends."""
+    return np.concatenate(
+        [[np.interp(s_lo, nodes, gvals)], gvals[inner], [np.interp(s_hi, nodes, gvals)]]
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _ImageMesh:
+    """The image mesh of an integrator on a grid, which does not depend on g.
+
+    u holds each segment's image nodes framed by copies of its two end
+    images, segments in order; u[:ends[m]] ends at x[m] = phi(t_m), the right
+    limit at a jump. ``values`` puts g on u with zero on the frame copies, so
+    seam cells have zero length and jump-gap cells are zero-filled. ``live``
+    marks the cells that can carry g: positive length, not between two
+    frame copies. ``inner`` holds the grid nodes inside each segment.
+    """
+
+    phi: Integrator
+    grid: UniformGrid1D
+    u: np.ndarray
+    ends: np.ndarray
+    live: np.ndarray
+    inner: tuple[slice, ...]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.u[self.ends - 1]
+
+    def values(self, gvals: Sequence[np.ndarray]) -> np.ndarray:
+        """Each g on u, one row per array of grid values in ``gvals``."""
+        nodes = self.grid.nodes
+        out = np.zeros((len(gvals), len(self.u)), dtype=np.complex128)
+        for row, g in zip(out, gvals):
+            col = 1
+            for seg, inner in zip(self.phi.segments, self.inner):
+                gv = _piece_values(nodes, g, seg.lo, seg.hi, inner)
+                row[col : col + len(gv)] = gv
+                col += len(gv) + 2
+        return out
+
+
+def _image_mesh(phi: Integrator, grid: UniformGrid1D) -> _ImageMesh:
+    nodes = grid.nodes
     seg_of = np.searchsorted([seg.lo for seg in phi.segments], nodes, side="right") - 1
     ends = np.ones(len(nodes), dtype=np.intp)
-    u_parts, g_parts = [], []
+    u_parts, frames, inners = [], [], []
     start = 0
     for j, seg in enumerate(phi.segments):
-        snodes, gv = _piece_nodes(nodes, values, seg.lo, seg.hi)
+        snodes, inner = _piece_nodes(nodes, seg.lo, seg.hi)
+        inners.append(inner)
         u = seg.eval(snodes)
         u_parts += [u[:1], u, u[-1:]]
-        g_parts += [[0.0], gv, [0.0]]
+        frames += [start, start + len(snodes) + 1]
         mine = seg_of == j
         ends[mine] = start + 1 + np.searchsorted(snodes, nodes[mine], side="right")
         start += len(snodes) + 2
-    return np.concatenate(u_parts), np.concatenate(g_parts), ends
+    u = np.concatenate(u_parts)
+    framed = np.zeros(len(u), dtype=bool)
+    framed[frames] = True
+    live = (np.diff(u) > 0.0) & ~(framed[:-1] & framed[1:])
+    return _ImageMesh(phi, grid, u, ends, live, tuple(inners))
 
 
 def _near_field(
@@ -312,10 +357,11 @@ def _near_field(
 ) -> np.ndarray:
     """Exact product quadrature of (x - u)^(alpha-1) g(u) over the mesh u, per row x.
 
-    g is the piecewise-linear interpolant of the real columns G between mesh
-    nodes and the kernel moments of each cell are integrated exactly; cells
-    right of x have r = 0 at both ends and add exactly nothing, so one block
-    of rows shares one mesh window and x may touch its last node.
+    g is the piecewise-linear interpolant of the real columns G[p] between
+    mesh nodes, one stack entry p per function, and the kernel moments of each
+    cell are integrated exactly; cells right of x have r = 0 at both ends and
+    add exactly nothing, so one block of rows shares one mesh window and x may
+    touch its last node.
     """
     r = np.maximum(x[:, None] - u[None, :], 0.0)
     ra = r ** alpha
@@ -326,7 +372,7 @@ def _near_field(
     inv_du = np.divide(1.0, du, out=np.zeros_like(du), where=du > 0.0)
     # cells no longer than 1e-15 max(1, |x|) keep only their left value
     m1 *= inv_du * (du > 1e-15 * np.maximum(1.0, np.abs(x))[:, None])
-    return (m0 - m1) @ G[:-1] + m1 @ G[1:]
+    return (m0 - m1) @ G[:, :-1] + m1 @ G[:, 1:]
 
 
 def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +464,10 @@ def _far_field_exponentials(
     delta = float(np.min(x[starts] - x[starts - _NEAR]))
     if not delta > 0.0:  # image nodes that round together: no safe far field
         return None
-    return _sum_of_exponentials(alpha, delta, float(x[-1] - x[0]))
+    length = float(x[-1] - x[0])
+    if not math.isfinite(length):
+        raise ValueError(f"the order-{alpha} integral with respect to phi overflows")
+    return _sum_of_exponentials(alpha, delta, length)
 
 
 def _exponential_cell_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -440,46 +489,61 @@ def _exponential_cell_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _advance_history(
-    H: np.ndarray, s: np.ndarray, u: np.ndarray, G: np.ndarray, c0: int, c1: int
+    H: np.ndarray, s: np.ndarray, mesh: _ImageMesh, G: np.ndarray, c0: int, c1: int
 ) -> None:
     """Move the history from cutoff u[c0] to u[c1], adding cells c0 .. c1-1 in place.
 
     H[j] = int_(u < cutoff) e^(-s_j (cutoff - u)) g(u) du for the piecewise-linear
     g; each new cell adds the exact moments of e^(-s_j (cutoff - u)) against
-    the two linear pieces of g on it. Cells of zero length or with g = 0 at
-    both ends add exactly nothing and are skipped.
+    the two linear pieces of g on it. Only the mesh's live cells are added:
+    the others add exactly nothing. Which cells those are does not depend on
+    g, and H and G are stacks with one entry per function, so an entry gets
+    the same arithmetic in any batch.
     """
+    u = mesh.u
     H *= np.exp(-s * (u[c1] - u[c0]))[:, None]
-    h = np.diff(u[c0 : c1 + 1])
-    nonzero = (G[c0 : c1 + 1] != 0.0).any(axis=1)
-    live = np.flatnonzero((h > 0.0) & (nonzero[:-1] | nonzero[1:]))
+    live = np.flatnonzero(mesh.live[c0:c1])
     if not live.size:
         return
-    h, gl, gr = h[live], G[c0 + live], G[c0 + 1 + live]
+    h = np.diff(u[c0 : c1 + 1])[live]
+    gl, gr = G[:, c0 + live], G[:, c0 + 1 + live]
     decay = np.exp(-np.outer(s, u[c1] - u[c0 + 1 + live]))
     # rows with s h < 1 on every cell take the series as one product,
     # sum_n (s_j hmax)^n sum_i decay_ji h_i (h_i / hmax)^n (a_n g_i + b_n g_(i+1))
     # with (a_n, b_n) = _SERIES[n]; its terms alternate in n and shrink
     hmax = float(h.max())
     low = int(np.searchsorted(s, 1.0 / hmax))
-    V = gl[:, None, :] * _SERIES[:, 0, None] + gr[:, None, :] * _SERIES[:, 1, None]
+    V = gl[:, :, None] * _SERIES[:, 0, None] + gr[:, :, None] * _SERIES[:, 1, None]
     V *= (h[:, None] * (h[:, None] / hmax) ** _SERIES_POWERS)[:, :, None]
-    S = (decay[:low] @ V.reshape(len(h), -1)).reshape(low, len(_SERIES), G.shape[1])
-    H[:low] += (((hmax * s[:low, None]) ** _SERIES_POWERS)[:, None, :] @ S)[:, 0]
+    S = (decay[:low] @ V.reshape(len(V), len(h), -1)).reshape(len(V), low, *_SERIES.shape)
+    H[:, :low] += (((hmax * s[:low, None]) ** _SERIES_POWERS)[:, None, :] @ S)[:, :, 0]
     left, right = _exponential_cell_moments(np.outer(s[low:], h))
     decay = decay[low:] * h
-    H[low:] += (decay * left) @ gl + (decay * right) @ gr
+    H[:, low:] += (decay * left) @ gl + (decay * right) @ gr
 
 
 def rl_wrt_phi_direct(
-    alpha: float, phi: Integrator, g: SampledFunction1D
-) -> SampledFunction1D:
+    alpha: float,
+    phi: Integrator,
+    g: SampledFunction1D | Sequence[SampledFunction1D],
+    *,
+    mesh: _ImageMesh | None = None,
+) -> SampledFunction1D | list[SampledFunction1D]:
     """Direct route: integrate the kernel over the image set of [a, t].
 
     Node t_m is one product quadrature over the prefix of the image mesh
     (``_image_mesh``) that ends at phi(t_m): g is linear between mesh nodes and
     every cell's kernel moments are exact; the zero-filled gap cells add
     nothing, and the kernel is singular only at the last mesh node.
+
+    g is one sampled function or a sequence of them on one grid, and the
+    result matches: one output, or a list. The kernel work (mesh, exponential
+    rates, decays, cell and kernel moments) is paid once per call. Each
+    function adds only its two real GEMM columns, its real and imaginary
+    parts, in a stack of same-shape GEMMs: BLAS may round one column of a
+    wider GEMM differently, and this way every function gets the arithmetic
+    of a call of its own, bit for bit. ``mesh`` is the ``_image_mesh`` of phi
+    on the grid, for a caller that already built it.
 
     Nodes go in blocks of _BLOCK. For 0 < alpha < 1 a block takes the exact
     moments only on the cells from _NEAR grid nodes before its first node on.
@@ -489,39 +553,66 @@ def rl_wrt_phi_direct(
     mesh and its jumps. That costs O(N (J + _NEAR + _BLOCK)) time with
     J = 10 (1 + ceil(log2(40 R / delta))), R the image length and delta the
     least image gap from a block start to its cutoff, and temporaries of
-    O(_BLOCK (_NEAR + _BLOCK + J)). For alpha >= 1 the kernel is bounded and
-    every node takes the exact moments over its whole prefix: O(N^2) time, in
-    blocks of at most _BLOCK_ENTRIES kernel entries.
+    O(_BLOCK (_NEAR + _BLOCK + J)); the kernel work is paid once and each
+    function adds GEMM multiply-adds of the same order. For alpha >= 1 the
+    kernel is bounded and every node takes the exact moments over its whole
+    prefix: O(N^2) time, in blocks of at most _BLOCK_ENTRIES kernel entries.
 
     Either way the result agrees with the exact rule over the whole prefix to
     about 1e-14 relative, node 0 is exactly 0, and since every weight is
     nonnegative a nonnegative real g gives an exactly nonnegative real result.
+    A non-finite sample, or a result that overflows, is a ``ValueError``.
     """
     alpha = _check_order(alpha)
-    _check_domain(phi, g.grid)
-    u, gv, ends = _image_mesh(phi, g.grid.nodes, g.values)
-    G = gv.view(np.float64).reshape(-1, 2)  # real and imaginary parts as columns
-    x = u[ends - 1]
-    N = g.grid.N
-    out = np.zeros((N + 1, 2))
-    soe = _far_field_exponentials(alpha, x)
-    if soe is not None:
-        s, w = soe
-        H = np.zeros((len(s), 2))
-    # blocks that read whole prefixes get fewer rows, which bounds their temporaries
-    rows = _BLOCK if soe is not None else max(1, min(_BLOCK, _BLOCK_ENTRIES // len(u)))
-    cut = 0
-    for m0 in range(1, N + 1, rows):
-        m1 = min(m0 + rows, N + 1)
-        if soe is not None and m0 > _BLOCK:
-            new_cut = int(ends[m0 - _NEAR]) - 1
-            _advance_history(H, s, u, G, cut, new_cut)
-            cut = new_cut
-            out[m0:m1] = np.exp(-np.outer(x[m0:m1] - u[cut], s)) @ (w[:, None] * H)
-        k = int(ends[m1 - 1])
-        out[m0:m1] += _near_field(alpha, x[m0:m1], u[cut:k], G[cut:k])
-    out /= math.gamma(alpha)
-    return SampledFunction1D(g.grid, out.view(np.complex128).ravel())
+    gs = [g] if isinstance(g, SampledFunction1D) else list(g)
+    if not gs:
+        raise ValueError("the direct route needs at least one sampled function")
+    grid = gs[0].grid
+    for other in gs[1:]:
+        _require_same_grid(gs[0], other)
+    mesh = _mesh_for(phi, grid, mesh)
+    for f in gs:
+        bad = np.flatnonzero(~np.isfinite(f.values))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"non-finite sample at node index {k} (t={grid.nodes[k]})")
+    # G[p] is function p on the mesh, its real and imaginary parts as columns
+    G = mesh.values([f.values for f in gs]).view(np.float64).reshape(len(gs), -1, 2)
+    u, ends, x = mesh.u, mesh.ends, mesh.x
+    N = grid.N
+    out = np.zeros((len(gs), N + 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        soe = _far_field_exponentials(alpha, x)
+        if soe is not None:
+            s, w = soe
+            H = np.zeros((len(gs), len(s), 2))
+        # blocks that read whole prefixes get fewer rows, which bounds their temporaries
+        rows = _BLOCK if soe is not None else max(1, min(_BLOCK, _BLOCK_ENTRIES // len(u)))
+        cut = 0
+        for m0 in range(1, N + 1, rows):
+            m1 = min(m0 + rows, N + 1)
+            if soe is not None and m0 > _BLOCK:
+                new_cut = int(ends[m0 - _NEAR]) - 1
+                _advance_history(H, s, mesh, G, cut, new_cut)
+                cut = new_cut
+                out[:, m0:m1] = np.exp(-np.outer(x[m0:m1] - u[cut], s)) @ (w[:, None] * H)
+            k = int(ends[m1 - 1])
+            out[:, m0:m1] += _near_field(alpha, x[m0:m1], u[cut:k], G[:, cut:k])
+        out /= math.gamma(alpha)
+    if not np.isfinite(out).all():
+        raise ValueError(f"the order-{alpha} integral with respect to phi overflows")
+    results = [SampledFunction1D(grid, v) for v in out.view(np.complex128)[..., 0]]
+    return results[0] if isinstance(g, SampledFunction1D) else results
+
+
+def _mesh_for(phi: Integrator, grid: UniformGrid1D, mesh: _ImageMesh | None) -> _ImageMesh:
+    """``mesh`` if it is phi's on grid, else a new one; the grid must span phi's domain."""
+    _check_domain(phi, grid)
+    if mesh is None:
+        return _image_mesh(phi, grid)
+    if mesh.phi != phi or mesh.grid != grid:
+        raise ValueError("the image mesh belongs to another integrator or grid")
+    return mesh
 
 
 def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1D:
@@ -535,40 +626,58 @@ def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1
     _check_domain(phi, g.grid)
     vgrid = UniformGrid1D(phi.phi_a, phi.phi_T, g.grid.N)
     v = vgrid.nodes
-    pieces = [_piece_nodes(g.grid.nodes, g.values, seg.lo, seg.hi) for seg in phi.segments]
+    nodes = g.grid.nodes
+    pieces = [_piece_nodes(nodes, seg.lo, seg.hi) for seg in phi.segments]
     images = [seg.eval(snodes) for seg, (snodes, _) in zip(phi.segments, pieces)]
+    values = [
+        _piece_values(nodes, g.values, seg.lo, seg.hi, inner)
+        for seg, (_, inner) in zip(phi.segments, pieces)
+    ]
     # np.interp takes the last of equal image nodes and clamps a last node past phi(T)
-    out = np.interp(v, np.concatenate(images), np.concatenate([gv for _, gv in pieces]))
+    out = np.interp(v, np.concatenate(images), np.concatenate(values))
     for left, right in zip(images, images[1:]):
         out[(v > left[-1]) & (v < right[0])] = 0.0
     return SampledFunction1D(vgrid, out)
 
 
 def rl_wrt_phi_transmuted(
-    alpha: float, phi: Integrator, g: SampledFunction1D
+    alpha: float, phi: Integrator, g: SampledFunction1D, *, mesh: _ImageMesh | None = None
 ) -> SampledFunction1D:
     """Transmuted route: pull back, integrate on the image, compose with phi.
 
-    The composition reads phi(t_m) off the direct route's image mesh, so a last
-    node past T by an ulp still reads phi(T).
+    The composition reads phi(t_m) off the direct route's image mesh (``mesh``
+    when the caller already built it), so a last node past T by an ulp still
+    reads phi(T).
     """
     alpha = _check_order(alpha)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
-    u, _, ends = _image_mesh(phi, g.grid.nodes, g.values)
-    vals = np.interp(u[ends - 1], pulled.grid.nodes, integrated.values)
+    x = _mesh_for(phi, g.grid, mesh).x
+    vals = np.interp(x, pulled.grid.nodes, integrated.values)
     return SampledFunction1D(g.grid, vals)
 
 
 def transmutation_residual(
-    alpha: float, phi: Integrator, g_expr: Callable[[float], complex], n: int
-) -> float:
-    """L1 distance between the direct and transmuted routes at resolution n."""
+    alpha: float,
+    phi: Integrator,
+    g_exprs: Sequence[Callable[[np.ndarray], np.ndarray]],
+    n: int,
+) -> list[float]:
+    """L1 distance between the direct and transmuted routes, one per probe, at resolution n.
+
+    Each probe is an array expression, sampled once on all n + 1 nodes
+    (``sample_array``). The image mesh is built once for both routes, and the
+    direct route runs once for all probes, so an extra probe adds only its
+    GEMM columns there, and one transmuted route (one ``rl_integral``).
+    """
     grid = UniformGrid1D(phi.a, phi.T, int(n))
-    g = sample(g_expr, grid)
-    direct = rl_wrt_phi_direct(alpha, phi, g)
-    transmuted = rl_wrt_phi_transmuted(alpha, phi, g)
-    return l1_distance(direct, transmuted)
+    gs = [sample_array(expr, grid) for expr in g_exprs]
+    mesh = _image_mesh(phi, grid)
+    direct = rl_wrt_phi_direct(alpha, phi, gs, mesh=mesh)
+    return [
+        l1_distance(d, rl_wrt_phi_transmuted(alpha, phi, g, mesh=mesh))
+        for d, g in zip(direct, gs)
+    ]
 
 
 def integrator_to_dict(phi: Integrator) -> dict:

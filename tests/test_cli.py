@@ -281,6 +281,21 @@ def test_transmute_check_cli(tmp_path):
     assert max(payload["residuals"].values()) < 5e-3
 
 
+def test_transmute_check_overflow_exits_two_without_warnings(tmp_path, capsys):
+    # a valid integrator whose direct-route kernel moments overflow
+    spec = tmp_path / "steep.json"
+    spec.write_text(json.dumps({"domain": [0, 1], "segments": [
+        {"interval": [0, 1], "kind": "poly", "coefficients": [0, 1e300]}]}))
+    for alpha in ("0.5", "1.3"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["transmute-check", "--phi", str(spec), "--alpha", alpha,
+                         "--grid-n", "256"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: the order-{alpha} integral with respect to phi overflows" in err
+
+
 @pytest.fixture(scope="module")
 def unit_jump_spec(tmp_path_factory):
     path = tmp_path_factory.mktemp("spec") / "phi.json"

@@ -264,16 +264,40 @@ def counted_integrals(monkeypatch, config):
 
 
 def test_run_matrix_integrates_each_order_and_probe_once(monkeypatch):
+    # on [0, 1] the continuity window is the grid, so the window constant is
+    # the "one" probe and its integrals share that probe's memo entries
     calls = counted_integrals(monkeypatch, RunConfig())
     on_probes = [c for c in calls if c[1] is not None]
-    assert len(on_probes) == len(set(on_probes)) == 34
-    assert len(calls) == 59  # 195 without sharing
+    assert {index for _, index in on_probes} == set(range(len(TEST_FUNCTIONS)))
+    assert len(on_probes) == len(set(on_probes)) == 33
+    # 195 without sharing, 59 with a separate window constant; the one repeat
+    # left is I^1 of the intermediate I^1 1, whose samples equal those of the
+    # probe t bit for bit on [0, 1], which no identity key can see
+    assert len(calls) == 58
+
+
+def test_run_matrix_distinct_integrals_are_57_by_value(monkeypatch):
+    seen = []
+
+    def counting_integral(alpha, f):
+        seen.append((float(alpha), f.grid, f.values.tobytes()))
+        return rl_integral(alpha, f)
+
+    monkeypatch.setattr(harness, "rl_integral", counting_integral)
+    run_matrix(RunConfig())
+    assert (len(seen), len(set(seen))) == (58, 57)
+
+
+def test_run_matrix_window_off_the_unit_interval_is_its_own_probe(monkeypatch):
+    calls = counted_integrals(monkeypatch, small_config(grid_n=64, interval=(2.0, 5.0)))
+    assert {index for _, index in calls if index is not None} == set(range(6))
+    assert len(calls) == 57
 
 
 def test_run_matrix_keeps_no_state_across_runs(monkeypatch):
     first = counted_integrals(monkeypatch, small_config(grid_n=64))
     second = counted_integrals(monkeypatch, small_config(grid_n=64))
-    assert len(second) == len(first) == 59
+    assert len(second) == len(first) == 58
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from math import gamma
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fracops.grid import UniformGrid1D, l1_distance, sample
+from fracops import transmute
+from fracops.grid import SampledFunction1D, UniformGrid1D, l1_distance, sample, sample_array
 from fracops.rl_core import rl_integral
 from fracops.transmute import (
     Integrator,
@@ -20,6 +22,7 @@ from fracops.transmute import (
     _gauss_jacobi,
     _image_mesh,
     _piece_nodes,
+    _piece_values,
     _sum_of_exponentials,
     identity_integrator,
     integrator_from_dict,
@@ -216,7 +219,9 @@ def _singular_piece_quadrature(alpha, x_img, unodes, gv):
 
 def per_node_direct(alpha, phi, g):
     # oracle: every node sums the exact rule over its whole image-mesh prefix
-    u, gv, ends = _image_mesh(phi, g.grid.nodes, g.values)
+    mesh = _image_mesh(phi, g.grid)
+    u, ends = mesh.u, mesh.ends
+    [gv] = mesh.values([g.values])
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     for m, k in enumerate(ends[1:], 1):
         out[m] = _singular_piece_quadrature(alpha, u[k - 1], u[:k], gv[:k]) / gamma(alpha)
@@ -230,7 +235,8 @@ def per_segment_direct(alpha, phi, g):
     x_img = phi.value(nodes)
     pieces = []
     for seg in phi.segments:
-        snodes, gv = _piece_nodes(nodes, g.values, seg.lo, seg.hi)
+        snodes, inner = _piece_nodes(nodes, seg.lo, seg.hi)
+        gv = _piece_values(nodes, g.values, seg.lo, seg.hi, inner)
         pieces.append((seg.eval(snodes), gv, np.searchsorted(snodes, nodes, side="right")))
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     for m in range(1, g.grid.N + 1):
@@ -284,8 +290,7 @@ def test_direct_image_mesh_matches_per_segment_sums(phi):
         grid = UniformGrid1D(0.0, 1.0, n)
         real = sample(lambda t: math.cos(3.0 * t) + 1.0, grid)
         cplx = sample(lambda t: (1.0 + t) * complex(math.cos(2 * t), math.sin(2 * t)), grid)
-        u, _, ends = _image_mesh(phi, grid.nodes, real.values)
-        assert np.array_equal(u[ends - 1], phi.value(grid.nodes))  # right limits
+        assert np.array_equal(_image_mesh(phi, grid).x, phi.value(grid.nodes))  # right limits
         for alpha in (0.3, 1.0, 2.5):
             for g in (real, cplx):
                 got = rl_wrt_phi_direct(alpha, phi, g)
@@ -330,6 +335,101 @@ def test_direct_block_edges_match_per_node_loop(phi):
                 got = rl_wrt_phi_direct(alpha, phi, g).values
                 ref = per_node_direct(alpha, phi, g)
                 assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
+
+
+BATCH_PROBES = {
+    "wave": lambda t: np.cos(3.0 * t) + 1.0,
+    "ramp": lambda t: np.maximum(t - 0.4, 0.0),  # zero cells at the start
+    "spiral": lambda t: (1.0 + t) * np.exp(2j * t),
+    "turn": lambda t: -t * np.exp(-1j * t),
+}
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [unit_jump_integrator(), off_grid_jump_integrator(), cubic_exp_jump_integrator()],
+    ids=["unit-jump", "jump-at-third", "cubic-exp"],
+)
+def test_batched_direct_equals_one_call_per_function(phi):
+    # every function of a batch gets the arithmetic of a call of its own, bit
+    # for bit: real, complex and mixed batches, history and exact-rule orders
+    batches = (["wave", "ramp"], ["spiral", "turn"], ["spiral", "wave", "turn", "ramp"])
+    for n in (1, 7, 64, 4096):
+        grid = UniformGrid1D(0.0, 1.0, n)
+        gs = {name: sample_array(expr, grid) for name, expr in BATCH_PROBES.items()}
+        for alpha in (0.3, 0.5, 0.999, 1.3, 2.5):
+            alone = {name: rl_wrt_phi_direct(alpha, phi, g) for name, g in gs.items()}
+            for names in batches:
+                batched = rl_wrt_phi_direct(alpha, phi, [gs[name] for name in names])
+                assert isinstance(batched, list) and len(batched) == len(names)
+                for name, out in zip(names, batched):
+                    assert out.grid == grid
+                    assert out.values.tobytes() == alone[name].values.tobytes(), (
+                        n, alpha, names, name)
+            for name in ("wave", "ramp"):
+                assert np.all(alone[name].values.imag == 0.0), (n, alpha, name)
+
+
+def test_direct_batch_and_mesh_are_checked():
+    phi = unit_jump_integrator()
+    grid = UniformGrid1D(0.0, 1.0, 16)
+    g = sample_array(np.ones_like, grid)
+    with pytest.raises(ValueError, match="at least one"):
+        rl_wrt_phi_direct(0.5, phi, [])
+    with pytest.raises(ValueError, match="grid mismatch"):
+        rl_wrt_phi_direct(0.5, phi, [g, sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, 8))])
+    for mesh in (
+        _image_mesh(phi, UniformGrid1D(0.0, 1.0, 8)),
+        _image_mesh(off_grid_jump_integrator(), grid),
+    ):
+        for route in (rl_wrt_phi_direct, rl_wrt_phi_transmuted):
+            with pytest.raises(ValueError, match="another integrator or grid"):
+                route(0.5, phi, g, mesh=mesh)
+    mesh = _image_mesh(phi, grid)
+    assert rl_wrt_phi_direct(0.5, phi, g, mesh=mesh).values.tobytes() == (
+        rl_wrt_phi_direct(0.5, phi, g).values.tobytes())
+    assert rl_wrt_phi_transmuted(0.5, phi, g, mesh=mesh).values.tobytes() == (
+        rl_wrt_phi_transmuted(0.5, phi, g).values.tobytes())
+
+
+def test_direct_overflow_names_the_order():
+    # phi(s) = 1e300 s is a valid integrator, but (x - u)^(alpha+1) overflows
+    steep = integrator_from_dict(
+        {"domain": [0, 1], "segments": [{"interval": [0, 1], "kind": "poly",
+                                         "coefficients": [0, 1e300]}]}
+    )
+    # an image length of 3e308 overflows on its own
+    wide = linear_integrator(-1.5, 1.5, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for phi, n in ((steep, 256), (wide, 256), (wide, 64)):  # 64: no far field
+            grid = UniformGrid1D(phi.a, phi.T, n)
+            g = sample_array(np.ones_like, grid)
+            for alpha in (0.5, 1.3):
+                message = f"the order-{alpha} integral with respect to phi overflows"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    rl_wrt_phi_direct(alpha, phi, g)
+        grid = UniformGrid1D(0.0, 1.0, 8)
+        bad = SampledFunction1D(grid, np.where(grid.nodes > 0.6, np.nan, 1.0))
+        with pytest.raises(ValueError, match=re.escape("non-finite sample at node index 5")):
+            rl_wrt_phi_direct(0.5, unit_jump_integrator(), bad)
+
+
+def test_transmutation_residual_builds_one_mesh_and_one_exponential_sum(monkeypatch):
+    counts = {"_image_mesh": 0, "_sum_of_exponentials": 0}
+    for name in counts:
+        original = getattr(transmute, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(transmute, name, counted)
+    # one mesh for both routes and every probe, and one direct route whose
+    # history serves every probe (4 meshes and 2 sums with a call per probe)
+    res = transmutation_residual(0.5, unit_jump_integrator(), [np.ones_like, lambda t: t], 4096)
+    assert counts == {"_image_mesh": 1, "_sum_of_exponentials": 1}
+    assert len(res) == 2
 
 
 def test_sum_of_exponentials_is_uniform_in_alpha():
@@ -425,7 +525,7 @@ def test_transmuted_route_takes_a_last_node_past_the_domain_end():
     phi = identity_integrator(0.0, 3.0)
     g = sample(lambda t: t, UniformGrid1D(0.0, 3.0, 187))
     assert g.grid.nodes[-1] > phi.T
-    assert transmutation_residual(0.5, phi, lambda t: t, 187) < 1e-10
+    assert transmutation_residual(0.5, phi, [lambda t: t], 187)[0] < 1e-10
 
 
 def test_pullback_zero_fills_gaps():
@@ -493,18 +593,18 @@ def test_pullback_keeps_g_at_the_closed_gap_ends():
 
 def test_transmutation_residual_identity():
     phi = identity_integrator(0.0, 1.0)
-    assert transmutation_residual(0.7, phi, math.cos, 1024) < 1e-10
+    assert transmutation_residual(0.7, phi, [np.cos], 1024)[0] < 1e-10
 
 
 def test_transmutation_residual_scaling():
     phi = linear_integrator(0.0, 1.0, 2.0)
-    assert transmutation_residual(0.5, phi, lambda t: 1.0, 4096) < 2e-3
+    assert transmutation_residual(0.5, phi, [np.ones_like], 4096)[0] < 2e-3
 
 
 def test_transmutation_residual_jump_and_refinement():
     phi = unit_jump_integrator()
-    r_coarse = transmutation_residual(0.5, phi, lambda t: t, 2048)
-    r_fine = transmutation_residual(0.5, phi, lambda t: t, 4096)
+    [r_coarse] = transmutation_residual(0.5, phi, [lambda t: t], 2048)
+    [r_fine] = transmutation_residual(0.5, phi, [lambda t: t], 4096)
     assert r_fine < 5e-3
     # first-order halving, up to measurement noise
     assert math.log2(r_coarse / r_fine) >= 0.9
@@ -512,7 +612,7 @@ def test_transmutation_residual_jump_and_refinement():
 
 def test_transmutation_residual_exponential_integrator():
     phi = exp_integrator()
-    assert transmutation_residual(0.5, phi, lambda t: 1.0, 2048) < 2e-3
+    assert transmutation_residual(0.5, phi, [np.ones_like], 2048)[0] < 2e-3
 
 
 # ------------------------------------------------------------- norm layer
@@ -521,8 +621,9 @@ def test_transmutation_residual_exponential_integrator():
 def l1_norm_pushforward(phi, g):
     # discrete L1 norm of g against the pushforward measure: by change of
     # variables, the trapezoid rule for |g| on the direct route's image mesh
-    u, mods, _ = _image_mesh(phi, g.grid.nodes, np.abs(g.values))
-    return float(np.dot(np.diff(u), 0.5 * (mods[:-1] + mods[1:])))
+    mesh = _image_mesh(phi, g.grid)
+    mods = mesh.values([np.abs(g.values)])[0].real
+    return float(np.dot(np.diff(mesh.u), 0.5 * (mods[:-1] + mods[1:])))
 
 
 def invert_segment(seg, v):
