@@ -10,7 +10,6 @@ from .grid import (
     l1_distance_nd,
     l1_norm,
     l1_norm_nd,
-    linf_distance,
     sample,
     sample_nd,
 )
@@ -21,7 +20,6 @@ from .rl_core import (
     estimate_order,
     make_family,
     rl_integral,
-    rl_kernel,
 )
 from .rl_nd import commutation_residual, rl_integral_nd, truncated_convolution
 from .transforms import (

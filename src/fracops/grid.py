@@ -203,12 +203,6 @@ def l1_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
     return l1_norm(f - g)
 
 
-def linf_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
-    """Max over nodes of the complex modulus of f - g."""
-    _require_same_grid(f, g)
-    return float(np.max(np.abs(f.values - g.values)))
-
-
 def trapezoid_weights(h: float, n: int) -> np.ndarray:
     """Composite trapezoid weights for n subintervals of width h (n + 1 nodes)."""
     w = np.full(n + 1, h)

@@ -49,14 +49,6 @@ def _check_order(alpha: float) -> float:
     return alpha
 
 
-def rl_kernel(alpha: float, tau: float) -> float:
-    """Convolution kernel tau^(alpha-1)/Gamma(alpha); requires tau > 0."""
-    alpha = _check_order(alpha)
-    if tau <= 0.0:
-        raise ValueError(f"kernel argument must be positive, got tau={tau}")
-    return tau ** (alpha - 1.0) / math.gamma(alpha)
-
-
 def _gauss_legendre(
     half_nodes: tuple[float, ...], half_weights: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:

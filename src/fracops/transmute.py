@@ -4,8 +4,8 @@ An integrator phi is a piecewise-smooth strictly increasing function on
 [a, T] with finitely many interior jumps. Conventions, fixed once:
 
 * the pointwise value at a jump point is the right limit;
-* segment images are kept as closed intervals with exactly computed
-  endpoints, so image sets and pushforward measures are assertable;
+* segment images are closed intervals with exactly computed endpoints, so
+  pushforward measures are assertable;
 * jumps contribute no mass: the pushforward of Lebesgue measure assigns an
   interval the total length of its image, and single points are null;
 * when pulling a function back to the image domain, the open gaps that
@@ -15,14 +15,14 @@ An integrator phi is a piecewise-smooth strictly increasing function on
 
 Both routes read phi only forward, at the image nodes phi(s) of each
 segment's grid nodes and ends; nothing solves phi(s) = v. The integral with
-respect to phi is computed two ways: directly, by product quadrature of the
-singular kernel on one image mesh (those image nodes, all segments in
-order, zero-filled across the jump gaps), node t reading the mesh prefix
-that ends at phi(t); and by transmutation, pulling g back to a uniform grid
-on [phi(a), phi(T)], linear in the image variable between the image nodes,
-applying the ordinary fractional integral there, and composing the result
-with phi at the mesh's phi(t). The two routes agree up to resampling error,
-which shrinks under refinement.
+respect to phi is computed two ways that share nothing but phi: directly, by
+product quadrature of the singular kernel on one image mesh (those image
+nodes, all segments in order, zero-filled across the jump gaps), node t
+reading the mesh prefix that ends at phi(t); and by transmutation, pulling g
+back to a uniform grid on [phi(a), phi(T)], linear in the image variable
+between the image nodes, applying the ordinary fractional integral there,
+and composing the result with phi(t) from ``Integrator.value``. The two
+routes agree up to resampling error, which shrinks under refinement.
 
 The direct route costs O(N (J + K + B)) for 0 < alpha < 1: nodes go in
 blocks of B = 64, each takes exact kernel moments on the cells from K = 4
@@ -37,7 +37,7 @@ exactly nonnegative real output. None of the kernel work depends on g: the
 image mesh, the exponential rates, the decays and the cell and kernel
 moments are paid once per call, and one call takes several functions on
 one grid, each adding only its GEMM columns. ``transmutation_residual``
-builds the mesh once for both routes and every probe.
+runs the direct route once for every probe.
 """
 
 from __future__ import annotations
@@ -120,19 +120,8 @@ class Jump:
     size: float
 
     def __post_init__(self):
-        if self.size <= 0.0:
-            raise ValueError(f"jump sizes must be positive, got {self.size}")
-
-
-@dataclass(frozen=True)
-class ImageSet:
-    """Finite ordered list of disjoint closed intervals in [phi(a), phi(T)]."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.intervals))
+        if not 0.0 < self.size < math.inf:
+            raise ValueError(f"jump sizes must be positive and finite, got {self.size}")
 
 
 def _strictly_increasing(seg: Segment) -> bool:
@@ -176,6 +165,9 @@ class Integrator:
                 raise ValueError(
                     f"segment on [{seg.lo}, {seg.hi}] is not strictly increasing"
                 )
+        for prev, cur in zip(jumps, jumps[1:]):
+            if prev.at == cur.at:
+                raise ValueError(f"two jumps are declared at s={cur.at}")
         declared = {j.at: j.size for j in jumps}
         for prev, cur in zip(segments, segments[1:]):
             gap = float(cur.eval(cur.lo) - prev.eval(prev.hi))
@@ -225,28 +217,13 @@ class Integrator:
         out = np.piecewise(s, conds, [seg.eval for seg in self.segments])
         return float(out) if s.ndim == 0 else out
 
-    def image_set(self, u: float, v: float) -> ImageSet:
-        """Closed image intervals of [u, v] under phi, one per crossed segment."""
-        if not (self.a <= u <= v <= self.T):
-            raise ValueError(
-                f"[{u}, {v}] is not inside the domain [{self.a}, {self.T}]"
-            )
-        pieces = []
-        for seg in self.segments:
-            s_lo = max(u, seg.lo)
-            s_hi = min(v, seg.hi)
-            if s_hi <= s_lo:
-                continue
-            pieces.append((float(seg.eval(s_lo)), float(seg.eval(s_hi))))
-        return ImageSet(tuple(pieces))
-
 
 def identity_integrator(a: float, T: float) -> Integrator:
     return Integrator((Segment(a, T, "poly", (0.0, 1.0)),))
 
 
-def linear_integrator(a: float, T: float, scale: float, offset: float = 0.0) -> Integrator:
-    return Integrator((Segment(a, T, "poly", (offset, scale)),))
+def linear_integrator(a: float, T: float, scale: float) -> Integrator:
+    return Integrator((Segment(a, T, "poly", (0.0, scale)),))
 
 
 def unit_jump_integrator() -> Integrator:
@@ -261,8 +238,18 @@ def unit_jump_integrator() -> Integrator:
 
 
 def pushforward_measure(phi: Integrator, u: float, v: float) -> float:
-    """Lebesgue measure of phi([u, v]); jump points contribute nothing."""
-    return phi.image_set(u, v).total_length
+    """Lebesgue measure of phi([u, v]); jump points contribute nothing.
+
+    The sum of the image lengths of [u, v] clipped to each segment.
+    """
+    if not (phi.a <= u <= v <= phi.T):
+        raise ValueError(f"[{u}, {v}] is not inside the domain [{phi.a}, {phi.T}]")
+    total = 0.0
+    for seg in phi.segments:
+        s_lo, s_hi = max(u, seg.lo), min(v, seg.hi)
+        if s_lo < s_hi:
+            total += float(seg.eval(s_hi)) - float(seg.eval(s_lo))
+    return total
 
 
 def _check_domain(phi: Integrator, grid: UniformGrid1D) -> None:
@@ -331,6 +318,7 @@ class _ImageMesh:
 
 
 def _image_mesh(phi: Integrator, grid: UniformGrid1D) -> _ImageMesh:
+    _check_domain(phi, grid)
     nodes = grid.nodes
     seg_of = np.searchsorted([seg.lo for seg in phi.segments], nodes, side="right") - 1
     ends = np.ones(len(nodes), dtype=np.intp)
@@ -526,8 +514,6 @@ def rl_wrt_phi_direct(
     alpha: float,
     phi: Integrator,
     g: SampledFunction1D | Sequence[SampledFunction1D],
-    *,
-    mesh: _ImageMesh | None = None,
 ) -> SampledFunction1D | list[SampledFunction1D]:
     """Direct route: integrate the kernel over the image set of [a, t].
 
@@ -542,8 +528,8 @@ def rl_wrt_phi_direct(
     function adds only its two real GEMM columns, its real and imaginary
     parts, in a stack of same-shape GEMMs: BLAS may round one column of a
     wider GEMM differently, and this way every function gets the arithmetic
-    of a call of its own, bit for bit. ``mesh`` is the ``_image_mesh`` of phi
-    on the grid, for a caller that already built it.
+    of a call of its own, bit for bit. The mesh is the direct route's own: the
+    transmuted route reads phi(t_m) from ``Integrator.value``.
 
     Nodes go in blocks of _BLOCK. For 0 < alpha < 1 a block takes the exact
     moments only on the cells from _NEAR grid nodes before its first node on.
@@ -570,7 +556,7 @@ def rl_wrt_phi_direct(
     grid = gs[0].grid
     for other in gs[1:]:
         _require_same_grid(gs[0], other)
-    mesh = _mesh_for(phi, grid, mesh)
+    mesh = _image_mesh(phi, grid)
     for f in gs:
         bad = np.flatnonzero(~np.isfinite(f.values))
         if bad.size:
@@ -605,16 +591,6 @@ def rl_wrt_phi_direct(
     return results[0] if isinstance(g, SampledFunction1D) else results
 
 
-def _mesh_for(phi: Integrator, grid: UniformGrid1D, mesh: _ImageMesh | None) -> _ImageMesh:
-    """``mesh`` if it is phi's on grid, else a new one; the grid must span phi's domain."""
-    _check_domain(phi, grid)
-    if mesh is None:
-        return _image_mesh(phi, grid)
-    if mesh.phi != phi or mesh.grid != grid:
-        raise ValueError("the image mesh belongs to another integrator or grid")
-    return mesh
-
-
 def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1D:
     """g composed with the inverse of phi on a uniform grid of [phi(a), phi(T)].
 
@@ -641,18 +617,18 @@ def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1
 
 
 def rl_wrt_phi_transmuted(
-    alpha: float, phi: Integrator, g: SampledFunction1D, *, mesh: _ImageMesh | None = None
+    alpha: float, phi: Integrator, g: SampledFunction1D
 ) -> SampledFunction1D:
     """Transmuted route: pull back, integrate on the image, compose with phi.
 
-    The composition reads phi(t_m) off the direct route's image mesh (``mesh``
-    when the caller already built it), so a last node past T by an ulp still
-    reads phi(T).
+    It shares only phi with the direct route: the composition reads phi(t_m)
+    from ``Integrator.value``, with t_m clamped to T so that a last node past T
+    by an ulp reads phi(T).
     """
     alpha = _check_order(alpha)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
-    x = _mesh_for(phi, g.grid, mesh).x
+    x = phi.value(np.minimum(g.grid.nodes, phi.T))
     vals = np.interp(x, pulled.grid.nodes, integrated.values)
     return SampledFunction1D(g.grid, vals)
 
@@ -666,18 +642,14 @@ def transmutation_residual(
     """L1 distance between the direct and transmuted routes, one per probe, at resolution n.
 
     Each probe is an array expression, sampled once on all n + 1 nodes
-    (``sample_array``). The image mesh is built once for both routes, and the
-    direct route runs once for all probes, so an extra probe adds only its
-    GEMM columns there, and one transmuted route (one ``rl_integral``).
+    (``sample_array``). The direct route runs once for all probes, so an extra
+    probe adds only its GEMM columns there, and one transmuted route (one
+    ``rl_integral``).
     """
     grid = UniformGrid1D(phi.a, phi.T, int(n))
     gs = [sample_array(expr, grid) for expr in g_exprs]
-    mesh = _image_mesh(phi, grid)
-    direct = rl_wrt_phi_direct(alpha, phi, gs, mesh=mesh)
-    return [
-        l1_distance(d, rl_wrt_phi_transmuted(alpha, phi, g, mesh=mesh))
-        for d, g in zip(direct, gs)
-    ]
+    direct = rl_wrt_phi_direct(alpha, phi, gs)
+    return [l1_distance(d, rl_wrt_phi_transmuted(alpha, phi, g)) for d, g in zip(direct, gs)]
 
 
 def integrator_to_dict(phi: Integrator) -> dict:

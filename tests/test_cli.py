@@ -138,6 +138,21 @@ def test_config_error_exit_two(tmp_path, capsys):
         code = main(["transmute-check", "--phi", str(path), "--alpha", "0.5"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+    # a NaN size passes both size comparisons, and a repeated point would hide
+    # the first jump from the gap check while it stays in phi.jumps
+    for jumps, message in (
+        ([{"at": 0.5, "size": math.nan}], "jump sizes must be positive and finite, got nan"),
+        ([{"at": 0.5, "size": 7.0}, {"at": 0.5, "size": 1.0}], "two jumps are declared at s=0.5"),
+    ):
+        spec = integrator_to_dict(unit_jump_integrator())
+        spec["jumps"] = jumps
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "tm.json"
+        code = main(["transmute-check", "--phi", str(path), "--alpha", "0.5", "--out", str(out)])
+        assert code == 2, jumps
+        assert message in capsys.readouterr().err, jumps
+        assert not out.exists()
 
 
 def test_axioms_defaults_match_run_config():

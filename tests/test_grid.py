@@ -17,7 +17,6 @@ from fracops.grid import (
     l1_distance,
     l1_norm,
     l1_norm_nd,
-    linf_distance,
     sample,
     sample_nd,
 )
@@ -78,25 +77,6 @@ def test_l1_norm_polynomial():
     expected = float(Fraction(1, 2) - Fraction(1, 24))
     f = sample(lambda t: t - t * t / 8.0, UniformGrid1D(0.0, 1.0, 4096))
     assert l1_norm(f) == pytest.approx(expected, abs=1e-6)
-
-
-def test_linf_distance_cases():
-    g = UniformGrid1D(0.0, 1.0, 4)
-    f1 = sample(lambda t: t, g)
-    f2 = sample(lambda t: t * t, g)
-    assert linf_distance(f1, f1) == 0.0
-    ones = sample(lambda t: 1.0, g)
-    zeros = sample(lambda t: 0.0, g)
-    assert linf_distance(ones, zeros) == 1.0
-    # max of t - t^2 over nodes including 0.5
-    assert linf_distance(f1, f2) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_linf_grid_mismatch_rejected():
-    f = sample(lambda t: t, UniformGrid1D(0.0, 1.0, 4))
-    g = sample(lambda t: t, UniformGrid1D(0.0, 1.0, 8))
-    with pytest.raises(ValueError, match="mismatch"):
-        linf_distance(f, g)
 
 
 def test_is_real_flag():

@@ -27,7 +27,6 @@ from fracops.rl_core import (
     make_family,
     product_quadrature_weights,
     rl_integral,
-    rl_kernel,
 )
 from fracops.rl_nd import rl_integral_nd
 
@@ -36,30 +35,6 @@ TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # closed form of I^0.5 1 at t = 1
 
 def ones_on(a=0.0, T=1.0, n=256):
     return sample(lambda t: 1.0, UniformGrid1D(a, T, n))
-
-
-def test_kernel_at_unit_order_is_constant():
-    assert rl_kernel(1.0, 0.37) == 1.0
-
-
-def test_kernel_at_order_two_is_linear():
-    assert rl_kernel(2.0, 3.0) == 3.0
-
-
-def test_kernel_half_order():
-    # Gamma(1/2) = sqrt(pi), via the standard-library gamma as oracle
-    assert rl_kernel(0.5, 1.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
-
-
-def test_kernel_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        rl_kernel(0.5, 0.0)
-    with pytest.raises(ValueError):
-        rl_kernel(0.5, -1.0)
-    with pytest.raises(ValueError):
-        rl_kernel(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        rl_kernel(0.0, 1.0)
 
 
 def test_unit_order_integral_of_one_is_nodes():

@@ -82,13 +82,14 @@ def test_pushforward_domain_check():
 
 
 def test_image_set_total_length_matches_value_minus_jumps():
+    # the pushforward measure of [u, v] is the total length of its image set
     phi = unit_jump_integrator()
-    img = phi.image_set(0.0, 0.75)
-    jumps_in_range = sum(j.size for j in phi.jumps if 0.0 < j.at <= 0.75)
-    assert img.total_length == pytest.approx(
-        phi.value(0.75) - phi.phi_a - jumps_in_range, abs=1e-15
-    )
-    assert img.intervals == ((0.0, 0.5), (1.5, 1.75))
+    assert pushforward_measure(phi, 0.0, 0.75) == phi.value(0.75) - phi.value(0.0) - 1.0
+    for s in (0.0, 0.25, 0.5, 1.0):
+        assert pushforward_measure(phi, s, s) == 0.0
+    # an interval may end on the jump point: only the image of [0, 1/2] counts
+    assert pushforward_measure(phi, 0.0, 0.5) == 0.5
+    assert pushforward_measure(phi, 0.5, 1.0) == 0.5
 
 
 def test_jump_value_is_right_limit():
@@ -272,6 +273,20 @@ def seamed_integrator():
     )
 
 
+def stretched(phi, c):
+    # phi(s / c) on [c a, c T], with the same jump sizes
+    def coefficients(seg):
+        if seg.kind == "exp":
+            c0, c1, c2 = seg.coefficients
+            return (c0, c1, c2 / c)
+        return tuple(k / c**n for n, k in enumerate(seg.coefficients))
+
+    return Integrator(
+        tuple(Segment(c * s.lo, c * s.hi, s.kind, coefficients(s)) for s in phi.segments),
+        tuple(Jump(c * j.at, j.size) for j in phi.jumps),
+    )
+
+
 IMAGE_MESH_INTEGRATORS = pytest.mark.parametrize(
     "phi",
     [
@@ -298,6 +313,14 @@ def test_direct_image_mesh_matches_per_segment_sums(phi):
                 assert np.abs(got.values - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
                 assert got.values[0] == 0.0
                 assert got.is_real == (g is real)
+    # the last node 3 + 4.4e-16 lies past T: the transmuted route reads
+    # phi(min(t, T)), which must be the direct route's image bits
+    scaled = stretched(phi, 3.0)
+    grid = UniformGrid1D(0.0, 3.0, 187)
+    assert grid.nodes[-1] > scaled.T
+    assert np.array_equal(
+        _image_mesh(scaled, grid).x, scaled.value(np.minimum(grid.nodes, scaled.T))
+    )
 
 
 @IMAGE_MESH_INTEGRATORS
@@ -372,24 +395,14 @@ def test_batched_direct_equals_one_call_per_function(phi):
 
 def test_direct_batch_and_mesh_are_checked():
     phi = unit_jump_integrator()
-    grid = UniformGrid1D(0.0, 1.0, 16)
-    g = sample_array(np.ones_like, grid)
+    g = sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, 16))
     with pytest.raises(ValueError, match="at least one"):
         rl_wrt_phi_direct(0.5, phi, [])
     with pytest.raises(ValueError, match="grid mismatch"):
         rl_wrt_phi_direct(0.5, phi, [g, sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, 8))])
-    for mesh in (
-        _image_mesh(phi, UniformGrid1D(0.0, 1.0, 8)),
-        _image_mesh(off_grid_jump_integrator(), grid),
-    ):
-        for route in (rl_wrt_phi_direct, rl_wrt_phi_transmuted):
-            with pytest.raises(ValueError, match="another integrator or grid"):
-                route(0.5, phi, g, mesh=mesh)
-    mesh = _image_mesh(phi, grid)
-    assert rl_wrt_phi_direct(0.5, phi, g, mesh=mesh).values.tobytes() == (
-        rl_wrt_phi_direct(0.5, phi, g).values.tobytes())
-    assert rl_wrt_phi_transmuted(0.5, phi, g, mesh=mesh).values.tobytes() == (
-        rl_wrt_phi_transmuted(0.5, phi, g).values.tobytes())
+    # the image mesh checks its grid against the domain itself
+    with pytest.raises(ValueError, match="does not match the integrator domain"):
+        _image_mesh(phi, UniformGrid1D(0.0, 2.0, 8))
 
 
 def test_direct_overflow_names_the_order():
@@ -425,8 +438,8 @@ def test_transmutation_residual_builds_one_mesh_and_one_exponential_sum(monkeypa
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(transmute, name, counted)
-    # one mesh for both routes and every probe, and one direct route whose
-    # history serves every probe (4 meshes and 2 sums with a call per probe)
+    # one direct route whose mesh and history serve every probe (2 meshes and
+    # 2 sums with a call per probe); the transmuted route builds no mesh
     res = transmutation_residual(0.5, unit_jump_integrator(), [np.ones_like, lambda t: t], 4096)
     assert counts == {"_image_mesh": 1, "_sum_of_exponentials": 1}
     assert len(res) == 2
@@ -785,8 +798,9 @@ def test_integrator_rejects_misplaced_jump():
 
 
 def test_jump_size_must_be_positive():
-    with pytest.raises(ValueError, match="positive"):
-        Jump(0.5, -1.0)
+    for size in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Jump(0.5, size)
 
 
 def test_grid_domain_mismatch_rejected():
