@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracops import riesz
+from fracops.cli import RIESZ_TOL
 from fracops.riesz import (
     MultiplierFamily,
     PeriodicGridND,
@@ -123,11 +125,11 @@ def test_composition_residual_takes_complex_input():
     assert composition_residual([0.6, 0.7], g) == 0.0
 
 
-def _pairwise_composition_residual(alpha_grid, values):
+def _pairwise_residuals(alpha_grid, values):
     # the pair-by-pair loop: a first step per order, then for every partner a
     # full riesz_potential round trip and a one-step potential of its own
     grid, spectra = riesz._transform(values)
-    worst = 0.0
+    residuals, scales = {}, {}
     for a in alpha_grid:
         partners = [b for b in alpha_grid if a + b < grid.dim]
         if not partners:
@@ -136,8 +138,9 @@ def _pairwise_composition_residual(alpha_grid, values):
         for b in partners:
             two_step = riesz_potential(b, first)
             one_step = riesz._potential(a + b, grid, spectra)
-            worst = max(worst, float(np.abs(two_step - one_step).max()))
-    return worst
+            residuals[a, b] = float(np.abs(two_step - one_step).max())
+            scales[a, b] = float(np.abs(one_step).max())
+    return residuals, scales
 
 
 def _periodic_sample(dim, m):
@@ -148,7 +151,11 @@ def _periodic_sample(dim, m):
     return f
 
 
-def test_composition_residual_matches_pairwise_loop_bit_for_bit():
+def test_composition_residual_matches_pairwise_loop_per_pair():
+    # one inverse of a spectral difference rounds differently from the
+    # difference of two inverses, so every pair's residual may move, by a few
+    # ulps of the potential it compares against
+    rng = np.random.default_rng(17)
     base = [0.3, 0.5, 0.5, 0.9, 1.2]
     # scaled by n / 2 so that every order is in (0, n) and some pairs are not
     for dim, m in ((1, 64), (2, 32), (3, 16)):
@@ -157,15 +164,18 @@ def test_composition_residual_matches_pairwise_loop_bit_for_bit():
         f = _periodic_sample(dim, m)
         g = f + 1j * np.roll(f, 3, axis=0) ** 2
         g -= g.mean()
-        for values in (f, g):
-            assert composition_residual(alphas, values) == _pairwise_composition_residual(
-                alphas, values
-            )
-    f = _periodic_sample(2, 32)
-    assert composition_residual(base, f) == _pairwise_composition_residual(base, f)
+        noise = rng.standard_normal(f.shape)
+        noise -= noise.mean()
+        for values in (f, g, noise):
+            expected, scales = _pairwise_residuals(alphas, values)
+            got = {(a, b): r for a, b, r in riesz._pair_residuals(alphas, values)}
+            assert got.keys() == expected.keys()
+            for pair, residual in got.items():
+                assert abs(residual - expected[pair]) <= 1e-14 * scales[pair], pair
+            assert composition_residual(alphas, values) == max(got.values())
 
 
-def test_composition_residual_transforms_once_per_first_step_and_sum(monkeypatch):
+def test_composition_residual_transforms_once_per_first_step_and_pair(monkeypatch):
     counts = {"rfftn": 0, "irfftn": 0}
     for name in counts:
         fft = getattr(np.fft, name)
@@ -175,10 +185,48 @@ def test_composition_residual_transforms_once_per_first_step_and_sum(monkeypatch
             return _fft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    # 4 orders, all 16 pairs in range, 10 distinct sums: 1 + 4 forward
-    # transforms and 4 first steps + 10 one-step + 16 two-step inverses
-    composition_residual([0.25, 0.5, 0.7, 1.0], _periodic_sample(3, 64))
-    assert counts == {"rfftn": 5, "irfftn": 30}
+    # 4 orders, all 16 pairs in range: 1 + 4 forward transforms and 4 first
+    # steps + 16 spectral-difference inverses
+    f = _periodic_sample(3, 64)
+    composition_residual([0.25, 0.5, 0.7, 1.0], f)
+    assert counts == {"rfftn": 5, "irfftn": 20}
+    # 2.9 has no partner below 3, so it adds no transform at all
+    counts.update(rfftn=0, irfftn=0)
+    composition_residual([0.25, 0.5, 2.9, 0.7, 1.0], f)
+    assert counts == {"rfftn": 5, "irfftn": 20}
+
+
+def test_composition_residual_peak_memory_does_not_grow_with_orders():
+    # each first-step spectrum is freed before the next one is made, so the
+    # peak is one order's working set however many orders the grid holds
+    f = _periodic_sample(3, 64)
+    composition_residual([0.25], f)  # tabulates log|xi| outside the measurement
+    peaks = []
+    for alphas in ([0.25, 0.5, 0.7, 1.0], [0.1 * k for k in range(1, 9)]):
+        tracemalloc.start()
+        try:
+            composition_residual(alphas, f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    half_spectrum = 64 * 64 * 33 * 16  # one complex rfftn output at 64^3
+    assert abs(peaks[1] - peaks[0]) < half_spectrum
+
+
+def test_composition_residual_checks_the_operator_output(monkeypatch):
+    # a first step perturbed in physical space after the multiplier must show
+    # up in the residual: F[I^a f] comes from a round trip, not from m_a F[f]
+    original = riesz._potential
+    pattern = 1e-9 * np.sin(TWO_PI * nodes(32))[:, None]
+
+    def perturbed(alpha, grid, spectra):
+        return original(alpha, grid, spectra) + pattern
+
+    f = _periodic_sample(2, 32)
+    alphas = [0.3, 0.6, 0.9]
+    assert composition_residual(alphas, f) < RIESZ_TOL
+    monkeypatch.setattr(riesz, "_potential", perturbed)
+    assert composition_residual(alphas, f) > RIESZ_TOL
 
 
 def test_composition_residual_rejects_orders_outside_range_before_transforming(monkeypatch):
