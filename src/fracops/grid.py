@@ -168,11 +168,21 @@ def sample_nd(expr: Callable[..., complex], grid: BoxGridND) -> SampledFunctionN
 
 
 def cumulative_trapezoid(f: SampledFunction1D) -> SampledFunction1D:
-    """Cumulative integral from the left endpoint by the composite trapezoid rule."""
+    """Cumulative integral from the left endpoint by the composite trapezoid rule.
+
+    A result that is not finite is a ``ValueError`` naming the first
+    non-finite sample or, for finite samples, the step at which the integral
+    overflows. Once a partial sum is not finite no later one is, so only the
+    last is checked.
+    """
     w = 0.5 * f.grid.h
-    inc = w * f.values[:-1] + w * f.values[1:]
-    out = np.zeros(f.grid.N + 1, dtype=np.complex128)
-    out[1:] = np.cumsum(inc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = w * f.values[:-1] + w * f.values[1:]
+        out = np.zeros(f.grid.N + 1, dtype=np.complex128)
+        out[1:] = np.cumsum(inc)
+    if not np.isfinite(out[-1]):
+        _finite_samples(f.grid, f.grid.nodes, f.values)
+        raise ValueError(f"the trapezoid integral overflows at step {f.grid.h}")
     return SampledFunction1D(f.grid, out)
 
 

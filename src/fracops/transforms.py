@@ -78,6 +78,8 @@ def laplace_transform(
     ``growth_bound = (C, p)`` declares |f(s)| <= C * s^p for s >= T_big; the
     certified tail C * integral_{T_big}^inf s^p e^(-sx) ds is then evaluated
     via the upper incomplete gamma function and reported alongside the value.
+    A value that is not finite is a ``ValueError`` naming the first
+    non-finite sample or, for finite samples, the overflow.
     """
     x = float(x)
     if not 0.0 < x < math.inf:
@@ -96,6 +98,10 @@ def laplace_transform(
             value = value - 0.5 * h * (g[0] + g[1]) + correction
         quad_est = (h / 3.0) * float(np.abs(np.diff(g, 2)).sum())
     if not math.isfinite(value):
+        bad = np.flatnonzero(~np.isfinite(fvals))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"non-finite sample at node index {k} (t={t[k]})")
         raise ValueError(f"transform value at x={x} overflows on [0, {f.grid.T}]")
     tail = None
     if growth_bound is not None:
@@ -144,7 +150,11 @@ def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> La
 
 
 def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
-    """Tensorized trapezoid transform over a box with left corner 0."""
+    """Tensorized trapezoid transform over a box with left corner 0.
+
+    A value that is not finite is a ``ValueError`` naming the first
+    non-finite sample by node index or, for finite samples, the overflow.
+    """
     xs = tuple(float(v) for v in x)
     if len(xs) != f.grid.dim:
         raise ValueError(f"{len(xs)} transform points for a {f.grid.dim}D grid")
@@ -155,18 +165,27 @@ def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
     if not f.is_real:
         raise ValueError("transform requires a real-valued function")
     acc = f.values.real.copy()
-    for axis in range(f.grid.dim - 1, -1, -1):
-        g = f.grid.axes[axis]
-        w = trapezoid_weights(g.h, g.N) * np.exp(-xs[axis] * g.nodes)
-        acc = np.tensordot(acc, w, axes=([axis], [0]))
-    return float(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in range(f.grid.dim - 1, -1, -1):
+            g = f.grid.axes[axis]
+            w = trapezoid_weights(g.h, g.N) * np.exp(-xs[axis] * g.nodes)
+            acc = np.tensordot(acc, w, axes=([axis], [0]))
+    value = float(acc)
+    if not math.isfinite(value):
+        bad = np.argwhere(~np.isfinite(f.values.real))
+        if bad.size:
+            raise ValueError(f"non-finite sample at node index {tuple(int(i) for i in bad[0])}")
+        ends = tuple(g.T for g in f.grid.axes)
+        raise ValueError(f"transform value at x={xs} overflows on the box [0, {ends}]")
+    return value
 
 
 @dataclass(frozen=True)
 class TransformTable:
     """Sampled transform values over a grid of orders times transform points.
 
-    Entries must be strictly positive (they are fitted on a log scale).
+    Entries must be strictly positive (they are fitted on a log scale), so
+    NaN entries are rejected too.
     Orders and transform points are floats in 1D and equal-length tuples in
     higher dimension.
     """
@@ -187,10 +206,10 @@ class TransformTable:
                 f"entries shape {ent.shape} does not match grids "
                 f"({len(orders)} orders, {len(xs)} points)"
             )
-        if np.any(ent <= 0.0):
-            i, j = np.argwhere(ent <= 0.0)[0]
+        if not np.all(ent > 0.0):
+            i, j = np.argwhere(~(ent > 0.0))[0]
             raise ValueError(
-                f"nonpositive table entry at order={orders[i]}, x={xs[j]}"
+                f"nonpositive table entry {ent[i, j]} at order={orders[i]}, x={xs[j]}"
             )
         object.__setattr__(self, "order_grid", orders)
         object.__setattr__(self, "x_grid", xs)

@@ -14,30 +14,31 @@ An integrator phi is a piecewise-smooth strictly increasing function on
   image of phi).
 
 Both routes read phi only forward, at the image nodes phi(s) of each
-segment's grid nodes and ends; nothing solves phi(s) = v. The integral with
-respect to phi is computed two ways that share nothing but phi: directly, by
-product quadrature of the singular kernel on one image mesh (those image
-nodes, all segments in order, zero-filled across the jump gaps), node t
-reading the mesh prefix that ends at phi(t); and by transmutation, pulling g
-back to a uniform grid on [phi(a), phi(T)], linear in the image variable
-between the image nodes, applying the ordinary fractional integral there,
-and composing the result with phi(t) from ``Integrator.value``. The two
-routes agree up to resampling error, which shrinks under refinement.
+segment's grid nodes and ends (``_pieces``); nothing solves phi(s) = v. The
+integral with respect to phi is computed two ways that share nothing else:
+directly, by product quadrature of the singular kernel on one image mesh
+(those image nodes, all segments in order, zero-filled across the jump
+gaps), node t reading the mesh prefix that ends at phi(t); and by
+transmutation, pulling g back to a uniform grid on [phi(a), phi(T)], linear
+in the image variable between the image nodes, applying the ordinary
+fractional integral there, and composing the result with phi(t) from
+``Integrator.value``. The two routes agree up to resampling error, which
+shrinks under refinement.
 
-The direct route costs O(N (J + K + B)) for 0 < alpha < 1: nodes go in
-blocks of B = 64, each takes exact kernel moments on the cells from K = 4
-grid nodes before it, and the rest of its prefix comes from a history of
-J positive-weight exponentials, J = 10 (1 + ceil(log2(40 R / delta))) for
-the image length R and the least image gap delta across K nodes at a block
-start (J = 180 for the unit jump at N = 4096). For alpha >= 1 the kernel is
-bounded and each node takes the exact rule over its whole prefix, O(N^2).
-Either way the result agrees with the exact rule over the whole prefix to
-about 1e-14 relative, node a gives exactly 0, and nonnegative real g gives
-exactly nonnegative real output. None of the kernel work depends on g: the
-image mesh, the exponential rates, the decays and the cell and kernel
-moments are paid once per call, and one call takes several functions on
-one grid, each adding only its GEMM columns. ``transmutation_residual``
-runs the direct route once for every probe.
+The direct route costs O(N (J + K + B)) time and O(B (K + B + J))
+temporaries for 0 < alpha < 1: nodes go in blocks of B = 64, each takes
+exact kernel moments on the cells from K = 4 grid nodes before it, and the
+rest of its prefix comes from a history of J positive-weight exponentials,
+J = 10 (1 + ceil(log2(40 R / delta))) for the image length R and the least
+image gap delta across K nodes at a block start (J = 180 for the unit jump
+at N = 4096). For alpha >= 1 the kernel is bounded and each node takes the
+exact rule over its whole prefix, O(N^2) time in blocks of at most 65536
+kernel entries. None of the kernel work depends on g: the image mesh
+(apart from g's own row on it), the exponential rates, the decays and the
+cell and kernel moments are paid once per call, and one call takes several
+functions on one grid, each adding GEMM multiply-adds of the same order
+through its own columns. ``transmutation_residual`` runs the direct route
+once for every probe.
 """
 
 from __future__ import annotations
@@ -261,74 +262,52 @@ def _check_domain(phi: Integrator, grid: UniformGrid1D) -> None:
         )
 
 
-def _piece_nodes(nodes: np.ndarray, s_lo: float, s_hi: float) -> tuple[np.ndarray, slice]:
-    """Quadrature s-nodes in [s_lo, s_hi], the endpoints plus interior grid nodes,
-    and the slice of grid nodes they take.
+def _pieces(
+    phi: Integrator, grid: UniformGrid1D, gvals: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per segment, in order: its s-nodes, phi at them, and each g at them.
+
+    The s-nodes are the segment's two ends and the grid nodes strictly
+    inside; g (one row per array of grid values in ``gvals``) is interpolated
+    at the two ends.
     """
-    inner = slice(
-        int(np.searchsorted(nodes, s_lo, side="right")),
-        int(np.searchsorted(nodes, s_hi, side="left")),
-    )
-    return np.concatenate([[s_lo], nodes[inner], [s_hi]]), inner
+    _check_domain(phi, grid)
+    nodes = grid.nodes
+    G = np.asarray(gvals)
+    pieces = []
+    for seg in phi.segments:
+        inner = slice(
+            int(np.searchsorted(nodes, seg.lo, side="right")),
+            int(np.searchsorted(nodes, seg.hi, side="left")),
+        )
+        snodes = np.concatenate([[seg.lo], nodes[inner], [seg.hi]])
+        at_ends = np.array([np.interp((seg.lo, seg.hi), nodes, g) for g in G])
+        values = np.concatenate([at_ends[:, :1], G[:, inner], at_ends[:, 1:]], axis=1)
+        pieces.append((snodes, seg.eval(snodes), values))
+    return pieces
 
 
-def _piece_values(
-    nodes: np.ndarray, gvals: np.ndarray, s_lo: float, s_hi: float, inner: slice
-) -> np.ndarray:
-    """g at the s-nodes of ``_piece_nodes``: interpolated at the two ends."""
-    return np.concatenate(
-        [[np.interp(s_lo, nodes, gvals)], gvals[inner], [np.interp(s_hi, nodes, gvals)]]
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class _ImageMesh:
-    """The image mesh of an integrator on a grid, which does not depend on g.
+def _image_mesh(
+    phi: Integrator, grid: UniformGrid1D, gvals: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The image mesh u of phi on a grid, its ``ends`` and ``live`` cells, and g on it.
 
     u holds each segment's image nodes framed by copies of its two end
-    images, segments in order; u[:ends[m]] ends at x[m] = phi(t_m), the right
-    limit at a jump. ``values`` puts g on u with zero on the frame copies, so
-    seam cells have zero length and jump-gap cells are zero-filled. ``live``
-    marks the cells that can carry g: positive length, not between two
-    frame copies. ``inner`` holds the grid nodes inside each segment.
+    images, segments in order; u[:ends[m]] ends at phi(t_m), the right limit
+    at a jump. G has one row per g, zero on the frame copies, so seam cells
+    have zero length and jump-gap cells are zero-filled. ``live`` marks the
+    cells that can carry g: positive length, not between two frame copies.
+    Only G depends on g.
     """
-
-    phi: Integrator
-    grid: UniformGrid1D
-    u: np.ndarray
-    ends: np.ndarray
-    live: np.ndarray
-    inner: tuple[slice, ...]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.u[self.ends - 1]
-
-    def values(self, gvals: Sequence[np.ndarray]) -> np.ndarray:
-        """Each g on u, one row per array of grid values in ``gvals``."""
-        nodes = self.grid.nodes
-        out = np.zeros((len(gvals), len(self.u)), dtype=np.complex128)
-        for row, g in zip(out, gvals):
-            col = 1
-            for seg, inner in zip(self.phi.segments, self.inner):
-                gv = _piece_values(nodes, g, seg.lo, seg.hi, inner)
-                row[col : col + len(gv)] = gv
-                col += len(gv) + 2
-        return out
-
-
-def _image_mesh(phi: Integrator, grid: UniformGrid1D) -> _ImageMesh:
-    _check_domain(phi, grid)
     nodes = grid.nodes
     seg_of = np.searchsorted([seg.lo for seg in phi.segments], nodes, side="right") - 1
     ends = np.ones(len(nodes), dtype=np.intp)
-    u_parts, frames, inners = [], [], []
+    zero = np.zeros((len(gvals), 1), dtype=np.complex128)
+    u_parts, G_parts, frames = [], [], []
     start = 0
-    for j, seg in enumerate(phi.segments):
-        snodes, inner = _piece_nodes(nodes, seg.lo, seg.hi)
-        inners.append(inner)
-        u = seg.eval(snodes)
-        u_parts += [u[:1], u, u[-1:]]
+    for j, (snodes, images, values) in enumerate(_pieces(phi, grid, gvals)):
+        u_parts += [images[:1], images, images[-1:]]
+        G_parts += [zero, values, zero]
         frames += [start, start + len(snodes) + 1]
         mine = seg_of == j
         ends[mine] = start + 1 + np.searchsorted(snodes, nodes[mine], side="right")
@@ -337,7 +316,7 @@ def _image_mesh(phi: Integrator, grid: UniformGrid1D) -> _ImageMesh:
     framed = np.zeros(len(u), dtype=bool)
     framed[frames] = True
     live = (np.diff(u) > 0.0) & ~(framed[:-1] & framed[1:])
-    return _ImageMesh(phi, grid, u, ends, live, tuple(inners))
+    return u, ends, live, np.concatenate(G_parts, axis=1)
 
 
 def _near_field(
@@ -477,25 +456,25 @@ def _exponential_cell_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _advance_history(
-    H: np.ndarray, s: np.ndarray, mesh: _ImageMesh, G: np.ndarray, c0: int, c1: int
+    H: np.ndarray, s: np.ndarray, u: np.ndarray, live: np.ndarray, G: np.ndarray,
+    c0: int, c1: int,
 ) -> None:
     """Move the history from cutoff u[c0] to u[c1], adding cells c0 .. c1-1 in place.
 
     H[j] = int_(u < cutoff) e^(-s_j (cutoff - u)) g(u) du for the piecewise-linear
     g; each new cell adds the exact moments of e^(-s_j (cutoff - u)) against
-    the two linear pieces of g on it. Only the mesh's live cells are added:
-    the others add exactly nothing. Which cells those are does not depend on
+    the two linear pieces of g on it. Only the ``live`` cells are added: the
+    others add exactly nothing. Which cells those are does not depend on
     g, and H and G are stacks with one entry per function, so an entry gets
     the same arithmetic in any batch.
     """
-    u = mesh.u
     H *= np.exp(-s * (u[c1] - u[c0]))[:, None]
-    live = np.flatnonzero(mesh.live[c0:c1])
-    if not live.size:
+    cells = c0 + np.flatnonzero(live[c0:c1])
+    if not cells.size:
         return
-    h = np.diff(u[c0 : c1 + 1])[live]
-    gl, gr = G[:, c0 + live], G[:, c0 + 1 + live]
-    decay = np.exp(-np.outer(s, u[c1] - u[c0 + 1 + live]))
+    h = u[cells + 1] - u[cells]
+    gl, gr = G[:, cells], G[:, cells + 1]
+    decay = np.exp(-np.outer(s, u[c1] - u[cells + 1]))
     # rows with s h < 1 on every cell take the series as one product,
     # sum_n (s_j hmax)^n sum_i decay_ji h_i (h_i / hmax)^n (a_n g_i + b_n g_(i+1))
     # with (a_n, b_n) = _SERIES[n]; its terms alternate in n and shrink
@@ -523,26 +502,20 @@ def rl_wrt_phi_direct(
     nothing, and the kernel is singular only at the last mesh node.
 
     g is one sampled function or a sequence of them on one grid, and the
-    result matches: one output, or a list. The kernel work (mesh, exponential
-    rates, decays, cell and kernel moments) is paid once per call. Each
-    function adds only its two real GEMM columns, its real and imaginary
-    parts, in a stack of same-shape GEMMs: BLAS may round one column of a
-    wider GEMM differently, and this way every function gets the arithmetic
-    of a call of its own, bit for bit. The mesh is the direct route's own: the
-    transmuted route reads phi(t_m) from ``Integrator.value``.
+    result matches: one output, or a list. Each function adds only its two
+    real GEMM columns, its real and imaginary parts, in a stack of same-shape
+    GEMMs: BLAS may round one column of a wider GEMM differently, and this
+    way every function gets the arithmetic of a call of its own, bit for bit.
+    The mesh is the direct route's own: the transmuted route reads phi(t_m)
+    from ``Integrator.value``.
 
     Nodes go in blocks of _BLOCK. For 0 < alpha < 1 a block takes the exact
     moments only on the cells from _NEAR grid nodes before its first node on.
-    Everything left of that cutoff comes from a history of J exponentials
+    Everything left of that cutoff comes from a history of exponentials
     whose positive-weight sum matches r^(alpha-1) to about 2e-15 relative
     (``_sum_of_exponentials``) and which carries across the nonuniform image
-    mesh and its jumps. That costs O(N (J + _NEAR + _BLOCK)) time with
-    J = 10 (1 + ceil(log2(40 R / delta))), R the image length and delta the
-    least image gap from a block start to its cutoff, and temporaries of
-    O(_BLOCK (_NEAR + _BLOCK + J)); the kernel work is paid once and each
-    function adds GEMM multiply-adds of the same order. For alpha >= 1 the
-    kernel is bounded and every node takes the exact moments over its whole
-    prefix: O(N^2) time, in blocks of at most _BLOCK_ENTRIES kernel entries.
+    mesh and its jumps; for alpha >= 1 every node takes the exact moments
+    over its whole prefix. The module docstring states the cost.
 
     Either way the result agrees with the exact rule over the whole prefix to
     about 1e-14 relative, node 0 is exactly 0, and since every weight is
@@ -556,15 +529,15 @@ def rl_wrt_phi_direct(
     grid = gs[0].grid
     for other in gs[1:]:
         _require_same_grid(gs[0], other)
-    mesh = _image_mesh(phi, grid)
+    u, ends, live, G = _image_mesh(phi, grid, [f.values for f in gs])
     for f in gs:
         bad = np.flatnonzero(~np.isfinite(f.values))
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"non-finite sample at node index {k} (t={grid.nodes[k]})")
     # G[p] is function p on the mesh, its real and imaginary parts as columns
-    G = mesh.values([f.values for f in gs]).view(np.float64).reshape(len(gs), -1, 2)
-    u, ends, x = mesh.u, mesh.ends, mesh.x
+    G = G.view(np.float64).reshape(len(gs), -1, 2)
+    x = u[ends - 1]
     N = grid.N
     out = np.zeros((len(gs), N + 1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -579,7 +552,7 @@ def rl_wrt_phi_direct(
             m1 = min(m0 + rows, N + 1)
             if soe is not None and m0 > _BLOCK:
                 new_cut = int(ends[m0 - _NEAR]) - 1
-                _advance_history(H, s, mesh, G, cut, new_cut)
+                _advance_history(H, s, u, live, G, cut, new_cut)
                 cut = new_cut
                 out[:, m0:m1] = np.exp(-np.outer(x[m0:m1] - u[cut], s)) @ (w[:, None] * H)
             k = int(ends[m1 - 1])
@@ -594,23 +567,16 @@ def rl_wrt_phi_direct(
 def pullback_to_image(phi: Integrator, g: SampledFunction1D) -> SampledFunction1D:
     """g composed with the inverse of phi on a uniform grid of [phi(a), phi(T)].
 
-    Read through the forward map only: each segment's s-nodes (``_piece_nodes``)
+    Read through the forward map only: each segment's s-nodes (``_pieces``)
     go through phi, and g is linear in the image variable between those image
     nodes. The open gaps left by jumps are filled with zero; the closed image
     intervals keep g at their ends, and at a seam the later segment wins.
     """
-    _check_domain(phi, g.grid)
+    _, images, values = zip(*_pieces(phi, g.grid, [g.values]))
     vgrid = UniformGrid1D(phi.phi_a, phi.phi_T, g.grid.N)
     v = vgrid.nodes
-    nodes = g.grid.nodes
-    pieces = [_piece_nodes(nodes, seg.lo, seg.hi) for seg in phi.segments]
-    images = [seg.eval(snodes) for seg, (snodes, _) in zip(phi.segments, pieces)]
-    values = [
-        _piece_values(nodes, g.values, seg.lo, seg.hi, inner)
-        for seg, (_, inner) in zip(phi.segments, pieces)
-    ]
     # np.interp takes the last of equal image nodes and clamps a last node past phi(T)
-    out = np.interp(v, np.concatenate(images), np.concatenate(values))
+    out = np.interp(v, np.concatenate(images), np.concatenate(values, axis=1)[0])
     for left, right in zip(images, images[1:]):
         out[(v > left[-1]) & (v < right[0])] = 0.0
     return SampledFunction1D(vgrid, out)

@@ -20,6 +20,7 @@ from fracops.grid import (
     sample,
     sample_nd,
 )
+from fracops.rl_core import rl_integral
 
 
 def test_grid_nodes_and_invariants():
@@ -89,6 +90,25 @@ def test_cumulative_trapezoid_of_ones_hits_nodes():
     g = UniformGrid1D(0.0, 1.0, 4)
     out = cumulative_trapezoid(sample(lambda t: 1.0, g))
     assert np.array_equal(out.values.real, g.nodes)
+
+
+def test_cumulative_trapezoid_overflow_is_an_error_naming_the_step():
+    # rl_integral at order 1 shares the trapezoid's grouping: the same bits,
+    # and the same inputs rejected
+    grid = UniformGrid1D(0.0, 8.0, 8)
+    big = SampledFunction1D(grid, np.full(9, 1e307))
+    assert np.array_equal(cumulative_trapezoid(big).values, rl_integral(1.0, big).values)
+    huge = SampledFunction1D(grid, np.full(9, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("trapezoid integral overflows at step 1.0")):
+            cumulative_trapezoid(huge)
+        with pytest.raises(ValueError, match=re.escape("order-1.0 integral overflows at step 1.0")):
+            rl_integral(1.0, huge)
+        vals = np.ones(9)
+        vals[3] = np.nan
+        with pytest.raises(ValueError, match=re.escape("non-finite sample at node index 3 (t=3.0)")):
+            cumulative_trapezoid(SampledFunction1D(grid, vals))
 
 
 @settings(max_examples=50, deadline=None)

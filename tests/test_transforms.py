@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 from math import gamma
@@ -7,7 +8,7 @@ from math import gamma
 import numpy as np
 import pytest
 
-from fracops.grid import BoxGridND, SampledFunctionND, UniformGrid1D, sample
+from fracops.grid import BoxGridND, SampledFunction1D, SampledFunctionND, UniformGrid1D, sample
 from fracops.rl_core import AxiomProfile, OperatorFamily1D, make_family, rl_integral
 from fracops.rl_nd import rl_integral_nd
 from fracops.transforms import (
@@ -94,6 +95,28 @@ def test_transform_on_a_huge_window_has_no_float_warnings():
         assert laplace_transform(f, 1e300).value == 0.0
 
 
+def test_non_finite_transform_names_the_sample_or_the_overflow():
+    # the bad sample is searched for only once the value is not finite
+    grid = UniformGrid1D(0.0, 1.0, 8)
+    box = BoxGridND((UniformGrid1D(0.0, 1.0, 4), UniformGrid1D(0.0, 1.0, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (math.nan, math.inf):
+            vals = np.ones(9)
+            vals[4] = bad
+            with pytest.raises(ValueError, match=re.escape("non-finite sample at node index 4 (t=0.5)")):
+                laplace_transform(SampledFunction1D(grid, vals), 1.0)
+            vals = np.ones(box.shape)
+            vals[2, 2] = bad
+            with pytest.raises(ValueError, match=re.escape("non-finite sample at node index (2, 2)")):
+                laplace_transform_nd(SampledFunctionND(box, vals), (1.0, 1.0))
+        with pytest.raises(ValueError, match=re.escape("x=1.0 overflows on [0, 1.0]")):
+            laplace_transform(SampledFunction1D(grid, np.full(9, 1e308)), 1.0)
+        wide = BoxGridND((UniformGrid1D(0.0, 8.0, 8), UniformGrid1D(0.0, 8.0, 8)))
+        with pytest.raises(ValueError, match=re.escape("x=(0.001, 0.001) overflows")):
+            laplace_transform_nd(SampledFunctionND(wide, np.full(wide.shape, 1e308)), (1e-3, 1e-3))
+
+
 def test_tail_bound_soundness():
     f = rl_integral(0.5, ones_on(40.0, 16384))
     bound = (1.0 / gamma(1.5), 0.5)
@@ -145,8 +168,9 @@ def test_semigroup_table_rejects_nonpositive_entries():
 
 
 def test_table_validates_entries():
-    with pytest.raises(ValueError, match="nonpositive"):
-        TransformTable((0.5,), (1.0,), np.array([[0.0]]))
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="nonpositive table entry"):
+            TransformTable((0.5,), (1.0,), np.array([[bad]]))
     with pytest.raises(ValueError, match="nonempty"):
         TransformTable((), (1.0,), np.zeros((0, 1)))
 

@@ -21,8 +21,7 @@ from fracops.transmute import (
     _far_field_exponentials,
     _gauss_jacobi,
     _image_mesh,
-    _piece_nodes,
-    _piece_values,
+    _pieces,
     _sum_of_exponentials,
     identity_integrator,
     integrator_from_dict,
@@ -220,9 +219,7 @@ def _singular_piece_quadrature(alpha, x_img, unodes, gv):
 
 def per_node_direct(alpha, phi, g):
     # oracle: every node sums the exact rule over its whole image-mesh prefix
-    mesh = _image_mesh(phi, g.grid)
-    u, ends = mesh.u, mesh.ends
-    [gv] = mesh.values([g.values])
+    u, ends, _, [gv] = _image_mesh(phi, g.grid, [g.values])
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     for m, k in enumerate(ends[1:], 1):
         out[m] = _singular_piece_quadrature(alpha, u[k - 1], u[:k], gv[:k]) / gamma(alpha)
@@ -234,11 +231,10 @@ def per_segment_direct(alpha, phi, g):
     # read on that segment's own nodes, so the gaps never enter the sum
     nodes = g.grid.nodes
     x_img = phi.value(nodes)
-    pieces = []
-    for seg in phi.segments:
-        snodes, inner = _piece_nodes(nodes, seg.lo, seg.hi)
-        gv = _piece_values(nodes, g.values, seg.lo, seg.hi, inner)
-        pieces.append((seg.eval(snodes), gv, np.searchsorted(snodes, nodes, side="right")))
+    pieces = [
+        (unodes, gv, np.searchsorted(snodes, nodes, side="right"))
+        for snodes, unodes, [gv] in _pieces(phi, g.grid, [g.values])
+    ]
     out = np.zeros(g.grid.N + 1, dtype=np.complex128)
     for m in range(1, g.grid.N + 1):
         acc = 0.0 + 0.0j
@@ -305,7 +301,8 @@ def test_direct_image_mesh_matches_per_segment_sums(phi):
         grid = UniformGrid1D(0.0, 1.0, n)
         real = sample(lambda t: math.cos(3.0 * t) + 1.0, grid)
         cplx = sample(lambda t: (1.0 + t) * complex(math.cos(2 * t), math.sin(2 * t)), grid)
-        assert np.array_equal(_image_mesh(phi, grid).x, phi.value(grid.nodes))  # right limits
+        u, ends, _, _ = _image_mesh(phi, grid, [real.values])
+        assert np.array_equal(u[ends - 1], phi.value(grid.nodes))  # right limits
         for alpha in (0.3, 1.0, 2.5):
             for g in (real, cplx):
                 got = rl_wrt_phi_direct(alpha, phi, g)
@@ -318,9 +315,40 @@ def test_direct_image_mesh_matches_per_segment_sums(phi):
     scaled = stretched(phi, 3.0)
     grid = UniformGrid1D(0.0, 3.0, 187)
     assert grid.nodes[-1] > scaled.T
-    assert np.array_equal(
-        _image_mesh(scaled, grid).x, scaled.value(np.minimum(grid.nodes, scaled.T))
-    )
+    u, ends, _, _ = _image_mesh(scaled, grid, [np.ones(grid.N + 1)])
+    assert np.array_equal(u[ends - 1], scaled.value(np.minimum(grid.nodes, scaled.T)))
+
+
+@IMAGE_MESH_INTEGRATORS
+def test_image_mesh_layout(phi):
+    # each segment's image nodes sit between two copies of its end images,
+    # where every g is exactly 0; the only dead cells are those of zero
+    # length and those from one segment's last frame copy to the next one's
+    # first (seams and jump gaps)
+    for n in (1, 7, 4096):
+        grid = UniformGrid1D(0.0, 1.0, n)
+        gvals = [
+            sample_array(lambda t: np.cos(3.0 * t) + 2.0, grid).values,
+            sample_array(lambda t: (1.0 + t) * np.exp(2j * t), grid).values,
+        ]
+        u, ends, live, G = _image_mesh(phi, grid, gvals)
+        assert G.shape == (2, len(u)) and live.shape == (len(u) - 1,)
+        assert np.all(np.diff(u) >= 0.0)
+        first, between = 0, []
+        for snodes, images, values in _pieces(phi, grid, gvals):
+            last = first + len(snodes) + 1
+            assert u[first] == images[0] and u[last] == images[-1]
+            assert np.array_equal(u[first + 1 : last], images)
+            assert np.all(G[:, [first, last]] == 0.0)
+            assert np.array_equal(G[:, first + 1 : last], values)
+            between.append(last)
+            first = last + 1
+        assert first == len(u)
+        dead = np.diff(u) == 0.0
+        dead[between[:-1]] = True
+        assert np.array_equal(live, ~dead), n
+        if phi.jumps:  # the jump gap is dead although it has positive length
+            assert np.all(np.diff(u)[between[:-1]] > 0.0)
 
 
 @IMAGE_MESH_INTEGRATORS
@@ -402,7 +430,7 @@ def test_direct_batch_and_mesh_are_checked():
         rl_wrt_phi_direct(0.5, phi, [g, sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, 8))])
     # the image mesh checks its grid against the domain itself
     with pytest.raises(ValueError, match="does not match the integrator domain"):
-        _image_mesh(phi, UniformGrid1D(0.0, 2.0, 8))
+        _image_mesh(phi, UniformGrid1D(0.0, 2.0, 8), [np.ones(9)])
 
 
 def test_direct_overflow_names_the_order():
@@ -634,9 +662,8 @@ def test_transmutation_residual_exponential_integrator():
 def l1_norm_pushforward(phi, g):
     # discrete L1 norm of g against the pushforward measure: by change of
     # variables, the trapezoid rule for |g| on the direct route's image mesh
-    mesh = _image_mesh(phi, g.grid)
-    mods = mesh.values([np.abs(g.values)])[0].real
-    return float(np.dot(np.diff(mesh.u), 0.5 * (mods[:-1] + mods[1:])))
+    u, _, _, [mods] = _image_mesh(phi, g.grid, [np.abs(g.values)])
+    return float(np.dot(np.diff(u), 0.5 * (mods.real[:-1] + mods.real[1:])))
 
 
 def invert_segment(seg, v):
