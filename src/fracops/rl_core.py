@@ -13,13 +13,18 @@ are integrated exactly on the cell that holds the weak singularity at
 s = t and by Gauss-Legendre on the smooth cells farther away. The weights
 depend only on node distance, so on a uniform grid the integral is a
 lower-triangular Toeplitz matrix applied to the samples; ``_sweep`` applies
-it as one GEMM per block lag. Consequences used throughout the test suite,
-each holding by construction:
+it as one GEMM per block lag, O(N^2). From N = 8192 nodes on, for the orders
+whose history is short enough (``_sweep`` states the rule), it applies only
+the two nearest block lags that way and reads the rest from a history of
+positive-weight exponentials, O(N J) for J of about 140, to about 4e-15
+relative. Consequences used throughout the test suite, each holding by
+construction:
 
 * at alpha = 1 the integral is a ``cumsum`` of the subinterval trapezoids,
   so it agrees with the composite trapezoid rule bit-for-bit;
-* all weights are nonnegative and every product is weight times sample, so
-  nonnegative inputs give nonnegative outputs exactly;
+* all weights and history factors are nonnegative and every product is of
+  such a factor and a sample, so nonnegative inputs give nonnegative
+  outputs exactly;
 * the value at the left endpoint is 0 for every alpha > 0 (empty integral).
 
 The module also carries a small catalog of operator families built on top of
@@ -117,6 +122,185 @@ def product_quadrature_weights(alpha: float, h: float, n: int) -> tuple[np.ndarr
     return scale * wl, scale * wr
 
 
+# A sum of exponentials for a kernel power: Gauss points per rule, and
+# s * delta at its top rate, where e^(-s delta) < 5e-18.
+_GAUSS_POINTS = 10
+_SOE_CUT = 40.0
+_GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(10)
+    (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+     0.9739065285171717),
+    (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+     0.06667134430868814),
+)
+
+
+def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 < alpha < 1.
+
+    Golub-Welsch on the Jacobi matrix of (1 + x)^(-alpha) on [-1, 1], without
+    LAPACK (whose first call costs about 1 MB of resident memory): the
+    eigenvalues are bracketed by Sturm counts and polished by Newton steps on
+    the characteristic polynomial, and each weight is 1 / sum_k p_k(x)^2 for
+    the orthonormal polynomials p_k. The weights are positive and sum to 1.
+    """
+    n = _GAUSS_POINTS
+    b = -alpha
+    k = np.arange(n, dtype=np.float64)
+    diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
+    diag[0] = b / (b + 2.0)
+    k = k[1:]
+    c = 2.0 * k + b
+    off = 2.0 * k * (k - alpha) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
+    off2 = off * off
+
+    def ratios(lam):
+        # q_k = det(T_(k+1) - lam) / det(T_k - lam) and its derivative in lam
+        q, dq = diag[0] - lam, -np.ones_like(lam)
+        yield q, dq
+        for d, e2 in zip(diag[1:], off2):
+            q, dq = d - lam - e2 / q, -1.0 + e2 * dq / (q * q)
+            yield q, dq
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # eigenvalue i lies above exactly i of them: three 32-way multisections
+        lo, width = np.full(n, -1.0), 2.0
+        frac = np.arange(1, 32) / 32.0
+        for _ in range(3):
+            trial = lo[:, None] + width * frac
+            below = sum((q < 0.0).astype(np.intp) for q, _ in ratios(trial))
+            lo = lo + width * (below <= np.arange(n)[:, None]).sum(axis=1) / 32.0
+            width /= 32.0
+        x = lo + 0.5 * width
+        for _ in range(3):
+            step = 1.0 / sum(dq / q for q, dq in ratios(x))
+            x = np.clip(x - np.nan_to_num(step), lo, lo + width)
+    p_prev, p = np.zeros(n), np.ones(n)
+    norm = np.ones(n)
+    for d, e, e_prev in zip(diag[:-1], off, np.concatenate([[0.0], off[:-1]])):
+        p_prev, p = p, ((x - d) * p - e_prev * p_prev) / e
+        norm += p * p
+    return 0.5 * (x + 1.0), 1.0 / norm
+
+
+def _octaves(delta: float, length: float) -> int:
+    """ceil(log2(_SOE_CUT * length / delta)), the octaves of ``_sum_of_exponentials``."""
+    return max(1, math.ceil(math.log2(_SOE_CUT * length / delta)))
+
+
+def _sum_of_exponentials(
+    alpha: float, delta: float, length: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates s_j and positive weights w_j with sum_j w_j e^(-s_j r) = r^(alpha-1).
+
+    For 0 < alpha < 1, r^(alpha-1) = int_0^inf s^(-alpha) e^(-s r) ds / Gamma(1-alpha).
+    Gauss-Jacobi with weight s^(-alpha) covers [0, 1/length] and
+    Gauss-Legendre each dyadic interval above it, up to _SOE_CUT / delta,
+    which leaves a tail below e^(-_SOE_CUT). The relative error stays near
+    2e-15 on [delta, length] for every alpha in (0, 1), and the count is
+    _GAUSS_POINTS * (1 + _octaves(delta, length)), whatever alpha. The rates
+    come out sorted.
+    """
+    t, v = _gauss_jacobi(alpha)
+    # (1 - alpha) Gamma(1 - alpha) = Gamma(2 - alpha)
+    s_low = t / length
+    w_low = v * length ** (alpha - 1.0) / math.gamma(2.0 - alpha)
+    lo = 2.0 ** np.arange(_octaves(delta, length))[:, None] / length
+    y, wy = _GAUSS_RULE
+    s_high = (lo * (1.0 + y)).ravel()
+    w_high = (lo * wy).ravel() * s_high ** (-alpha) / math.gamma(1.0 - alpha)
+    return np.concatenate([s_low, s_high]), np.concatenate([w_low, w_high])
+
+
+# _sweep takes the far field of n >= _FAR_FIELD_MIN nodes from a history
+# (_far_field) when it has at most n / _NODES_PER_TERM terms; see _sweep.
+_FAR_FIELD_MIN = 8192
+_NODES_PER_TERM = 16
+
+
+def _binomial_shift(k: int, d: np.ndarray) -> np.ndarray:
+    """S[..., i, l] = C(i, l) d^(i-l) for l <= i <= k, else 0: (d + u)^i = sum_l S[i, l] u^l."""
+    binom = np.array([[math.comb(i, l) for l in range(k + 1)] for i in range(k + 1)], dtype=float)
+    power = np.maximum(np.subtract.outer(np.arange(k + 1), np.arange(k + 1)), 0)
+    return binom * np.asarray(d, dtype=float)[..., None, None] ** power
+
+
+def _history_terms(alpha: float, n: int, b: int) -> int:
+    """J (k+1): the exponentials times the powers u^0 .. u^k that ``_far_field`` carries."""
+    k = math.ceil(alpha) - 1
+    rates = 1 if alpha == k + 1 else _GAUSS_POINTS * (1 + _octaves(b + 1.0, n))
+    return (k + 1) * rates
+
+
+def _segment_moments(k: int, s: np.ndarray, b: int, scale: float) -> np.ndarray:
+    """scale times the integrals of u^i e^(-s_j u) against each node's hat on a b-cell segment.
+
+    Row i * len(s) + j, column q = 0..b for the segment's nodes left to right;
+    u runs from the segment's right end in steps. Cell q spans u in [d, d+1],
+    d = b-1-q, and one Gauss rule gives every cell's integrals against the
+    hats of its left node q and right node q+1.
+    """
+    x, gw = _NEAR_RULE
+    d = np.arange(b - 1.0, -1.0, -1.0)
+    kern = np.exp(-np.outer(s, x)) * (scale * gw)
+    powers = np.add.outer(x, d) ** np.arange(k + 1.0)[:, None, None]
+    decay = np.exp(-np.outer(s, d))
+    moments = np.zeros((k + 1, len(s), b + 1))
+    for nodes, hat in ((slice(None, -1), x), (slice(1, None), 1.0 - x)):
+        part = (kern * hat) @ powers
+        part *= decay
+        moments[..., nodes] += part
+    return moments.reshape(-1, b + 1)
+
+
+def _far_field(alpha: float, h: float, cols: np.ndarray, b: int) -> np.ndarray:
+    """The far field of ``_sweep``'s blocks 2, 3, ..., laid out like its GEMM output.
+
+    Block I (output nodes 1 + I*b .. (I+1)*b) has its cutoff at node
+    c_I = (I-1)*b; the cells left of it lie r = a + u away from an output
+    node, with a = m - c_I in [b+1, 2b] and u >= 0 in steps of h. With
+    alpha = k + beta, 0 < beta <= 1,
+
+        r^(alpha-1) = sum_i C(k, i) a^(k-i) u^i * r^(beta-1),
+        r^(beta-1) ~ sum_j w_j e^(-s_j a) e^(-s_j u),
+
+    the second from ``_sum_of_exponentials`` on [b+1, n] (for beta = 1 the
+    single rate 0), so the far field is sum_(i,j) C(k, i) a^(k-i) w_j
+    e^(-s_j a) H_ij(c_I) with the history H_ij(c) = integral of u^i e^(-s_j u)
+    times the piecewise-linear samples over the cells left of c. Each b-cell
+    segment's share of a history is one fixed matrix of moments against its
+    b + 1 samples (one GEMM for every segment); moving the cutoff by b
+    multiplies H by e^(-s_j b) and mixes the u^i with the binomial shift; one
+    more GEMM evaluates every block. Every factor is nonnegative. The rates
+    are at most 2 _SOE_CUT / (b+1) per step, so one 16-point Gauss rule gives
+    a cell's moments to rounding.
+    """
+    c, n = cols.shape[0], cols.shape[1] - 1
+    segments = (n - 1) // b - 1
+    k = math.ceil(alpha) - 1
+    beta = alpha - k
+    if beta == 1.0:
+        s, w = np.zeros(1), np.ones(1)
+    else:
+        s, w = _sum_of_exponentials(beta, b + 1.0, float(n))
+    # samples[g, col, node] = node g*b + node of column col
+    e = cols.itemsize
+    samples = np.ndarray((segments, c, b + 1), buffer=cols, strides=(e * b, cols.strides[0], e))
+    scale = float(h) ** alpha / math.gamma(alpha)
+    hist = samples.reshape(segments * c, b + 1) @ _segment_moments(k, s, b, scale).T
+    hist = hist.reshape(segments, c, k + 1, len(s))
+    # hist[g] holds segment g's share; add the history up to it, moved by b steps
+    step = _binomial_shift(k, float(b))
+    decay = np.exp(-s * b)
+    for g in range(1, segments):
+        prev = hist[g - 1] if k == 0 else step @ hist[g - 1]
+        hist[g] += decay * prev
+    a = np.arange(b + 1.0, 2.0 * b + 1.0)
+    kern = np.exp(-np.outer(a, s))
+    kern *= w
+    evaluate = _binomial_shift(k, a)[:, k, :, None] * kern[:, None, :]
+    return evaluate.reshape(b, -1) @ hist.reshape(segments * c, -1).T
+
+
 def _block_size(n: int) -> int:
     """Toeplitz block edge for n nodes: one block up to 128 nodes, then 128, and 256 from 32768.
 
@@ -127,6 +311,12 @@ def _block_size(n: int) -> int:
     and 1 to 257 rows, 128 was within 9% of the fastest of 64, 128 and 256;
     sqrt(n)-sized blocks ran up to 1.5x slower, because their n/B GEMM
     calls are each too small.
+
+    Those timings are of the full GEMM. A sweep whose far field comes from
+    the history (``_far_field``) uses the same blocks as its segments: at
+    n = 8192, 16384 and 32768, alpha = 0.5 and 1.5, and 1 or 8 rows, 128
+    was within 15% of the fastest of 64, 128 and 256, and 256 ran 4-13%
+    slower than 128 at n = 32768.
     """
     if n <= 128:
         return n
@@ -149,13 +339,32 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
     enter as further columns only when some imaginary part of the batch is
     nonzero. M_L is copied out of a sliding window on the zero-padded symbol
     as its column-reversed (Hankel) form, which multiplies the block-reversed
-    samples.
+    samples. This costs O(n^2) per column.
+
+    Long sweeps take the far field from a history instead. With
+    alpha = k + beta, 0 < beta <= 1, the rule is: when n >= _FAR_FIELD_MIN
+    (8192) and the history has at most n / _NODES_PER_TERM (n / 16) terms
+    J (k+1) (``_history_terms``), only lags 0 and 1 go through the GEMM,
+    with the exact weights of distances up to 2B, and block I >= 2 reads
+    every cell left of node (I-1)*B from ``_far_field``. That costs
+    O(n (J (k+1) + B)) time and O(n J (k+1) / B) temporaries per column,
+    with J = 10 (1 + ceil(log2(40 n / (B+1)))) rates (130 at n = 8192, 140
+    at 16384) and J = 1 at integer orders. So every integer order takes it,
+    the others up to k = 2 at n = 8192, k = 6 at 16384 and k = 13 at 32768,
+    and every accepted order from n = 65536. Each node stays within about
+    4e-15 of the sum of its exact rule's term magnitudes. Timed on one core
+    with one row, history against full GEMM: at n = 8192, 1.7 against 3.4 ms
+    for alpha = 0.5, 1.9 against 2.9 ms for alpha = 2.5, but 2.8 against
+    2.6 ms for alpha = 3.5 (k = 3); at n = 16384, 1.7 against 8.2 ms for
+    alpha = 0.5, 2.3 against 8.0 ms for alpha = 1.5 and 5.9 against 8.5 ms
+    for alpha = 7.5; at n = 4096, 1.1 against 0.9 ms for alpha = 0.5.
 
     What holds by construction:
 
-    * every product is of a nonnegative weight and a sample, so nonnegative
-      input gives exactly nonnegative output, zeros stay exact zeros, and
-      real input keeps an exactly zero imaginary part;
+    * every product is of a nonnegative weight and a sample, or of
+      nonnegative history factors, so nonnegative input gives exactly
+      nonnegative output, zeros stay exact zeros, and real input keeps an
+      exactly zero imaginary part;
     * out[0] = 0 exactly (empty integral);
     * alpha = 1 takes a ``cumsum`` of the subinterval trapezoids, the
       grouping of ``cumulative_trapezoid``, so it agrees bit-for-bit.
@@ -180,29 +389,41 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
         w = 0.5 * h
         res = np.cumsum(w * cols[:, :-1] + w * cols[:, 1:], axis=-1)
     else:
-        wl, wr = product_quadrature_weights(alpha, h, n)
         b = _block_size(n)
         nb = -(-n // b)
+        far = n >= _FAR_FIELD_MIN and _history_terms(alpha, n, b) * _NODES_PER_TERM <= n
+        lags = 2 if far else nb
+        m = min(n, lags * b)
+        wl, wr = product_quadrature_weights(alpha, h, m)
+        # the history first, before the GEMM's temporaries are allocated
+        history = _far_field(alpha, h, cols, b) if far else None
         x = np.zeros((c, nb * b))
         x[:, :n] = cols[:, 1:]
         # xr[k, J*c + col] is node 1 + J*b + (b-1-k) of column col; for one
         # column the reshape is a negatively strided view, which BLAS cannot take
         xr = x.reshape(c, nb, b)[:, :, ::-1].transpose(2, 1, 0).reshape(b, nb * c)
         xr = np.ascontiguousarray(xr)
-        symbol = np.zeros(nb * b + b - 1)
+        symbol = np.zeros(lags * b + b - 1)
         symbol[b - 1] = wr[0]
-        symbol[b:b + n - 1] = wl[:-1] + wr[1:]
+        symbol[b:b + m - 1] = wl[:-1] + wr[1:]
         # windows[i] = symbol[i:i+b], a strided view (no copy); hankel_L is
         # windows[L*b:(L+1)*b]. numpy's sliding_window_view gives the same
         # view, but in long in-process runs a 939 KiB block allocated inside
         # it stayed alive (seen with tracemalloc).
         windows = np.ndarray((symbol.size - b + 1, b), buffer=symbol, strides=2 * symbol.strides)
         y = np.zeros((b, nb * c))
-        for lag in range(nb):
+        for lag in range(lags):
             hankel = np.ascontiguousarray(windows[lag * b:(lag + 1) * b])
             y[:, lag * c:] += hankel @ xr[:, :(nb - lag) * c]
+        if far:
+            # the left node of each block's first near cell: node 0 for blocks
+            # 0 and 1, block I's cutoff node (I-1)*b for the others
+            y[:, :c] += wl[:b, None] * cols[:, 0]
+            y[:, c:] += wl[b:, None] * cols[:, :(nb - 1) * b:b].T.ravel()
+            y[:, 2 * c:] += history
         res = y.reshape(b, nb, c).transpose(2, 1, 0).reshape(c, nb * b)[:, :n]
-        res += wl * cols[:, :1]
+        if not far:
+            res += wl * cols[:, :1]
     if not np.isfinite(res).all():
         raise ValueError(f"the order-{alpha} integral overflows at step {h}")
     out = np.zeros(rows.shape, dtype=np.complex128)

@@ -59,8 +59,11 @@ def _power_cell_correction(fvals: np.ndarray, h: float, x: float) -> float | Non
     """
     if len(fvals) < 3 or fvals[0] != 0.0 or fvals[1] <= 0.0 or fvals[2] <= 0.0:
         return None
-    p = math.log2(fvals[2] / fvals[1])
-    if not (0.0 < p < 8.0) or not math.isfinite(p):
+    ratio = fvals[2] / fvals[1]  # 0 or inf when it underflows or overflows
+    if not 0.0 < ratio < math.inf:
+        return None
+    p = math.log2(ratio)
+    if not 0.0 < p < 8.0:
         return None
     shape = 1.0 / (p + 1.0) - x * h / (p + 2.0)
     if shape <= 0.0:

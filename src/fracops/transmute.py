@@ -57,25 +57,18 @@ from .grid import (
     l1_distance,
     sample_array,
 )
-from .rl_core import _check_order, _gauss_legendre, rl_integral
+from .rl_core import _check_order, _sum_of_exponentials, rl_integral
 
 _BOUNDARY_TOL = 1e-12
 _JUMP_MATCH_TOL = 1e-9
 
-# The direct route's block kernel: nodes per block, grid nodes of exact near
-# field before each block, and the sum of exponentials behind the far field
-# (Gauss points per rule, and s * delta at its top, where e^(-s delta) < 5e-18).
+# The direct route's block kernel: nodes per block and grid nodes of exact
+# near field before each block; the far field's sum of exponentials is
+# rl_core's.
 _BLOCK = 64
 _NEAR = 4
 _BLOCK_ENTRIES = 65536  # most rows x mesh nodes of a block that reads whole prefixes
-_GAUSS_POINTS = 10
-_SOE_CUT = 40.0
-_GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(10)
-    (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-     0.9739065285171717),
-    (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
-     0.06667134430868814),
-)
+
 # Taylor coefficients in z of the two moments of _exponential_cell_moments,
 # (-1)^n / (n! (n+2)) and (-1)^n / (n! (n+1) (n+2)): 19 terms reach double
 # precision for z < 1
@@ -340,79 +333,6 @@ def _near_field(
     # cells no longer than 1e-15 max(1, |x|) keep only their left value
     m1 *= inv_du * (du > 1e-15 * np.maximum(1.0, np.abs(x))[:, None])
     return (m0 - m1) @ G[:, :-1] + m1 @ G[:, 1:]
-
-
-def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 < alpha < 1.
-
-    Golub-Welsch on the Jacobi matrix of (1 + x)^(-alpha) on [-1, 1], without
-    LAPACK (whose first call costs about 1 MB of resident memory): the
-    eigenvalues are bracketed by Sturm counts and polished by Newton steps on
-    the characteristic polynomial, and each weight is 1 / sum_k p_k(x)^2 for
-    the orthonormal polynomials p_k. The weights are positive and sum to 1.
-    """
-    n = _GAUSS_POINTS
-    b = -alpha
-    k = np.arange(n, dtype=np.float64)
-    diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
-    diag[0] = b / (b + 2.0)
-    k = k[1:]
-    c = 2.0 * k + b
-    off = 2.0 * k * (k - alpha) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
-    off2 = off * off
-
-    def ratios(lam):
-        # q_k = det(T_(k+1) - lam) / det(T_k - lam) and its derivative in lam
-        q, dq = diag[0] - lam, -np.ones_like(lam)
-        yield q, dq
-        for d, e2 in zip(diag[1:], off2):
-            q, dq = d - lam - e2 / q, -1.0 + e2 * dq / (q * q)
-            yield q, dq
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # eigenvalue i lies above exactly i of them: three 32-way multisections
-        lo, width = np.full(n, -1.0), 2.0
-        frac = np.arange(1, 32) / 32.0
-        for _ in range(3):
-            trial = lo[:, None] + width * frac
-            below = sum((q < 0.0).astype(np.intp) for q, _ in ratios(trial))
-            lo = lo + width * (below <= np.arange(n)[:, None]).sum(axis=1) / 32.0
-            width /= 32.0
-        x = lo + 0.5 * width
-        for _ in range(3):
-            step = 1.0 / sum(dq / q for q, dq in ratios(x))
-            x = np.clip(x - np.nan_to_num(step), lo, lo + width)
-    p_prev, p = np.zeros(n), np.ones(n)
-    norm = np.ones(n)
-    for d, e, e_prev in zip(diag[:-1], off, np.concatenate([[0.0], off[:-1]])):
-        p_prev, p = p, ((x - d) * p - e_prev * p_prev) / e
-        norm += p * p
-    return 0.5 * (x + 1.0), 1.0 / norm
-
-
-def _sum_of_exponentials(
-    alpha: float, delta: float, length: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates s_j and positive weights w_j with sum_j w_j e^(-s_j r) = r^(alpha-1).
-
-    For 0 < alpha < 1, r^(alpha-1) = int_0^inf s^(-alpha) e^(-s r) ds / Gamma(1-alpha).
-    Gauss-Jacobi with weight s^(-alpha) covers [0, 1/length] and
-    Gauss-Legendre each dyadic interval above it, up to _SOE_CUT / delta,
-    which leaves a tail below e^(-_SOE_CUT). The relative error stays near
-    2e-15 on [delta, length] for every alpha in (0, 1), and the count is
-    _GAUSS_POINTS * (1 + ceil(log2(_SOE_CUT * length / delta))), whatever alpha.
-    The rates come out sorted.
-    """
-    t, v = _gauss_jacobi(alpha)
-    # (1 - alpha) Gamma(1 - alpha) = Gamma(2 - alpha)
-    s_low = t / length
-    w_low = v * length ** (alpha - 1.0) / math.gamma(2.0 - alpha)
-    octaves = max(1, math.ceil(math.log2(_SOE_CUT * length / delta)))
-    lo = 2.0 ** np.arange(octaves)[:, None] / length
-    y, wy = _GAUSS_RULE
-    s_high = (lo * (1.0 + y)).ravel()
-    w_high = (lo * wy).ravel() * s_high ** (-alpha) / math.gamma(1.0 - alpha)
-    return np.concatenate([s_low, s_high]), np.concatenate([w_low, w_high])
 
 
 def _far_field_exponentials(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fracops import rl_core
 from fracops.grid import (
     BoxGridND,
     SampledFunction1D,
@@ -20,9 +21,12 @@ from fracops.grid import (
 from fracops.harness import TEST_FUNCTIONS
 from fracops.rl_core import (
     FAMILY_NAMES,
+    _FAR_FIELD_MIN,
     _FAR_RULE,
     _NEAR_RULE,
     _block_size,
+    _gauss_jacobi,
+    _sum_of_exponentials,
     estimate_order,
     make_family,
     product_quadrature_weights,
@@ -259,6 +263,7 @@ def test_weights_match_quadrature_oracle_at_every_distance():
 
 BLOCK = 128  # block edge for 128 < N < 32768; up to 128 nodes the matrix is one block
 WIDE = 32768  # first N with 256-node blocks
+FAR = _FAR_FIELD_MIN  # first N whose far field may come from the history
 RAMP = TEST_FUNCTIONS["ramp"]  # zero on [0, 0.3]
 
 
@@ -273,7 +278,9 @@ def _assert_exactly_nonnegative(f_vals, out, axis):
         assert np.all(out_row[:prefix] == 0.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 4096, WIDE])
+@pytest.mark.parametrize(
+    "n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 4096, FAR, FAR + 7, 2 * FAR, WIDE]
+)
 def test_positivity_is_exact_across_block_edges(n):
     assert _block_size(3 * BLOCK + 7) == BLOCK
     assert (_block_size(WIDE - 1), _block_size(WIDE)) == (BLOCK, 2 * BLOCK)
@@ -283,6 +290,92 @@ def test_positivity_is_exact_across_block_edges(n):
         _assert_exactly_nonnegative(f.values, rl_integral(alpha, f).values, 0)
         for axis in (0, 1):
             _assert_exactly_nonnegative(*_swept_batch(alpha, g, RAMP, axis), axis)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 1.001, 1.5, 2.0, 3.3, 20.0])
+def test_far_field_nodes_are_within_1e14_of_their_exact_sums(alpha, monkeypatch):
+    # the history serves every block from the third on (at 2 FAR nodes every
+    # order here takes it); the last block is ragged. Checked at the first
+    # nodes, both sides of five block edges, a stride and the last nodes.
+    calls = []
+    far_field = rl_core._far_field
+    monkeypatch.setattr(rl_core, "_far_field", lambda *args: calls.append(1) or far_field(*args))
+    n = 2 * FAR + 7
+    g = UniformGrid1D(0.0, 1.0, n)
+    edges = BLOCK * np.array([1, 2, 3, 17, n // BLOCK])
+    nodes = np.concatenate((np.arange(1, 4), edges, edges + 1, np.arange(1, n, 613), [n - 1, n]))
+    nodes = np.unique(nodes)
+
+    def assert_near_exact(values, got):
+        assert got[0] == 0.0
+        sums = _exact_node_sums(alpha, g.h, values, nodes)
+        for (ref, mass), out in zip(sums, (got.real, got.imag)):
+            assert np.all(np.abs(out[nodes] - ref) <= 1e-14 * mass)
+
+    real_expr = lambda t: np.cos(40.0 * t) + 0.2
+    complex_expr = lambda t: real_expr(t) + 1j * (np.sin(7.0 * t) - 0.3)
+    for expr in (complex_expr, real_expr):
+        f = sample(expr, g)
+        out = rl_integral(alpha, f).values
+        assert_near_exact(f.values, out)
+        if expr is real_expr:
+            assert np.all(out.imag == 0.0)
+    for axis in (0, 1):
+        f_vals, batch = _mixed_batch(alpha, g, real_expr, complex_expr, axis)
+        rows_in, rows_out = np.moveaxis(f_vals, axis, -1), np.moveaxis(batch, axis, -1)
+        assert np.all(rows_out[[0, 2]].imag == 0.0)
+        for row_in, row_out in zip(rows_in, rows_out):
+            assert_near_exact(row_in, row_out)
+    assert len(calls) == 4
+
+
+def test_far_field_keeps_the_non_finite_and_overflow_messages():
+    vals = np.ones(FAR + 1, dtype=complex)
+    vals[5000] = math.nan
+    f = SampledFunction1D(UniformGrid1D(0.0, 1.0, FAR), vals)
+    for alpha in (0.5, 2.5):
+        with pytest.raises(ValueError, match=r"non-finite sample at node index 5000\b"):
+            rl_integral(alpha, f)
+    # every sample is finite, the integral is not
+    huge = np.full(FAR + 1, 1e307, dtype=complex)
+    f = SampledFunction1D(UniformGrid1D(0.0, 12.5 * FAR, FAR), huge)
+    for alpha in (0.5, 2.0, 2.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            message = rf"the order-{alpha} integral overflows at step 12\.5"
+            with pytest.raises(ValueError, match=message):
+                rl_integral(alpha, f)
+
+
+def test_sum_of_exponentials_is_uniform_in_alpha():
+    # the count depends on R / delta only, so alpha -> 1 costs no more time
+    # or memory, and the kernel error stays near rounding
+    delta, length = 4.0 / 4096.0, 2.0
+    r = np.geomspace(delta, length, 2001)
+    counts = set()
+    for alpha in (1e-8, 0.5, 0.999, 1.0 - 1e-9):
+        s, w = _sum_of_exponentials(alpha, delta, length)
+        counts.add(len(s))
+        assert np.all(w > 0.0) and np.all(np.diff(s) > 0.0)
+        kernel = np.exp(-np.outer(r, s)) @ w
+        assert np.abs(kernel / r ** (alpha - 1.0) - 1.0).max() < 5e-15, alpha
+    assert counts == {10 * (1 + math.ceil(math.log2(40.0 * length / delta)))}
+    assert counts == {180}
+
+
+def test_gauss_jacobi_matches_lapack():
+    # the rule behind the history's slowest exponentials, against Golub-Welsch by LAPACK
+    for alpha in (1e-8, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+        t, v = _gauss_jacobi(alpha)
+        n = len(t)
+        k = np.arange(1.0, n)
+        b = -alpha
+        diag = np.array([b / (b + 2.0)] + [b * b / ((2 * j + b) * (2 * j + b + 2)) for j in k])
+        off = 2 * k * (k + b) / ((2 * k + b) * np.sqrt((2 * k + b + 1) * (2 * k + b - 1)))
+        x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.abs(t - 0.5 * (x + 1.0)).max() < 1e-15, alpha
+        assert np.abs(v - vec[0] ** 2).max() < 5e-14, alpha
+        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15
 
 
 @settings(max_examples=30, deadline=None)

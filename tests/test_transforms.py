@@ -117,6 +117,18 @@ def test_non_finite_transform_names_the_sample_or_the_overflow():
             laplace_transform_nd(SampledFunctionND(wide, np.full(wide.shape, 1e308)), (1e-3, 1e-3))
 
 
+def test_power_correction_skips_a_ratio_out_of_range():
+    # f(t_2) / f(t_1) underflows to 0 (or overflows): no power law to fit, so
+    # the first cell keeps the plain trapezoid value
+    grid = UniformGrid1D(0.0, 1.0, 8)
+    for head in ((1e300, 1e-300), (1e-300, 1e300)):
+        vals = np.array([0.0, *head] + [1.0] * 6)
+        g = vals * np.exp(-grid.nodes)
+        trapezoid = math.fsum(grid.h * np.concatenate(([0.5 * g[0]], g[1:-1], [0.5 * g[-1]])))
+        got = laplace_transform(SampledFunction1D(grid, vals), 1.0).value
+        assert math.isclose(got, trapezoid, rel_tol=1e-15)
+
+
 def test_tail_bound_soundness():
     f = rl_integral(0.5, ones_on(40.0, 16384))
     bound = (1.0 / gamma(1.5), 0.5)

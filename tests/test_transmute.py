@@ -19,10 +19,8 @@ from fracops.transmute import (
     _BLOCK,
     _NEAR,
     _far_field_exponentials,
-    _gauss_jacobi,
     _image_mesh,
     _pieces,
-    _sum_of_exponentials,
     identity_integrator,
     integrator_from_dict,
     integrator_to_dict,
@@ -471,37 +469,6 @@ def test_transmutation_residual_builds_one_mesh_and_one_exponential_sum(monkeypa
     res = transmutation_residual(0.5, unit_jump_integrator(), [np.ones_like, lambda t: t], 4096)
     assert counts == {"_image_mesh": 1, "_sum_of_exponentials": 1}
     assert len(res) == 2
-
-
-def test_sum_of_exponentials_is_uniform_in_alpha():
-    # the count depends on R / delta only, so alpha -> 1 costs no more time
-    # or memory, and the kernel error stays near rounding
-    delta, length = 4.0 / 4096.0, 2.0
-    r = np.geomspace(delta, length, 2001)
-    counts = set()
-    for alpha in (1e-8, 0.5, 0.999, 1.0 - 1e-9):
-        s, w = _sum_of_exponentials(alpha, delta, length)
-        counts.add(len(s))
-        assert np.all(w > 0.0) and np.all(np.diff(s) > 0.0)
-        kernel = np.exp(-np.outer(r, s)) @ w
-        assert np.abs(kernel / r ** (alpha - 1.0) - 1.0).max() < 5e-15, alpha
-    assert counts == {10 * (1 + math.ceil(math.log2(40.0 * length / delta)))}
-    assert counts == {180}
-
-
-def test_gauss_jacobi_matches_lapack():
-    # the rule behind the history's slowest exponentials, against Golub-Welsch by LAPACK
-    for alpha in (1e-8, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-9):
-        t, v = _gauss_jacobi(alpha)
-        n = len(t)
-        k = np.arange(1.0, n)
-        b = -alpha
-        diag = np.array([b / (b + 2.0)] + [b * b / ((2 * j + b) * (2 * j + b + 2)) for j in k])
-        off = 2 * k * (k + b) / ((2 * k + b) * np.sqrt((2 * k + b + 1) * (2 * k + b - 1)))
-        x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        assert np.abs(t - 0.5 * (x + 1.0)).max() < 1e-15, alpha
-        assert np.abs(v - vec[0] ** 2).max() < 5e-14, alpha
-        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15
 
 
 def test_far_field_count_grows_logarithmically_for_flat_integrator():
