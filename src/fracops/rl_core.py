@@ -137,49 +137,21 @@ _GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(
 def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 < alpha < 1.
 
-    Golub-Welsch on the Jacobi matrix of (1 + x)^(-alpha) on [-1, 1], without
-    LAPACK (whose first call costs about 1 MB of resident memory): the
-    eigenvalues are bracketed by Sturm counts and polished by Newton steps on
-    the characteristic polynomial, and each weight is 1 / sum_k p_k(x)^2 for
-    the orthonormal polynomials p_k. The weights are positive and sum to 1.
+    Golub-Welsch (Math. Comp. 23, 1969) on the Jacobi matrix of
+    (1 + x)^(-alpha) on [-1, 1]: the nodes are its eigenvalues, in ascending
+    order, and the weights the squared first components of its eigenvectors,
+    divided by their sum, so they are positive and sum to 1.
     """
-    n = _GAUSS_POINTS
     b = -alpha
-    k = np.arange(n, dtype=np.float64)
+    k = np.arange(_GAUSS_POINTS, dtype=np.float64)
     diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
     diag[0] = b / (b + 2.0)
     k = k[1:]
     c = 2.0 * k + b
     off = 2.0 * k * (k - alpha) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
-    off2 = off * off
-
-    def ratios(lam):
-        # q_k = det(T_(k+1) - lam) / det(T_k - lam) and its derivative in lam
-        q, dq = diag[0] - lam, -np.ones_like(lam)
-        yield q, dq
-        for d, e2 in zip(diag[1:], off2):
-            q, dq = d - lam - e2 / q, -1.0 + e2 * dq / (q * q)
-            yield q, dq
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # eigenvalue i lies above exactly i of them: three 32-way multisections
-        lo, width = np.full(n, -1.0), 2.0
-        frac = np.arange(1, 32) / 32.0
-        for _ in range(3):
-            trial = lo[:, None] + width * frac
-            below = sum((q < 0.0).astype(np.intp) for q, _ in ratios(trial))
-            lo = lo + width * (below <= np.arange(n)[:, None]).sum(axis=1) / 32.0
-            width /= 32.0
-        x = lo + 0.5 * width
-        for _ in range(3):
-            step = 1.0 / sum(dq / q for q, dq in ratios(x))
-            x = np.clip(x - np.nan_to_num(step), lo, lo + width)
-    p_prev, p = np.zeros(n), np.ones(n)
-    norm = np.ones(n)
-    for d, e, e_prev in zip(diag[:-1], off, np.concatenate([[0.0], off[:-1]])):
-        p_prev, p = p, ((x - d) * p - e_prev * p_prev) / e
-        norm += p * p
-    return 0.5 * (x + 1.0), 1.0 / norm
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    v = vec[0] ** 2
+    return 0.5 * (x + 1.0), v / v.sum()
 
 
 def _octaves(delta: float, length: float) -> int:
@@ -302,25 +274,18 @@ def _far_field(alpha: float, h: float, cols: np.ndarray, b: int) -> np.ndarray:
 
 
 def _block_size(n: int) -> int:
-    """Toeplitz block edge for n nodes: one block up to 128 nodes, then 128, and 256 from 32768.
+    """Toeplitz block edge for n nodes: one block up to 128 nodes, then 128.
 
-    Timed on one core with one GEMM column per real row. At n = 16384, one
-    row took 4.9 ms with 128-node blocks against 5.3 ms with 256, and two
-    rows 8.1 against 8.3 ms, while 4 to 17 rows ran 3-5% faster with 256;
-    at n = 32768, 4 to 17 rows ran 4-7% faster with 256. For n = 256..4096
+    Timed on one core with one GEMM column per real row. For n = 256..4096
     and 1 to 257 rows, 128 was within 9% of the fastest of 64, 128 and 256;
     sqrt(n)-sized blocks ran up to 1.5x slower, because their n/B GEMM
-    calls are each too small.
-
-    Those timings are of the full GEMM. A sweep whose far field comes from
-    the history (``_far_field``) uses the same blocks as its segments: at
-    n = 8192, 16384 and 32768, alpha = 0.5 and 1.5, and 1 or 8 rows, 128
-    was within 15% of the fastest of 64, 128 and 256, and 256 ran 4-13%
-    slower than 128 at n = 32768.
+    calls are each too small. A sweep whose far field comes from the history
+    (``_far_field``) uses the same blocks as its segments: at n = 8192,
+    16384 and 32768, alpha = 0.5 and 1.5, and 1 or 8 rows, 128 was within
+    15% of the fastest of 64, 128 and 256, and 256 ran 4-13% slower than
+    128 at n = 32768.
     """
-    if n <= 128:
-        return n
-    return 128 if n < 32768 else 256
+    return min(n, 128)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing result is rejected below
@@ -349,15 +314,16 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
     every cell left of node (I-1)*B from ``_far_field``. That costs
     O(n (J (k+1) + B)) time and O(n J (k+1) / B) temporaries per column,
     with J = 10 (1 + ceil(log2(40 n / (B+1)))) rates (130 at n = 8192, 140
-    at 16384) and J = 1 at integer orders. So every integer order takes it,
-    the others up to k = 2 at n = 8192, k = 6 at 16384 and k = 13 at 32768,
-    and every accepted order from n = 65536. Each node stays within about
-    4e-15 of the sum of its exact rule's term magnitudes. Timed on one core
-    with one row, history against full GEMM: at n = 8192, 1.7 against 3.4 ms
-    for alpha = 0.5, 1.9 against 2.9 ms for alpha = 2.5, but 2.8 against
-    2.6 ms for alpha = 3.5 (k = 3); at n = 16384, 1.7 against 8.2 ms for
-    alpha = 0.5, 2.3 against 8.0 ms for alpha = 1.5 and 5.9 against 8.5 ms
-    for alpha = 7.5; at n = 4096, 1.1 against 0.9 ms for alpha = 0.5.
+    at 16384, 150 at 32768) and J = 1 at integer orders. So every integer
+    order takes it, the others up to k = 2 at n = 8192, k = 6 at 16384 and
+    k = 12 at 32768, and every accepted order from n = 65536. Each node
+    stays within about 4e-15 of the sum of its exact rule's term
+    magnitudes. Timed on one core with one row, history against full GEMM:
+    at n = 8192, 1.7 against 3.4 ms for alpha = 0.5, 1.9 against 2.9 ms for
+    alpha = 2.5, but 2.8 against 2.6 ms for alpha = 3.5 (k = 3); at
+    n = 16384, 1.7 against 8.2 ms for alpha = 0.5, 2.3 against 8.0 ms for
+    alpha = 1.5 and 5.9 against 8.5 ms for alpha = 7.5; at n = 4096, 1.1
+    against 0.9 ms for alpha = 0.5.
 
     What holds by construction:
 

@@ -53,6 +53,7 @@ import numpy as np
 from .grid import (
     SampledFunction1D,
     UniformGrid1D,
+    _finite_samples,
     _require_same_grid,
     l1_distance,
     sample_array,
@@ -449,12 +450,9 @@ def rl_wrt_phi_direct(
     grid = gs[0].grid
     for other in gs[1:]:
         _require_same_grid(gs[0], other)
-    u, ends, live, G = _image_mesh(phi, grid, [f.values for f in gs])
     for f in gs:
-        bad = np.flatnonzero(~np.isfinite(f.values))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"non-finite sample at node index {k} (t={grid.nodes[k]})")
+        _finite_samples(grid, grid.nodes, f.values)
+    u, ends, live, G = _image_mesh(phi, grid, [f.values for f in gs])
     # G[p] is function p on the mesh, its real and imaginary parts as columns
     G = G.view(np.float64).reshape(len(gs), -1, 2)
     x = u[ends - 1]
@@ -509,9 +507,11 @@ def rl_wrt_phi_transmuted(
 
     It shares only phi with the direct route: the composition reads phi(t_m)
     from ``Integrator.value``, with t_m clamped to T so that a last node past T
-    by an ulp reads phi(T).
+    by an ulp reads phi(T). A non-finite sample of g is a ``ValueError`` that
+    names its node index and t on g's grid, as on the direct route.
     """
     alpha = _check_order(alpha)
+    _finite_samples(g.grid, g.grid.nodes, g.values)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
     x = phi.value(np.minimum(g.grid.nodes, phi.T))

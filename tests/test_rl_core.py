@@ -261,8 +261,8 @@ def test_weights_match_quadrature_oracle_at_every_distance():
             assert abs(wr[d - 1] / (scale * right) - 1.0) <= 1e-14, (alpha, d)
 
 
-BLOCK = 128  # block edge for 128 < N < 32768; up to 128 nodes the matrix is one block
-WIDE = 32768  # first N with 256-node blocks
+BLOCK = 128  # block edge from N = 128 on; up to 128 nodes the matrix is one block
+WIDE = 32768  # the largest N here; orders up to 13 read the history there
 FAR = _FAR_FIELD_MIN  # first N whose far field may come from the history
 RAMP = TEST_FUNCTIONS["ramp"]  # zero on [0, 0.3]
 
@@ -283,7 +283,7 @@ def _assert_exactly_nonnegative(f_vals, out, axis):
 )
 def test_positivity_is_exact_across_block_edges(n):
     assert _block_size(3 * BLOCK + 7) == BLOCK
-    assert (_block_size(WIDE - 1), _block_size(WIDE)) == (BLOCK, 2 * BLOCK)
+    assert (_block_size(WIDE - 1), _block_size(WIDE)) == (BLOCK, BLOCK)
     g = UniformGrid1D(0.0, 1.0, n)
     f = sample(RAMP, g)
     for alpha in (0.05, 0.3, 2.5, 7.0):
@@ -363,19 +363,16 @@ def test_sum_of_exponentials_is_uniform_in_alpha():
     assert counts == {180}
 
 
-def test_gauss_jacobi_matches_lapack():
-    # the rule behind the history's slowest exponentials, against Golub-Welsch by LAPACK
+def test_gauss_jacobi_is_exact_to_degree_19():
+    # the rule behind the history's slowest exponentials: 10 Gauss points
+    # integrate t^m exactly against (1 - alpha) t^(-alpha) for m <= 19
+    m = np.arange(20.0)
     for alpha in (1e-8, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-9):
         t, v = _gauss_jacobi(alpha)
-        n = len(t)
-        k = np.arange(1.0, n)
-        b = -alpha
-        diag = np.array([b / (b + 2.0)] + [b * b / ((2 * j + b) * (2 * j + b + 2)) for j in k])
-        off = 2 * k * (k + b) / ((2 * k + b) * np.sqrt((2 * k + b + 1) * (2 * k + b - 1)))
-        x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        assert np.abs(t - 0.5 * (x + 1.0)).max() < 1e-15, alpha
-        assert np.abs(v - vec[0] ** 2).max() < 5e-14, alpha
-        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15
+        moments = (t[:, None] ** m * v[:, None]).sum(axis=0)
+        assert np.abs(moments - (1.0 - alpha) / (m + 1.0 - alpha)).max() <= 2e-15, alpha
+        assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < 1.0, alpha
+        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15, alpha
 
 
 @settings(max_examples=30, deadline=None)

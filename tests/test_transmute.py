@@ -454,6 +454,19 @@ def test_direct_overflow_names_the_order():
             rl_wrt_phi_direct(0.5, unit_jump_integrator(), bad)
 
 
+def test_both_routes_name_a_non_finite_sample_by_its_grid_node():
+    # node 2 of 8 is t = 0.25; the pulled-back image grid has its own indices,
+    # so the transmuted route must check g before it pulls it back
+    grid = UniformGrid1D(0.0, 1.0, 8)
+    vals = np.ones(9)
+    vals[2] = np.inf
+    g = SampledFunction1D(grid, vals)
+    message = "non-finite sample at node index 2 (t=0.25)"
+    for route in (rl_wrt_phi_direct, rl_wrt_phi_transmuted):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            route(0.5, off_grid_jump_integrator(), g)
+
+
 def test_transmutation_residual_builds_one_mesh_and_one_exponential_sum(monkeypatch):
     counts = {"_image_mesh": 0, "_sum_of_exponentials": 0}
     for name in counts:
