@@ -19,7 +19,7 @@ from .harness import TEST_FUNCTIONS, RunConfig, reports_to_json, run_matrix
 from .rl_core import FAMILY_NAMES, make_family
 from .transforms import fit_affine, semigroup_table
 
-DEFAULT_LAPLACE_N = 16384
+DEFAULT_LAPLACE_N = 4096
 TRANSMUTE_TOL = 5e-3
 RIESZ_TOL = 1e-12
 

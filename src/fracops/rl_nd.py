@@ -54,13 +54,30 @@ def _corner_at_zero(grid: BoxGridND) -> None:
         raise ValueError(f"truncated convolution requires left corner 0, got {grid.corner}")
 
 
+def _fft_length(n: int) -> int:
+    """Least 2*3*5-smooth length >= n, a fast size for pocketfft."""
+    best = 1 << (n - 1).bit_length()  # a power of two always qualifies
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> SampledFunctionND:
     """Box-truncated convolution (R_h f)(t) = integral over [0, t] of h(s) f(t-s) ds.
 
     The trapezoid rule on [0, t] at every node t, taken as one causal
     convolution (see the module docstring) by zero-padded real FFTs of the
     real and imaginary parts; when both inputs are real, of the real parts
-    alone. It matches per-node sums only to rounding, so zeros inside the box
+    alone. Each axis of n nodes is padded to the least 2*3*5-smooth length
+    >= 2n - 1 (200, not the prime 193, for 97 nodes). It matches per-node sums only to rounding, so zeros inside the box
     and nonnegativity are exact only to rounding. Exact: 0 on the lower faces
     (degenerate boxes), 0 for zero input, and real output for real inputs.
     """
@@ -69,7 +86,7 @@ def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> Sampled
     _corner_at_zero(h.grid)
     grid = h.grid
     axes = tuple(range(grid.dim))
-    size = tuple(2 * n - 1 for n in grid.shape)
+    size = tuple(_fft_length(2 * n - 1) for n in grid.shape)
     real = h.is_real and f.is_real
     spectra = []
     for values in (h.values, f.values):

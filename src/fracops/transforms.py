@@ -1,16 +1,28 @@
 """Laplace transforms on a truncated half line, semigroup tables, and fits.
 
-Transforms are computed on [0, T_big] by the composite trapezoid rule and
-reported together with an explicit error ledger: a certified tail bound
-(via the upper incomplete gamma function, for integrands with a declared
-polynomial growth bound) and a conservative quadrature-error estimate.
+Transforms are computed on [0, T_big] by the composite trapezoid rule with
+end corrections and reported together with an explicit error ledger: a
+certified tail bound (via the upper incomplete gamma function, for
+integrands with a declared polynomial growth bound) and a conservative
+quadrature-error estimate.
 
 Two refinements keep the tables accurate enough to fit on a log scale:
 
-* when the integrand vanishes at the origin like a power t^p, the first
-  cell is integrated against a local power-law model with p estimated from
-  the first two samples (the plain trapezoid loses O(h^(1+p)) there, which
-  dominates everything else for p < 1);
+* the trapezoid weights of the m = 8 nodes next to each end are corrected
+  so that the first m terms of the generalized Euler-Maclaurin expansion of
+  the error cancel (Navot, J. Math. Phys. 40, 1961; Lyness-Ninham, Math.
+  Comp. 21, 1967; end corrections as in Kapur-Rokhlin, SINUM 34, 1997).
+  Where the integrand behaves like t^p times a smooth function at 0, the
+  left weights c_1..c_m solve sum_k c_k k^(p+j) = -zeta(-p-j) for j < m,
+  with p = log2(f(2h)/f(h)); p is used only when f(0) = 0 and the samples
+  at h, 2h and 4h look like a clean power, in every fibre of an nD sample
+  alike. Otherwise, and always at the right end, the end is regular (p = 0,
+  where the half weight of the end node makes the j = 0 term vanish). The
+  weights depend on p alone, not on the grid, and are cached per p; they
+  are not all positive, and grids of fewer than 2m cells keep the plain
+  trapezoid rule. At N = 4096 on [0, 40] the transform of I^alpha 1 is
+  within about 1e-11 relative of the exact truncated value for alpha in
+  [0.25, 2] and x in [1, 8]; the plain rule was off by up to 8e-4;
 * transforms of the singular convolution kernel t^(alpha-1)/Gamma(alpha)
   integrate the piecewise-linear interpolant of the exponential factor
   against the product-quadrature kernel moments (exact on the singular
@@ -23,6 +35,7 @@ checking well-posedness of each new value against distinct decompositions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,10 +49,16 @@ from .grid import (
     SampledFunction1D,
     SampledFunctionND,
     UniformGrid1D,
-    trapezoid_weights,
 )
 from .rl_core import OperatorFamily1D, _check_order, product_quadrature_weights
-from .special import upper_gamma
+from .special import upper_gamma, zeta_neg
+
+# End corrections: nodes corrected next to each end, the largest exponent of
+# a power end, and how closely the estimates of that exponent must agree
+_END_NODES = 8
+_MAX_END_POWER = 8.0
+_POWER_TOL = 1e-9
+_HEAD = [0, 1, 2, 4]  # the nodes an end's exponent is read from
 
 
 @dataclass(frozen=True)
@@ -51,24 +70,64 @@ class LaplaceValue:
     quad_error_estimate: float
 
 
-def _power_cell_correction(fvals: np.ndarray, h: float, x: float) -> float | None:
-    """Replacement for the first trapezoid cell when f vanishes like t^p at 0.
+@functools.lru_cache(maxsize=64)
+def _end_correction(p: float) -> np.ndarray:
+    """Corrections c_1..c_m of the unit trapezoid weights at the m nodes next to an end.
 
-    Returns the model value of the cell integral, or None when the data does
-    not look like a clean power (the caller then keeps the trapezoid cell).
+    They solve sum_k c_k k^(p+j) = -zeta(-p-j), j < m, for an integrand that
+    behaves like t^p times a smooth function at the end; p = 0 is a regular
+    end, whose j = 0 equation reads sum_k c_k = 0.
     """
-    if len(fvals) < 3 or fvals[0] != 0.0 or fvals[1] <= 0.0 or fvals[2] <= 0.0:
-        return None
-    ratio = fvals[2] / fvals[1]  # 0 or inf when it underflows or overflows
-    if not 0.0 < ratio < math.inf:
-        return None
-    p = math.log2(ratio)
-    if not 0.0 < p < 8.0:
-        return None
-    shape = 1.0 / (p + 1.0) - x * h / (p + 2.0)
-    if shape <= 0.0:
-        return None
-    return fvals[1] * h * shape
+    k = np.arange(1, _END_NODES + 1, dtype=np.float64)
+    q = p + np.arange(_END_NODES)
+    rhs = [0.0 if v == 0.0 else -zeta_neg(v) for v in q]
+    c = np.linalg.solve(k[None, :] ** q[:, None], rhs)
+    c.flags.writeable = False
+    return c
+
+
+def end_corrected_weights(n: int, p: float = 0.0) -> np.ndarray:
+    """Unit-step trapezoid weights of n cells, corrected at both ends.
+
+    The left end is corrected for an integrand like t^p (p = 0: regular),
+    the right end as a regular one; fewer than 2m cells keep the plain rule.
+    """
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 0.5
+    if n >= 2 * _END_NODES:
+        w[1 : _END_NODES + 1] += _end_correction(p)
+        w[n - _END_NODES : n] += _end_correction(0.0)[::-1]
+    return w
+
+
+def _end_power(head: np.ndarray) -> float:
+    """Exponent p of the power t^p that samples start with; 0 for a regular end.
+
+    ``head`` holds the samples at nodes 0, 1, 2 and 4 along its first axis,
+    one column per fibre. p = log2(f(2h)/f(h)) is taken only when every
+    fibre nonzero there vanishes at node 0, and the ratios f(2h)/f(h) and
+    f(4h)/f(2h) of all of them give one p in (0, 8) to within 1e-9.
+    """
+    f0, f1, f2, f4 = head.reshape(4, -1)
+    live = (f0 != 0.0) | (f1 != 0.0) | (f2 != 0.0) | (f4 != 0.0)
+    if not live.any() or np.any(f0[live] != 0.0):
+        return 0.0
+    # a zero, negative or overflowing ratio gives -inf, NaN or inf: no power
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ps = np.log2(np.concatenate([f2[live] / f1[live], f4[live] / f2[live]]))
+    lo, hi = ps.min(), ps.max()
+    if not (0.0 < lo and hi < _MAX_END_POWER and hi - lo <= _POWER_TOL):
+        return 0.0
+    return float(ps[0])
+
+
+def _transform_weights(values: np.ndarray, axis: int) -> np.ndarray:
+    """End-corrected unit-step weights along ``axis``, left end read from ``values``."""
+    n = values.shape[axis] - 1
+    p = 0.0
+    if n >= 2 * _END_NODES:
+        p = _end_power(np.moveaxis(np.take(values, _HEAD, axis=axis), axis, 0))
+    return end_corrected_weights(n, p)
 
 
 def laplace_transform(
@@ -76,7 +135,7 @@ def laplace_transform(
     x: float,
     growth_bound: tuple[float, float] | None = None,
 ) -> LaplaceValue:
-    """Trapezoid transform of a real sampled function on [0, T_big] at x > 0.
+    """End-corrected trapezoid transform of a real sampled function on [0, T_big] at x > 0.
 
     ``growth_bound = (C, p)`` declares |f(s)| <= C * s^p for s >= T_big; the
     certified tail C * integral_{T_big}^inf s^p e^(-sx) ds is then evaluated
@@ -84,38 +143,49 @@ def laplace_transform(
     A value that is not finite is a ``ValueError`` naming the first
     non-finite sample or, for finite samples, the overflow.
     """
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"transform point must be positive and finite, got x={x}")
+    return _laplace_transforms(f, (x,), growth_bound)[0]
+
+
+def _laplace_transforms(
+    f: SampledFunction1D,
+    xs: Sequence[float],
+    growth_bound: tuple[float, float] | None = None,
+) -> list[LaplaceValue]:
+    """``laplace_transform`` at each of ``xs``, reading f's weights once."""
+    xs = [float(x) for x in xs]
+    for x in xs:
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"transform point must be positive and finite, got x={x}")
     if f.grid.a != 0.0:
         raise ValueError(f"transform grid must start at 0, got a={f.grid.a}")
     fvals = f.real_values
     h = f.grid.h
     t = f.grid.nodes
-    # where x t overflows e^(-x t) is rightly 0; an overflowing value is rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = fvals * np.exp(-x * t)
-        value = h * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
-        correction = _power_cell_correction(fvals, h, x)
-        if correction is not None:
-            value = value - 0.5 * h * (g[0] + g[1]) + correction
-        quad_est = (h / 3.0) * float(np.abs(np.diff(g, 2)).sum())
-    if not math.isfinite(value):
-        bad = np.flatnonzero(~np.isfinite(fvals))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"non-finite sample at node index {k} (t={t[k]})")
-        raise ValueError(f"transform value at x={x} overflows on [0, {f.grid.T}]")
-    tail = None
-    if growth_bound is not None:
-        c, p = float(growth_bound[0]), float(growth_bound[1])
-        if c < 0.0 or p < 0.0:
-            raise ValueError(f"tail-bound parameters must be nonnegative, got C={c}, p={p}")
-        try:
-            tail = c * x ** (-(p + 1.0)) * upper_gamma(p + 1.0, x * f.grid.T)
-        except OverflowError:
-            raise ValueError(f"tail bound overflows at x={x} (C={c}, p={p})") from None
-    return LaplaceValue(float(value), tail, quad_est)
+    w = _transform_weights(fvals, 0)
+    out = []
+    for x in xs:
+        # where x t overflows e^(-x t) is rightly 0; an overflowing value is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = fvals * np.exp(-x * t)
+            value = h * float((w * g).sum())
+            quad_est = (h / 3.0) * float(np.abs(np.diff(g, 2)).sum())
+        if not math.isfinite(value):
+            bad = np.flatnonzero(~np.isfinite(fvals))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(f"non-finite sample at node index {k} (t={t[k]})")
+            raise ValueError(f"transform value at x={x} overflows on [0, {f.grid.T}]")
+        tail = None
+        if growth_bound is not None:
+            c, p = float(growth_bound[0]), float(growth_bound[1])
+            if c < 0.0 or p < 0.0:
+                raise ValueError(f"tail-bound parameters must be nonnegative, got C={c}, p={p}")
+            try:
+                tail = c * x ** (-(p + 1.0)) * upper_gamma(p + 1.0, x * f.grid.T)
+            except OverflowError:
+                raise ValueError(f"tail bound overflows at x={x} (C={c}, p={p})") from None
+        out.append(LaplaceValue(value, tail, quad_est))
+    return out
 
 
 def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> LaplaceValue:
@@ -153,7 +223,11 @@ def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> La
 
 
 def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
-    """Tensorized trapezoid transform over a box with left corner 0.
+    """Tensorized end-corrected trapezoid transform over a box with left corner 0.
+
+    Each axis takes the weights of ``laplace_transform``, with p read from
+    every fibre along that axis: a fibre that is zero at nodes 0, h, 2h and
+    4h has no say, and fibres that disagree leave the end regular.
 
     A value that is not finite is a ``ValueError`` naming the first
     non-finite sample by node index or, for finite samples, the overflow.
@@ -167,11 +241,12 @@ def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
         raise ValueError("transform box must have left corner 0")
     if not f.is_real:
         raise ValueError("transform requires a real-valued function")
-    acc = f.values.real.copy()
+    vals = f.values.real
+    acc = vals.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for axis in range(f.grid.dim - 1, -1, -1):
             g = f.grid.axes[axis]
-            w = trapezoid_weights(g.h, g.N) * np.exp(-xs[axis] * g.nodes)
+            w = g.h * _transform_weights(vals, axis) * np.exp(-xs[axis] * g.nodes)
             acc = np.tensordot(acc, w, axes=([axis], [0]))
     value = float(acc)
     if not math.isfinite(value):
@@ -260,8 +335,7 @@ def semigroup_table(
                 f"family {family.name!r} is not real-valued on 1 at order {a}"
             )
         bound = family.growth_of_one(a)
-        for j, x in enumerate(xs):
-            res = laplace_transform(out, x, growth_bound=bound)
+        for j, (x, res) in enumerate(zip(xs, _laplace_transforms(out, xs, bound))):
             if res.value <= 0.0:
                 raise ValueError(
                     f"nonpositive transform entry for family {family.name!r} "

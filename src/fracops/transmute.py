@@ -6,6 +6,10 @@ An integrator phi is a piecewise-smooth strictly increasing function on
 * the pointwise value at a jump point is the right limit;
 * segment images are closed intervals with exactly computed endpoints, so
   pushforward measures are assertable;
+* consecutive segments meet, and a declared domain matches the segments,
+  to within a few ulps of max(|a|, |T|) plus 1e-12 of T - a, so a hole or
+  overlap is judged on the domain's own scale (image gaps and jump sizes
+  still take absolute tolerances);
 * jumps contribute no mass: the pushforward of Lebesgue measure assigns an
   interval the total length of its image, and single points are null;
 * when pulling a function back to the image domain, the open gaps that
@@ -60,7 +64,12 @@ from .grid import (
 )
 from .rl_core import _check_order, _sum_of_exponentials, rl_integral
 
-_BOUNDARY_TOL = 1e-12
+# segment ends that should meet, and the declared domain against the
+# segments, are judged on the domain's own scale (_boundary_tol); image gaps
+# and jump sizes still take absolute tolerances
+_BOUNDARY_ULPS = 4.0
+_BOUNDARY_MARGIN = 1e-12
+_GAP_TOL = 1e-12
 _JUMP_MATCH_TOL = 1e-9
 
 # The direct route's block kernel: nodes per block and grid nodes of exact
@@ -92,8 +101,8 @@ class Segment:
     def __post_init__(self):
         if self.kind not in ("poly", "exp"):
             raise ValueError(f"segment kind must be 'poly' or 'exp', got {self.kind!r}")
-        if not self.lo < self.hi:
-            raise ValueError(f"segment needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"segment needs finite lo < hi, got [{self.lo}, {self.hi}]")
         coeffs = tuple(float(c) for c in self.coefficients)
         if self.kind == "exp" and len(coeffs) != 3:
             raise ValueError("exp segments take coefficients (c0, c1, c2)")
@@ -117,6 +126,12 @@ class Jump:
     def __post_init__(self):
         if not 0.0 < self.size < math.inf:
             raise ValueError(f"jump sizes must be positive and finite, got {self.size}")
+
+
+def _boundary_tol(a: float, T: float) -> float:
+    """A few ulps of max(|a|, |T|) plus a relative margin of T - a."""
+    ulps = _BOUNDARY_ULPS * np.finfo(np.float64).eps * max(abs(a), abs(T))
+    return ulps + 2.0 * _BOUNDARY_MARGIN * (0.5 * T - 0.5 * a)  # halves: T - a may overflow
 
 
 def _strictly_increasing(seg: Segment) -> bool:
@@ -147,11 +162,15 @@ class Integrator:
         jumps = tuple(sorted(self.jumps, key=lambda j: j.at))
         if not segments:
             raise ValueError("integrator needs at least one segment")
+        tol = _boundary_tol(segments[0].lo, segments[-1].hi)
         for prev, cur in zip(segments, segments[1:]):
-            if abs(prev.hi - cur.lo) > _BOUNDARY_TOL:
+            if abs(prev.hi - cur.lo) > tol:
+                between = "a hole" if cur.lo > prev.hi else "an overlap"
+                ends = sorted((prev.hi, cur.lo))
                 raise ValueError(
                     f"segments must be contiguous: [{prev.lo}, {prev.hi}] then "
-                    f"[{cur.lo}, {cur.hi}]"
+                    f"[{cur.lo}, {cur.hi}] leave {between} ({ends[0]}, {ends[1]}) "
+                    f"wider than the tolerance {tol:.3g}"
                 )
         for seg in segments:
             if not np.all(np.isfinite(seg.eval([seg.lo, seg.hi]))):
@@ -166,11 +185,11 @@ class Integrator:
         declared = {j.at: j.size for j in jumps}
         for prev, cur in zip(segments, segments[1:]):
             gap = float(cur.eval(cur.lo) - prev.eval(prev.hi))
-            if gap < -_BOUNDARY_TOL:
+            if gap < -_GAP_TOL:
                 raise ValueError(
                     f"images overlap across the boundary at s={prev.hi}: gap {gap}"
                 )
-            if gap > _BOUNDARY_TOL:
+            if gap > _GAP_TOL:
                 size = declared.pop(prev.hi, None)
                 if size is None or abs(size - gap) > _JUMP_MATCH_TOL:
                     raise ValueError(
@@ -573,7 +592,8 @@ def integrator_from_dict(payload: dict) -> Integrator:
     if len(domain) != 2:
         raise ValueError(f"malformed integrator spec: domain must be [a, T], got {domain}")
     phi = Integrator(segs, jumps)
-    if abs(phi.a - domain[0]) > _BOUNDARY_TOL or abs(phi.T - domain[1]) > _BOUNDARY_TOL:
+    tol = _boundary_tol(phi.a, phi.T)
+    if abs(phi.a - domain[0]) > tol or abs(phi.T - domain[1]) > tol:
         raise ValueError(
             f"declared domain {domain} does not match segments [{phi.a}, {phi.T}]"
         )

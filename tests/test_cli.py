@@ -155,6 +155,29 @@ def test_config_error_exit_two(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_transmute_check_rejects_a_hole_on_a_tiny_domain(tmp_path, capsys):
+    # the hole of 8.5e-13 is below an absolute 1e-12 but most of the domain
+    spec = {
+        "domain": [0.0, 1e-13],
+        "segments": [
+            {"interval": [0.0, 5e-14], "kind": "poly", "coefficients": [0.0, 1.0]},
+            {"interval": [9e-13, 1e-12], "kind": "poly", "coefficients": [0.0, 1.0]},
+        ],
+    }
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "tm.json"
+    code = main(["transmute-check", "--phi", str(path), "--alpha", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "leave a hole (5e-14, 9e-13)" in capsys.readouterr().err
+    assert not out.exists()
+    # contiguous segments on [0, 1e-12] do not match a declared [0, 1e-13]
+    spec["segments"][0]["interval"][1] = 9e-13
+    path.write_text(json.dumps(spec))
+    assert main(["transmute-check", "--phi", str(path), "--alpha", "0.5"]) == 2
+    assert "declared domain [0.0, 1e-13] does not match" in capsys.readouterr().err
+
+
 def test_axioms_defaults_match_run_config():
     args = build_parser().parse_args(["axioms"])
     config = RunConfig()

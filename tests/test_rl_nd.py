@@ -13,7 +13,12 @@ from fracops.grid import (
     sample_nd,
 )
 from fracops.rl_core import rl_integral
-from fracops.rl_nd import commutation_residual, rl_integral_nd, truncated_convolution
+from fracops.rl_nd import (
+    _fft_length,
+    commutation_residual,
+    rl_integral_nd,
+    truncated_convolution,
+)
 
 
 def box(n, dims=2, a=0.0, T=1.0):
@@ -154,10 +159,11 @@ def _per_node_trapezoid_convolution(h, f):
 
 def _mixed_route_convolution(h, f):
     # the general route on real and imaginary parts: four forward real FFTs
-    # and two inverse ones, whatever the imaginary parts hold
+    # and two inverse ones, whatever the imaginary parts hold, at the padded
+    # lengths of truncated_convolution
     grid = h.grid
     axes = tuple(range(grid.dim))
-    size = tuple(2 * n - 1 for n in grid.shape)
+    size = tuple(_fft_length(2 * n - 1) for n in grid.shape)
     spectra = []
     for values in (h.values, f.values):
         halved = values.copy()
@@ -219,6 +225,41 @@ def test_truncated_convolution_matches_per_node_trapezoid_rule():
             assert out.is_real == (not is_complex)
             for axis in range(b.dim):
                 assert np.all(np.take(out.values, 0, axis=axis) == 0.0)
+
+
+def test_fft_lengths_are_5_smooth_and_long_enough():
+    def smooth(m):
+        for prime in (2, 3, 5):
+            while m % prime == 0:
+                m //= prime
+        return m == 1
+
+    for n in range(1, 3000):
+        m = _fft_length(n)
+        assert m >= n and smooth(m), (n, m)
+        assert not any(smooth(k) for k in range(n, m)), (n, m)  # the least one
+    assert _fft_length(193) == 200
+
+
+def test_truncated_convolution_pads_a_prime_length_and_matches_per_node_sums():
+    # 97 nodes per axis: 2n - 1 = 193 is prime and is padded to 200
+    rng = np.random.default_rng(3)
+    for axes in (
+        (UniformGrid1D(0.0, 1.0, 96),),
+        (UniformGrid1D(0.0, 1.0, 96), UniformGrid1D(0.0, 0.5, 5)),
+    ):
+        b = BoxGridND(axes)
+        assert _fft_length(2 * 97 - 1) != 2 * 97 - 1
+        for is_complex in (True, False):
+            h, f = (
+                SampledFunctionND(
+                    b, rng.standard_normal(b.shape) + 1j * is_complex * rng.standard_normal(b.shape)
+                )
+                for _ in range(2)
+            )
+            out = truncated_convolution(h, f)
+            ref = _per_node_trapezoid_convolution(h, f)
+            assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_convolution_requires_matching_grids_and_zero_corner():

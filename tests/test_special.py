@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import gammaincc, zeta
 
-from fracops.special import upper_gamma
+from fracops.special import upper_gamma, zeta_neg
 
 
 def test_upper_gamma_against_scipy():
@@ -31,3 +31,24 @@ def test_upper_gamma_rejects_bad_arguments():
         upper_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         upper_gamma(1.0, -1.0)
+
+
+def test_zeta_neg_against_scipy():
+    # every q the m = 8 end corrections of an order in (0, 2] use, and the
+    # integers, where the trivial zeros at even q must come out exactly 0
+    qs = np.concatenate([np.linspace(0.01, 9.75, 975), np.arange(1.0, 10.0)])
+    worst = 0.0
+    for q in qs:
+        ref = float(zeta(-q))
+        got = zeta_neg(float(q))
+        if ref == 0.0:
+            assert got == 0.0, q
+            continue
+        worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+def test_zeta_neg_rejects_nonpositive_q():
+    for q in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="q > 0"):
+            zeta_neg(q)

@@ -8,13 +8,23 @@ from math import gamma
 import numpy as np
 import pytest
 
-from fracops.grid import BoxGridND, SampledFunction1D, SampledFunctionND, UniformGrid1D, sample
+from scipy.special import gammainc
+
+from fracops.grid import (
+    BoxGridND,
+    SampledFunction1D,
+    SampledFunctionND,
+    UniformGrid1D,
+    sample,
+    trapezoid_weights,
+)
 from fracops.rl_core import AxiomProfile, OperatorFamily1D, make_family, rl_integral
 from fracops.rl_nd import rl_integral_nd
 from fracops.transforms import (
     AdditiveSamples,
     TransformTable,
     additive_slope,
+    end_corrected_weights,
     extend_additive,
     fit_affine,
     fit_affine_nd,
@@ -117,16 +127,97 @@ def test_non_finite_transform_names_the_sample_or_the_overflow():
             laplace_transform_nd(SampledFunctionND(wide, np.full(wide.shape, 1e308)), (1e-3, 1e-3))
 
 
-def test_power_correction_skips_a_ratio_out_of_range():
-    # f(t_2) / f(t_1) underflows to 0 (or overflows): no power law to fit, so
-    # the first cell keeps the plain trapezoid value
-    grid = UniformGrid1D(0.0, 1.0, 8)
-    for head in ((1e300, 1e-300), (1e-300, 1e300)):
-        vals = np.array([0.0, *head] + [1.0] * 6)
-        g = vals * np.exp(-grid.nodes)
-        trapezoid = math.fsum(grid.h * np.concatenate(([0.5 * g[0]], g[1:-1], [0.5 * g[-1]])))
-        got = laplace_transform(SampledFunction1D(grid, vals), 1.0).value
-        assert math.isclose(got, trapezoid, rel_tol=1e-15)
+def test_an_end_that_is_not_a_clean_power_is_regular():
+    # f(0) = 0, but f(2h)/f(h) underflows to 0 or overflows, or the ratios
+    # f(2h)/f(h) and f(4h)/f(2h) give two exponents: no power law to correct
+    # for, so the left end takes the regular weights. Each unit sample is a
+    # regular end, so the transform must be the one linear rule they give.
+    grid = UniformGrid1D(0.0, 1.0, 32)
+    x = 1.0
+
+    def transform(vals):
+        return laplace_transform(SampledFunction1D(grid, vals), x).value
+
+    unit = np.array([transform(np.eye(33)[k]) for k in range(33)])
+    regular = grid.h * end_corrected_weights(32) * np.exp(-x * grid.nodes)
+    np.testing.assert_allclose(unit, regular, rtol=1e-15, atol=0.0)
+    t = grid.nodes
+    heads = ([0.0, 1e300, 1e-300], [0.0, 1e-300, 1e300], [0.0, -1.0, 1.0])
+    for vals in [np.concatenate((head, np.ones(30))) for head in heads] + [t * (1.0 + t)]:
+        expected = math.fsum(vals * unit)
+        assert math.isclose(transform(vals), expected, rel_tol=1e-14)
+    # a clean power t^0.5 does take the power weights
+    assert not math.isclose(transform(np.sqrt(t)), math.fsum(np.sqrt(t) * unit), rel_tol=1e-6)
+
+
+def test_corrected_weights_keep_the_plain_rule_below_two_m_cells():
+    for n in (1, 2, 15):
+        np.testing.assert_array_equal(end_corrected_weights(n, 0.5), trapezoid_weights(1.0, n))
+    # the corrected rule integrates t^(p+j), j < 8, over [0, 64] in unit
+    # steps: exactly (to rounding) for p = 0, and for p = 0.5 up to the right
+    # end's next Euler-Maclaurin term
+    k = np.arange(65.0)
+    for p in (0.0, 0.5):
+        w = end_corrected_weights(64, p)
+        for j in range(8):
+            exact = 64.0 ** (p + j + 1) / (p + j + 1)
+            assert math.isclose(math.fsum(w * k ** (p + j)), exact, rel_tol=1e-12), (p, j)
+
+
+@pytest.mark.parametrize("n, tol", [(4096, 1e-10), (16384, 1e-13)])
+def test_transform_of_power_against_exact_truncated_transform(n, tol):
+    # I^alpha 1 = t^alpha / Gamma(alpha + 1) on [0, T]; its exact transform
+    # on [0, T] is x^(-alpha-1) P(alpha + 1, x T), P the regularized lower
+    # incomplete gamma function
+    t_big = 40.0
+    ones = ones_on(t_big, n)
+    worst = 0.0
+    for alpha in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
+        f = rl_integral(alpha, ones)
+        for x in (1.0, 2.0, 4.0, 8.0):
+            ref = x ** (-alpha - 1.0) * gammainc(alpha + 1.0, x * t_big)
+            worst = max(worst, abs(laplace_transform(f, x).value - ref) / ref)
+    assert worst <= tol
+
+
+def test_transform_of_regular_functions_against_exact_values():
+    # both ends regular: f = 1 (f(0) != 0) and f = e^(-t) on [0, 3]
+    grid = UniformGrid1D(0.0, 3.0, 1024)
+    for vals, shift in ((np.ones(grid.N + 1), 0.0), (np.exp(-grid.nodes), 1.0)):
+        f = SampledFunction1D(grid, vals)
+        for x in (0.5, 1.0, 2.0, 4.0):
+            ref = -math.expm1(-3.0 * (x + shift)) / (x + shift)
+            assert abs(laplace_transform(f, x).value - ref) <= 1e-14 * ref
+
+
+def test_nd_transform_of_powers_against_exact_truncated_transform():
+    # rl_integral_nd of 1 is a product of powers; the fibres at t = 0 are 0
+    # and have no say in the exponent; an order component 0 is a regular end
+    axis = UniformGrid1D(0.0, 10.0, 256)
+    box = BoxGridND((axis, axis))
+    ones = SampledFunctionND(box, np.ones(box.shape))
+    worst = 0.0
+    for alpha in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0), (0.0, 0.5), (0.25, 1.5)):
+        out = rl_integral_nd(alpha, ones)
+        for x in ((1.0, 1.0), (1.0, 1.5), (1.5, 1.0), (1.5, 1.5)):
+            ref = math.prod(
+                xi ** (-a - 1.0) * gammainc(a + 1.0, 10.0 * xi) for a, xi in zip(alpha, x)
+            )
+            worst = max(worst, abs(laplace_transform_nd(out, x) - ref) / ref)
+    assert worst <= 1e-11
+
+
+def test_nd_transform_with_disagreeing_fibres_is_regular_on_that_axis():
+    # fibres t^0.5 and t^1.5 along axis 0 disagree on p, so axis 0 takes the
+    # regular weights; axis 1 is constant, so regular too
+    axis = UniformGrid1D(0.0, 2.0, 32)
+    box = BoxGridND((axis, UniformGrid1D(0.0, 1.0, 2)))
+    t = axis.nodes
+    vals = np.stack([np.sqrt(t), t**1.5, t**1.5], axis=1)
+    got = laplace_transform_nd(SampledFunctionND(box, vals), (1.0, 1.0))
+    w0 = axis.h * end_corrected_weights(32) * np.exp(-t)
+    w1 = 0.5 * np.array([0.5, 1.0, 0.5]) * np.exp(-np.array([0.0, 0.5, 1.0]))
+    assert math.isclose(got, float(w0 @ vals @ w1), rel_tol=1e-14)
 
 
 def test_tail_bound_soundness():

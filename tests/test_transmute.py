@@ -796,6 +796,45 @@ def test_integrator_rejects_undeclared_gap():
         )
 
 
+def test_segment_contiguity_is_judged_on_the_domain_scale():
+    # a rounding-size mismatch of the shared end is contiguity at any scale;
+    # a hole is one however small, once it is above a few ulps of the ends
+    # plus 1e-12 of the length (image gaps still take an absolute 1e-12,
+    # which rounding at 1e8 would exceed)
+    for scale in (1e-13, 1.0, 1e3):
+        mid = 0.3 * scale
+        nudged = mid * (1.0 + 2.0 * np.finfo(np.float64).eps)
+        phi = Integrator(
+            (
+                Segment(0.0, mid, "poly", (0.0, 1.0)),
+                Segment(nudged, scale, "poly", (mid - nudged, 1.0)),
+            )
+        )
+        assert phi.T == scale
+        hole = mid + 1e-9 * scale
+        with pytest.raises(ValueError, match=re.escape(f"leave a hole ({mid}, {hole})")):
+            Integrator(
+                (
+                    Segment(0.0, mid, "poly", (0.0, 1.0)),
+                    Segment(hole, scale, "poly", (mid - hole, 1.0)),
+                )
+            )
+        with pytest.raises(ValueError, match=re.escape(f"leave an overlap ({2 * mid - hole}, {mid})")):
+            Integrator(
+                (
+                    Segment(0.0, mid, "poly", (0.0, 1.0)),
+                    Segment(2 * mid - hole, scale, "poly", (hole - mid, 1.0)),
+                )
+            )
+        spec = integrator_to_dict(phi)
+        spec["domain"] = [0.0, scale * (1.0 + 1e-9)]
+        with pytest.raises(ValueError, match="declared domain"):
+            integrator_from_dict(spec)
+    # an infinite end would make the tolerance infinite and hide any hole
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        Segment(-math.inf, 0.0, "exp", (0.0, 1.0, 1.0))
+
+
 def test_integrator_rejects_misplaced_jump():
     with pytest.raises(ValueError, match="not at a segment boundary"):
         Integrator(

@@ -1,35 +1,49 @@
-"""Record a benchmark baseline: every perfbench workload, untraced and traced.
+"""Record a benchmark pair: every perfbench workload, parent and change, alternating.
 
-    python3 tools/bench_baseline.py --label main
-    python3 tools/bench_baseline.py --label base --checkout ../fracops-base --seconds 20
+    python3 tools/bench_baseline.py --label pr21 --parent ../fracops-parent
+    python3 tools/bench_baseline.py --label main --runs 7 --seconds 20
 
 For each workload that the checkout's ``BENCHMARK.json`` lists, runs
-``perfbench/run.py --trace 0`` (end-to-end metrics) and ``--trace 1``
-(per-layer metrics) in that checkout, and writes ``BENCH_<label>.json``:
-the ``env`` line, the final JSON result line and the metric lines of each
-run. Two files recorded on the same machine give parent -> change deltas.
+``perfbench/run.py --trace 0`` (end-to-end metrics) ``--runs`` times in each
+tree, parent and change in alternation (the side that goes first alternates
+too, so drift on the machine falls on both), then ``--trace 1`` (per-layer
+metrics) once in each. Writes ``BENCH_<label>.json`` for the change and,
+with ``--parent``, ``BENCH_<label>-parent.json``: the ``env`` line, the
+final JSON result line and the metric lines of every run, and per workload
+the median and quartiles of each end-to-end metric over its trace-0 runs.
+Two sides whose runs report different ``cpu_model`` values are refused: their
+timings do not compare.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+MIN_RUNS = 5
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--checkout", type=Path, default=REPO,
-                        help="tree whose perfbench/ and src/ are run (default: this one)")
+                        help="tree of the change, whose perfbench/ and src/ are run (default: this one)")
+    parser.add_argument("--parent", type=Path,
+                        help="tree of the parent commit; its runs alternate with the change's")
+    parser.add_argument("--runs", type=int, default=MIN_RUNS,
+                        help=f"trace-0 runs per workload and side (at least {MIN_RUNS})")
     parser.add_argument("--seconds", type=float,
                         help="run length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--out-dir", type=Path, default=REPO)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.runs < MIN_RUNS:
+        parser.error(f"--runs must be at least {MIN_RUNS}, got {args.runs}")
+    return args
 
 
 def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -38,7 +52,7 @@ def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
            "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     # paths in the output (the trace file) are given relative to the checkout
     lines = proc.stdout.replace(f"{checkout}/", "").splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
@@ -49,23 +63,54 @@ def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     }
 
 
+def summarize(runs: list[dict]) -> dict:
+    """Median and quartiles of each end-to-end metric over trace-0 runs."""
+    summary = {}
+    for name, metric in runs[0]["result"]["metrics"].items():
+        values = [run["result"]["metrics"][name]["value"] for run in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        summary[name] = {"median": median, "q1": q1, "q3": q3, "unit": metric["unit"]}
+    return summary
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
-    checkout = args.checkout.resolve()
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    sides = {args.label: args.checkout.resolve()}
+    if args.parent is not None:
+        sides[f"{args.label}-parent"] = args.parent.resolve()
+    spec = json.loads((sides[args.label] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    runs = {}
+    runs = {label: {} for label in sides}
     for workload in (w["name"] for w in spec["workloads"]):
-        runs[workload] = {
-            f"trace{trace}": run_once(checkout, workload, seconds, trace)
-            for trace in (0, 1)
-        }
+        order = list(sides.items())
+        for label in sides:
+            runs[label][workload] = {"trace0": []}
+        for i in range(args.runs):
+            for label, checkout in order[::-1] if i % 2 else order:
+                runs[label][workload]["trace0"].append(run_once(checkout, workload, seconds, 0))
+        for label, checkout in order:
+            runs[label][workload]["trace1"] = run_once(checkout, workload, seconds, 1)
         print(f"{workload}: done", file=sys.stderr)
-    bench = {"label": args.label, "seconds": seconds, "runs": runs}
+    models = {
+        label: sorted({run["env"]["cpu_model"] for w in by_workload.values()
+                       for run in w["trace0"] + [w["trace1"]]})
+        for label, by_workload in runs.items()
+    }
+    if len({m for ms in models.values() for m in ms}) > 1:
+        raise SystemExit(f"refusing to write runs from different CPU models: {models}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    out = args.out_dir / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
-    print(out)
+    for label, by_workload in runs.items():
+        bench = {
+            "label": label,
+            "seconds": seconds,
+            "runs_per_side": args.runs,
+            "pair": sorted(set(sides) - {label}),
+            "summary": {w: summarize(r["trace0"]) for w, r in by_workload.items()},
+            "runs": by_workload,
+        }
+        out = args.out_dir / f"BENCH_{label}.json"
+        out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+        print(out)
     return 0
 
 
