@@ -157,18 +157,24 @@ def _pair_residuals(
     _, spectra = _transform(values)
     log_xi = _log_xi(grid)
     axes = tuple(range(grid.dim))
+    # every pair writes its multipliers and each part's spectral difference
+    # into these, allocated once; a second spectrum-sized buffer for the
+    # subtrahend would stay alive through every irfftn and raised the peak
+    # by 2 MB at 3D/64, so m_b F_a stays one temporary
+    mult_b, mult_sum = np.empty(log_xi.shape), np.empty(log_xi.shape)
+    diff = np.empty(spectra[0].shape, complex)
     for a in orders:
         partners = [b for b in orders if a + b < grid.dim]
         if not partners:
             continue
         _, first = _transform(_potential(a, grid, spectra))
         for b in partners:
-            mult_b = np.exp(-b * log_xi)
-            mult_sum = np.exp(-(a + b) * log_xi)
+            np.exp(np.multiply(-b, log_xi, out=mult_b), out=mult_b)
+            np.exp(np.multiply(-(a + b), log_xi, out=mult_sum), out=mult_sum)
             parts = []
             for first_coeffs, coeffs in zip(first, spectra):
-                diff = first_coeffs * mult_b
-                diff -= coeffs * mult_sum
+                np.multiply(coeffs, mult_sum, out=diff)
+                np.subtract(first_coeffs * mult_b, diff, out=diff)
                 parts.append(np.fft.irfftn(diff, s=grid.shape, axes=axes))
             # a complex sample's residual is the modulus of its two parts' residuals
             mod = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(*parts)

@@ -17,8 +17,10 @@ it as one GEMM per block lag, O(N^2). From N = 8192 nodes on, for the orders
 whose history is short enough (``_sweep`` states the rule), it applies only
 the two nearest block lags that way and reads the rest from a history of
 positive-weight exponentials, O(N J) for J of about 140, to about 4e-15
-relative. Consequences used throughout the test suite, each holding by
-construction:
+relative. ``rl_integral`` also takes a list of functions on one grid and
+sweeps them as one stack, every function through GEMMs of the shape a call
+of its own would use, so it gets the same bits. Consequences used
+throughout the test suite, each holding by construction:
 
 * at alpha = 1 the integral is a ``cumsum`` of the subinterval trapezoids,
   so it agrees with the composite trapezoid rule bit-for-bit;
@@ -28,21 +30,22 @@ construction:
 * the value at the left endpoint is 0 for every alpha > 0 (empty integral).
 
 The module also carries a small catalog of operator families built on top of
-this integral. Each family is a named (order, function) -> function map with
-a declared profile of which semigroup axioms it is expected to satisfy; the
-non-conforming ones are classic counterexamples (order rescalings, a scalar
-2^alpha, a unit-modulus phase), each violating exactly one axiom.
+this integral. Each family maps (alpha, f) to scale(alpha) times the integral
+of order(alpha) of f, and declares which semigroup axioms it is expected to
+satisfy; the non-conforming ones are classic counterexamples (order
+rescalings, a scalar 2^alpha, a unit-modulus phase), each violating exactly
+one axiom.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import SampledFunction1D
+from .grid import SampledFunction1D, _finite_samples, _require_same_grid
 
 ORDER_CAP = 20.0  # largest accepted order; keeps Gamma well inside range
 
@@ -244,9 +247,10 @@ def _far_field(alpha: float, h: float, cols: np.ndarray, b: int) -> np.ndarray:
     multiplies H by e^(-s_j b) and mixes the u^i with the binomial shift; one
     more GEMM evaluates every block. Every factor is nonnegative. The rates
     are at most 2 _SOE_CUT / (b+1) per step, so one 16-point Gauss rule gives
-    a cell's moments to rounding.
+    a cell's moments to rounding. Each GEMM is a stack with one same-shape
+    entry per entry of ``cols``.
     """
-    c, n = cols.shape[0], cols.shape[1] - 1
+    p, c, n = cols.shape[0], cols.shape[1], cols.shape[2] - 1
     segments = (n - 1) // b - 1
     k = math.ceil(alpha) - 1
     beta = alpha - k
@@ -254,23 +258,25 @@ def _far_field(alpha: float, h: float, cols: np.ndarray, b: int) -> np.ndarray:
         s, w = np.zeros(1), np.ones(1)
     else:
         s, w = _sum_of_exponentials(beta, b + 1.0, float(n))
-    # samples[g, col, node] = node g*b + node of column col
+    # samples[q, g, col, node] = node g*b + node of column col of entry q
     e = cols.itemsize
-    samples = np.ndarray((segments, c, b + 1), buffer=cols, strides=(e * b, cols.strides[0], e))
+    samples = np.ndarray(
+        (p, segments, c, b + 1), buffer=cols, strides=(cols.strides[0], e * b, cols.strides[1], e)
+    )
     scale = float(h) ** alpha / math.gamma(alpha)
-    hist = samples.reshape(segments * c, b + 1) @ _segment_moments(k, s, b, scale).T
-    hist = hist.reshape(segments, c, k + 1, len(s))
-    # hist[g] holds segment g's share; add the history up to it, moved by b steps
+    hist = samples.reshape(p, segments * c, b + 1) @ _segment_moments(k, s, b, scale).T
+    hist = hist.reshape(p, segments, c, k + 1, len(s))
+    # hist[:, g] holds segment g's share; add the history up to it, moved by b steps
     step = _binomial_shift(k, float(b))
     decay = np.exp(-s * b)
     for g in range(1, segments):
-        prev = hist[g - 1] if k == 0 else step @ hist[g - 1]
-        hist[g] += decay * prev
+        prev = hist[:, g - 1] if k == 0 else step @ hist[:, g - 1]
+        hist[:, g] += decay * prev
     a = np.arange(b + 1.0, 2.0 * b + 1.0)
     kern = np.exp(-np.outer(a, s))
     kern *= w
     evaluate = _binomial_shift(k, a)[:, k, :, None] * kern[:, None, :]
-    return evaluate.reshape(b, -1) @ hist.reshape(segments * c, -1).T
+    return evaluate.reshape(b, -1) @ hist.reshape(p, segments * c, -1).transpose(0, 2, 1)
 
 
 def _block_size(n: int) -> int:
@@ -289,22 +295,21 @@ def _block_size(n: int) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing result is rejected below
-def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Integral of order alpha along ``axis`` of ``values`` (step h, origin at index 0).
+def _sweep(alpha: float, h: float, cols: np.ndarray) -> np.ndarray:
+    """Integral of order alpha of every column of a stack (step h, origin at node 0).
 
-    The caller validates alpha. Non-finite samples are rejected with a
-    ``ValueError`` naming the first one's node index: a NaN or infinity times
-    a zero weight would reach nodes that do not depend on it. An overflowing
-    result raises one naming the order and step. Node k >= 1 enters output
-    node m >= k with the Toeplitz symbol T[m-k], T[0] = wr[0] and
+    cols[q, col] is column col of stack entry q, n + 1 finite real samples;
+    the result res[q, col, m - 1] is the integral at node m = 1..n (node 0
+    is 0). The caller validates alpha and the samples. An overflowing result
+    raises a ``ValueError`` naming the order and step. Node k >= 1 enters
+    output node m >= k with the Toeplitz symbol T[m-k], T[0] = wr[0] and
     T[d] = wl[d-1] + wr[d], and node 0 with the rank-1 column wl[m-1].
     Nodes 1..n are cut into B-node blocks; every block pair at the same lag L
-    shares one B x B matrix M_L, so each lag is one GEMM, blocks side by
-    side. Its columns are the real parts of the rows, and the imaginary parts
-    enter as further columns only when some imaginary part of the batch is
-    nonzero. M_L is copied out of a sliding window on the zero-padded symbol
-    as its column-reversed (Hankel) form, which multiplies the block-reversed
-    samples. This costs O(n^2) per column.
+    shares one B x B matrix M_L, so each lag is one GEMM per stack entry,
+    that entry's blocks side by side, and ``np.matmul`` runs the entries as
+    one stack of same-shape GEMMs. M_L is copied out of a sliding window on
+    the zero-padded symbol as its column-reversed (Hankel) form, which
+    multiplies the block-reversed samples. This costs O(n^2) per column.
 
     Long sweeps take the far field from a history instead. With
     alpha = k + beta, 0 < beta <= 1, the rule is: when n >= _FAR_FIELD_MIN
@@ -329,31 +334,22 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
 
     * every product is of a nonnegative weight and a sample, or of
       nonnegative history factors, so nonnegative input gives exactly
-      nonnegative output, zeros stay exact zeros, and real input keeps an
-      exactly zero imaginary part;
-    * out[0] = 0 exactly (empty integral);
+      nonnegative output and zeros stay exact zeros;
     * alpha = 1 takes a ``cumsum`` of the subinterval trapezoids, the
       grouping of ``cumulative_trapezoid``, so it agrees bit-for-bit.
 
-    Two calls on the same input give identical bits. A row swept inside a
-    batch and the same row swept alone agree to rounding; bitwise equality
-    is not promised, because BLAS may block a wide GEMM differently.
+    Two calls on the same input give identical bits. The stack contract:
+    every GEMM and elementwise step of an entry has the shapes and strides
+    of a one-entry stack holding it, so an entry swept inside a stack and
+    the same entry swept alone agree bit for bit, at any BLAS thread count.
+    Columns inside one entry share a GEMM: a column swept among others and
+    swept alone agree to rounding, not bitwise, because BLAS may block a
+    wider GEMM differently.
     """
-    rows = np.moveaxis(values, axis, -1)
-    n = rows.shape[-1] - 1
-    flat = rows.reshape(-1, n + 1)
-    r = flat.shape[0]
-    # one column per part: the real parts of the r rows, then their imaginary
-    # parts if any is nonzero; zero imaginary parts are finite, so checking
-    # the columns checks the input
-    cols = np.concatenate((flat.real, flat.imag) if flat.imag.any() else (flat.real,))
-    if not np.isfinite(cols).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-        raise ValueError(f"non-finite sample at node index {idx[0] if len(idx) == 1 else idx}")
-    c = cols.shape[0]
+    p, c, n = cols.shape[0], cols.shape[1], cols.shape[2] - 1
     if alpha == 1.0:
         w = 0.5 * h
-        res = np.cumsum(w * cols[:, :-1] + w * cols[:, 1:], axis=-1)
+        res = np.cumsum(w * cols[..., :-1] + w * cols[..., 1:], axis=-1)
     else:
         b = _block_size(n)
         nb = -(-n // b)
@@ -363,11 +359,12 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
         wl, wr = product_quadrature_weights(alpha, h, m)
         # the history first, before the GEMM's temporaries are allocated
         history = _far_field(alpha, h, cols, b) if far else None
-        x = np.zeros((c, nb * b))
-        x[:, :n] = cols[:, 1:]
-        # xr[k, J*c + col] is node 1 + J*b + (b-1-k) of column col; for one
-        # column the reshape is a negatively strided view, which BLAS cannot take
-        xr = x.reshape(c, nb, b)[:, :, ::-1].transpose(2, 1, 0).reshape(b, nb * c)
+        x = np.zeros((p, c, nb * b))
+        x[..., :n] = cols[..., 1:]
+        # xr[q, k, J*c + col] is node 1 + J*b + (b-1-k) of column col of entry
+        # q; for one column the reshape is a negatively strided view, which
+        # BLAS cannot take
+        xr = x.reshape(p, c, nb, b)[..., ::-1].transpose(0, 3, 2, 1).reshape(p, b, nb * c)
         xr = np.ascontiguousarray(xr)
         symbol = np.zeros(lags * b + b - 1)
         symbol[b - 1] = wr[0]
@@ -377,38 +374,73 @@ def _sweep(alpha: float, h: float, values: np.ndarray, axis: int = -1) -> np.nda
         # view, but in long in-process runs a 939 KiB block allocated inside
         # it stayed alive (seen with tracemalloc).
         windows = np.ndarray((symbol.size - b + 1, b), buffer=symbol, strides=2 * symbol.strides)
-        y = np.zeros((b, nb * c))
+        # every lag copies its matrix into one buffer: malloc maps a fresh
+        # 128 KiB array per lag anew, which at n = 2048 took 480 page faults
+        # and 0.75 ms a call, against 0.08 ms for the copies into one buffer
+        # (one core of an Intel Xeon)
+        hankel = np.empty((b, b))
+        y = np.zeros((p, b, nb * c))
         for lag in range(lags):
-            hankel = np.ascontiguousarray(windows[lag * b:(lag + 1) * b])
-            y[:, lag * c:] += hankel @ xr[:, :(nb - lag) * c]
+            np.copyto(hankel, windows[lag * b:(lag + 1) * b])
+            y[..., lag * c:] += hankel @ xr[..., :(nb - lag) * c]
         if far:
             # the left node of each block's first near cell: node 0 for blocks
             # 0 and 1, block I's cutoff node (I-1)*b for the others
-            y[:, :c] += wl[:b, None] * cols[:, 0]
-            y[:, c:] += wl[b:, None] * cols[:, :(nb - 1) * b:b].T.ravel()
-            y[:, 2 * c:] += history
-        res = y.reshape(b, nb, c).transpose(2, 1, 0).reshape(c, nb * b)[:, :n]
+            y[..., :c] += wl[:b, None] * cols[:, None, :, 0]
+            cutoffs = cols[..., :(nb - 1) * b:b].transpose(0, 2, 1).reshape(p, 1, -1)
+            y[..., c:] += wl[b:, None] * cutoffs
+            y[..., 2 * c:] += history
+        res = y.reshape(p, b, nb, c).transpose(0, 3, 2, 1).reshape(p, c, nb * b)[..., :n]
         if not far:
-            res += wl * cols[:, :1]
+            res += wl * cols[..., :1]
     if not np.isfinite(res).all():
         raise ValueError(f"the order-{alpha} integral overflows at step {h}")
-    out = np.zeros(rows.shape, dtype=np.complex128)
-    o = out.reshape(r, n + 1)
-    o.real[:, 1:] = res[:r]
-    if c > r:
-        o.imag[:, 1:] = res[r:]
-    return np.moveaxis(out, -1, axis)
+    return res
 
 
-def rl_integral(alpha: float, f: SampledFunction1D) -> SampledFunction1D:
+def rl_integral(
+    alpha: float, f: SampledFunction1D | Sequence[SampledFunction1D]
+) -> SampledFunction1D | list[SampledFunction1D]:
     """Fractional integral of order alpha with origin at the grid's left endpoint.
+
+    f is one sampled function or a sequence of them on one grid, and the
+    result matches: one output, or a list. Every function is one entry of
+    ``_sweep``'s stack, with one GEMM column if it is real and two (its real
+    and imaginary parts) if not; the real and the complex functions go in
+    two stacks. So every function gets exactly the arithmetic of a call of
+    its own, bit for bit, at any BLAS thread count.
 
     The weights depend only on the step, so the result is translation
     invariant: moving the grid moves the output with it. A non-finite sample
-    raises a ``ValueError`` naming its node index.
+    raises a ``ValueError`` naming its node index and t, and in a sequence
+    the function's position; an empty sequence, or functions on different
+    grids, raise one too.
     """
     alpha = _check_order(alpha)
-    return SampledFunction1D(f.grid, _sweep(alpha, f.grid.h, f.values))
+    single = isinstance(f, SampledFunction1D)
+    fs = [f] if single else list(f)
+    if not fs:
+        raise ValueError("rl_integral needs at least one sampled function")
+    grid = fs[0].grid
+    for other in fs[1:]:
+        _require_same_grid(fs[0], other)
+    for q, g in enumerate(fs):
+        if not np.isfinite(g.values).all():
+            try:
+                _finite_samples(grid, grid.nodes, g.values)
+            except ValueError as err:
+                raise ValueError(str(err) if single else f"function {q}: {err}") from None
+    is_real = [not g.values.imag.any() for g in fs]
+    out = np.zeros((len(fs), grid.N + 1), dtype=np.complex128)
+    for real, parts in ((True, ("real",)), (False, ("real", "imag"))):
+        rows = [q for q, r in enumerate(is_real) if r == real]
+        if rows:
+            cols = np.array([[getattr(fs[q].values, part) for part in parts] for q in rows])
+            res = _sweep(alpha, grid.h, cols)
+            for j, part in enumerate(parts):
+                getattr(out, part)[rows, 1:] = res[:, j]
+    results = [SampledFunction1D(grid, v) for v in out]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)
@@ -423,10 +455,15 @@ class AxiomProfile:
 
 @dataclass(frozen=True)
 class OperatorFamily1D:
-    """A named family (order, sampled function) -> sampled function."""
+    """A named family (order, sampled function) -> sampled function.
+
+    ``apply`` also takes a sequence of sampled functions on one grid and
+    returns a list, one output per function.
+    """
 
     name: str
-    apply: Callable[[float, SampledFunction1D], SampledFunction1D]
+    apply: Callable[[float, SampledFunction1D | Sequence[SampledFunction1D]],
+                    SampledFunction1D | list[SampledFunction1D]]
     expected_profile: AxiomProfile
     growth_of_one: Callable[[float], tuple[float, float]]
     """Bound (C, p) with |apply(alpha, 1)(t)| <= C * t^p for large t."""
@@ -436,32 +473,33 @@ def _rl_growth(alpha: float) -> tuple[float, float]:
     return 1.0 / math.gamma(alpha + 1.0), alpha
 
 
-# each entry applies the integral it is given: (integral, alpha, f) -> function
+# each entry maps alpha to (scale, order): the family applies
+# scale * integral(order, f), or the bare integral where scale is None
 _CATALOG: dict[str, tuple[Callable, AxiomProfile, Callable]] = {
     "riemann_liouville": (
-        lambda integral, a, f: integral(a, f),
+        lambda a: (None, a),
         AxiomProfile(True, True, True, True),
         _rl_growth,
     ),
     "scaled_order": (
         # order used only as a scalar on the unit-order integral
-        lambda integral, a, f: _check_order(a) * integral(1.0, f),
+        lambda a: (_check_order(a), 1.0),
         AxiomProfile(True, False, True, True),
         lambda a: (a, 1.0),
     ),
     "doubled_order": (
-        lambda integral, a, f: integral(2.0 * _check_order(a), f),
+        lambda a: (None, 2.0 * _check_order(a)),
         AxiomProfile(False, True, True, True),
         lambda a: (1.0 / math.gamma(2.0 * a + 1.0), 2.0 * a),
     ),
     "geometric": (
-        lambda integral, a, f: (2.0 ** _check_order(a)) * integral(a, f),
+        lambda a: (2.0 ** _check_order(a), a),
         AxiomProfile(False, True, True, True),
         lambda a: (2.0 ** a / math.gamma(a + 1.0), a),
     ),
     "phase": (
         # unit-modulus scalar: full rotations at integer orders only
-        lambda integral, a, f: complex(np.exp(2j * np.pi * _check_order(a))) * integral(a, f),
+        lambda a: (complex(np.exp(2j * np.pi * _check_order(a))), a),
         AxiomProfile(True, True, True, False),
         _rl_growth,
     ),
@@ -477,17 +515,24 @@ def make_family(
     """Build a catalog family by name; unknown names list the valid ones.
 
     The family applies ``integral`` (alpha, f) -> I^alpha f, by default
-    ``rl_integral``, looked up at each call.
+    ``rl_integral``, looked up at each call. A sequence of functions goes to
+    ``integral`` whole, so it must take sequences too.
     """
     try:
-        apply_fn, profile, growth = _CATALOG[name]
+        scale_and_order, profile, growth = _CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown family {name!r}; valid names: {', '.join(FAMILY_NAMES)}"
         ) from None
-    return OperatorFamily1D(
-        name, lambda a, f: apply_fn(integral or rl_integral, a, f), profile, growth
-    )
+
+    def apply(a, f):
+        scale, order = scale_and_order(a)
+        out = (integral or rl_integral)(order, f)
+        if scale is None:
+            return out
+        return scale * out if isinstance(out, SampledFunction1D) else [scale * g for g in out]
+
+    return OperatorFamily1D(name, apply, profile, growth)
 
 
 def _order_objective(beta: float, logs_t: np.ndarray, logs_g: np.ndarray) -> float:

@@ -45,8 +45,34 @@ def rl_integral_nd(alpha: Sequence[float], f: SampledFunctionND) -> SampledFunct
     values = f.values
     for axis, a in enumerate(alpha):
         if a != 0.0:
-            values = _sweep(a, f.grid.axes[axis].h, values, axis)
+            values = _sweep_axis(a, f.grid.axes[axis].h, values, axis)
     return SampledFunctionND(f.grid, values)
+
+
+def _sweep_axis(alpha: float, h: float, values: np.ndarray, axis: int) -> np.ndarray:
+    """The 1D integral of order alpha along ``axis`` of ``values``, every row at once.
+
+    The rows are one entry of ``_sweep``'s stack: their real parts as
+    columns, then their imaginary parts only when some imaginary part is
+    nonzero, so a real row keeps an exactly zero imaginary part. A
+    non-finite sample is a ``ValueError`` naming its first node index.
+    """
+    rows = np.moveaxis(values, axis, -1)
+    n = rows.shape[-1] - 1
+    flat = rows.reshape(-1, n + 1)
+    r = flat.shape[0]
+    # zero imaginary parts are finite, so checking the columns checks the input
+    cols = np.concatenate((flat.real, flat.imag) if flat.imag.any() else (flat.real,))
+    if not np.isfinite(cols).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise ValueError(f"non-finite sample at node index {idx[0] if len(idx) == 1 else idx}")
+    res = _sweep(alpha, h, cols[None])[0]
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    o = out.reshape(r, n + 1)
+    o.real[:, 1:] = res[:r]
+    if len(cols) > r:
+        o.imag[:, 1:] = res[r:]
+    return np.moveaxis(out, -1, axis)
 
 
 def _corner_at_zero(grid: BoxGridND) -> None:

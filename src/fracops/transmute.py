@@ -8,8 +8,14 @@ An integrator phi is a piecewise-smooth strictly increasing function on
   pushforward measures are assertable;
 * consecutive segments meet, and a declared domain matches the segments,
   to within a few ulps of max(|a|, |T|) plus 1e-12 of T - a, so a hole or
-  overlap is judged on the domain's own scale (image gaps and jump sizes
-  still take absolute tolerances);
+  overlap is judged on the domain's own scale;
+* the images of consecutive segments are judged on their own scale too,
+  against the rounding bound of the two evaluations at the shared end
+  (Horner's bound for a polynomial, a few ulps of
+  |c0| + |c1 e^(c2 s)| (1 + |c2 s|) for an exponential) plus how far the
+  later segment moves across the ends' tolerated mismatch: an image gap
+  within it is continuity, one above it must match a declared jump to
+  within it, and a negative one below it is an overlap;
 * jumps contribute no mass: the pushforward of Lebesgue measure assigns an
   interval the total length of its image, and single points are null;
 * when pulling a function back to the image domain, the open gaps that
@@ -66,11 +72,10 @@ from .rl_core import _check_order, _sum_of_exponentials, rl_integral
 
 # segment ends that should meet, and the declared domain against the
 # segments, are judged on the domain's own scale (_boundary_tol); image gaps
-# and jump sizes still take absolute tolerances
+# and jump sizes on the images' own scale (_image_gap_tol)
 _BOUNDARY_ULPS = 4.0
 _BOUNDARY_MARGIN = 1e-12
-_GAP_TOL = 1e-12
-_JUMP_MATCH_TOL = 1e-9
+_EVAL_ULPS = 4.0
 
 # The direct route's block kernel: nodes per block and grid nodes of exact
 # near field before each block; the far field's sum of exponentials is
@@ -134,6 +139,35 @@ def _boundary_tol(a: float, T: float) -> float:
     return ulps + 2.0 * _BOUNDARY_MARGIN * (0.5 * T - 0.5 * a)  # halves: T - a may overflow
 
 
+def _eval_rounding(seg: Segment, s: float) -> float:
+    """A bound on the rounding error of ``seg.eval(s)``.
+
+    Horner's bound for a polynomial, 4 (deg + 1) eps polyval(|s|, |c|), as
+    in ``_strictly_increasing``; for c0 + c1 e^(c2 s), a few ulps of
+    |c0| + |c1 e^(c2 s)| (1 + |c2 s|), the last factor carrying the
+    rounding of c2 s through the exponential.
+    """
+    eps = np.finfo(np.float64).eps
+    with np.errstate(over="ignore"):  # an infinite bound only accepts more
+        if seg.kind == "poly":
+            c = np.abs(seg.coefficients)
+            return _EVAL_ULPS * len(c) * eps * float(np.polynomial.polynomial.polyval(abs(s), c))
+        c0, c1, c2 = seg.coefficients
+        grow = abs(c1 * np.exp(c2 * s))
+        return _EVAL_ULPS * eps * float(abs(c0) + grow * (1.0 + abs(c2 * s)))
+
+
+def _image_gap_tol(prev: Segment, cur: Segment) -> float:
+    """The tolerance on the image gap from ``prev`` to ``cur``.
+
+    The rounding of the two evaluations at their ends, plus how far ``cur``
+    moves across the mismatch of the two ends, which contiguity tolerates.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        seam = abs(float(cur.eval(prev.hi) - cur.eval(cur.lo))) if prev.hi != cur.lo else 0.0
+    return _eval_rounding(prev, prev.hi) + _eval_rounding(cur, cur.lo) + seam
+
+
 def _strictly_increasing(seg: Segment) -> bool:
     """Exact test: c1*c2 > 0 for exp; for poly, p' is not identically zero and is
     >= 0, up to rounding, at lo, hi and every critical point of p' in between.
@@ -185,15 +219,18 @@ class Integrator:
         declared = {j.at: j.size for j in jumps}
         for prev, cur in zip(segments, segments[1:]):
             gap = float(cur.eval(cur.lo) - prev.eval(prev.hi))
-            if gap < -_GAP_TOL:
+            gap_tol = _image_gap_tol(prev, cur)
+            if gap < -gap_tol:
                 raise ValueError(
-                    f"images overlap across the boundary at s={prev.hi}: gap {gap}"
+                    f"images overlap across the boundary at s={prev.hi}: gap {gap} "
+                    f"below the tolerance -{gap_tol:.3g}"
                 )
-            if gap > _GAP_TOL:
+            if gap > gap_tol:
                 size = declared.pop(prev.hi, None)
-                if size is None or abs(size - gap) > _JUMP_MATCH_TOL:
+                if size is None or abs(size - gap) > gap_tol:
                     raise ValueError(
-                        f"image gap {gap} at s={prev.hi} does not match a declared jump"
+                        f"image gap {gap} at s={prev.hi} does not match a declared jump "
+                        f"to within the tolerance {gap_tol:.3g}"
                     )
         if declared:
             at = sorted(declared)[0]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from fracops import harness
-from fracops.grid import UniformGrid1D, l1_distance, l1_norm, sample, sample_array
+from fracops.grid import SampledFunction1D, UniformGrid1D, l1_distance, l1_norm, sample, sample_array
 from fracops.harness import (
+    CONTINUITY_ALPHA0,
+    CONTINUITY_DELTAS,
     TEST_FUNCTIONS,
     RunConfig,
     check_continuity,
@@ -244,7 +246,11 @@ def test_run_matrix_evaluates_each_probe_once(monkeypatch):
 
 
 def counted_integrals(monkeypatch, config):
-    """(order, probe index or None) of every rl_integral call one run_matrix makes."""
+    """(order, input) of every rl_integral call one run_matrix makes.
+
+    The input is the probe index of one function, or the tuple of probe
+    indices of a sequence; None stands for a function that is no probe.
+    """
     probes = []
     calls = []
 
@@ -252,9 +258,12 @@ def counted_integrals(monkeypatch, config):
         probes.append(sample_array(expr, grid))
         return probes[-1]
 
+    def index(f):
+        return next((i for i, p in enumerate(probes) if p is f), None)
+
     def counting_integral(alpha, f):
-        index = next((i for i, p in enumerate(probes) if p is f), None)
-        calls.append((float(alpha), index))
+        single = isinstance(f, SampledFunction1D)
+        calls.append((float(alpha), index(f) if single else tuple(map(index, f))))
         return rl_integral(alpha, f)
 
     monkeypatch.setattr(harness, "sample_array", recording_sample)
@@ -263,41 +272,68 @@ def counted_integrals(monkeypatch, config):
     return calls
 
 
+# the orders of the continuity checks, on the window constant: alpha0 and
+# its three steps for the unscaled orders, twice that for doubled_order, and
+# unit order for scaled_order
+WINDOW_ORDERS = sorted({1.0} | {
+    k * (CONTINUITY_ALPHA0 + d) for k in (1.0, 2.0) for d in (0.0, *CONTINUITY_DELTAS)
+})
+INTERMEDIATES = (None,) * len(TEST_FUNCTIONS)
+
+
 def test_run_matrix_integrates_each_order_and_probe_once(monkeypatch):
-    # on [0, 1] the continuity window is the grid, so the window constant is
-    # the "one" probe and its integrals share that probe's memo entries
+    # every (order, input) is swept once; on [0, 1] the continuity window is
+    # the grid, so the window constant is the "one" probe, and every probe is
+    # nonnegative, so positivity sweeps the same list as the other checks
     calls = counted_integrals(monkeypatch, RunConfig())
-    on_probes = [c for c in calls if c[1] is not None]
-    assert {index for _, index in on_probes} == set(range(len(TEST_FUNCTIONS)))
-    assert len(on_probes) == len(set(on_probes)) == 33
-    # 195 without sharing, 59 with a separate window constant; the one repeat
-    # left is I^1 of the intermediate I^1 1, whose samples equal those of the
-    # probe t bit for bit on [0, 1], which no identity key can see
-    assert len(calls) == 58
+    on_probes = [c for c in calls if c[1] != INTERMEDIATES]
+    assert len(on_probes) == len(set(on_probes)) == 14
+    assert len(calls) == 19
+    everything = tuple(range(len(TEST_FUNCTIONS)))
+    # 1 and 2 for identity, 0.5 and 1 as the index law's first step, 1 and 2
+    # as its sum, 0.5, 1, 1.5, 2 and 3 for positivity
+    assert sorted(a for a, f in calls if f == everything) == [0.5, 1.0, 1.5, 2.0, 3.0]
+    assert sorted(a for a, f in calls if f == 0) == WINDOW_ORDERS
+    assert len(WINDOW_ORDERS) == 9
+    # the index law's second step: on I^0.5 for riemann_liouville and on its
+    # rescalings for geometric and phase, on 0.5 I^1 for scaled_order and on
+    # I^1 for doubled_order, each a list the memo does not key
+    assert sorted(a for a, f in calls if f == INTERMEDIATES) == [0.5, 0.5, 0.5, 1.0, 1.0]
 
 
-def test_run_matrix_distinct_integrals_are_57_by_value(monkeypatch):
+def test_run_matrix_distinct_integrals_are_19_by_value(monkeypatch):
     seen = []
 
     def counting_integral(alpha, f):
-        seen.append((float(alpha), f.grid, f.values.tobytes()))
+        fs = (f,) if isinstance(f, SampledFunction1D) else tuple(f)
+        seen.append((float(alpha), fs[0].grid, tuple(g.values.tobytes() for g in fs)))
         return rl_integral(alpha, f)
 
     monkeypatch.setattr(harness, "rl_integral", counting_integral)
     run_matrix(RunConfig())
-    assert (len(seen), len(set(seen))) == (58, 57)
+    assert (len(seen), len(set(seen))) == (19, 19)
 
 
 def test_run_matrix_window_off_the_unit_interval_is_its_own_probe(monkeypatch):
     calls = counted_integrals(monkeypatch, small_config(grid_n=64, interval=(2.0, 5.0)))
-    assert {index for _, index in calls if index is not None} == set(range(6))
-    assert len(calls) == 57
+    on_probes = [c for c in calls if c[1] != INTERMEDIATES]
+    assert len(on_probes) == len(set(on_probes)) == 17
+    assert len(calls) == 22
+    swept = {i for _, f in calls for i in (f if isinstance(f, tuple) else (f,))}
+    assert swept == {*range(6), None}
+    # the window constant is probe 5, swept alone; cos is negative on [2, 5],
+    # so positivity sweeps the other four probes as a list of their own
+    assert sorted(a for a, f in calls if f == 5) == WINDOW_ORDERS
+    assert sorted(a for a, f in calls if f == (0, 1, 2, 3, 4)) == [0.5, 1.0, 2.0]
+    assert sorted(a for a, f in calls if f == (0, 1, 3, 4)) == [0.5, 1.0, 1.5, 2.0, 3.0]
+    assert sorted(a for a, f in calls if f == INTERMEDIATES) == [0.5, 0.5, 0.5, 1.0, 1.0]
 
 
 def test_run_matrix_keeps_no_state_across_runs(monkeypatch):
     first = counted_integrals(monkeypatch, small_config(grid_n=64))
     second = counted_integrals(monkeypatch, small_config(grid_n=64))
-    assert len(second) == len(first) == 58
+    assert second == first
+    assert len(first) == 19
 
 
 @pytest.mark.parametrize(

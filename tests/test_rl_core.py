@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -345,6 +346,62 @@ def test_far_field_keeps_the_non_finite_and_overflow_messages():
             message = rf"the order-{alpha} integral overflows at step 12\.5"
             with pytest.raises(ValueError, match=message):
                 rl_integral(alpha, f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2048, FAR + 7])
+def test_sequence_equals_one_call_per_function(n, monkeypatch):
+    # every function is its own entry of a stack of same-shape GEMMs, so it
+    # gets the bits of a call of its own; FAR + 7 nodes take the far field
+    calls = []
+    far_field = rl_core._far_field
+    monkeypatch.setattr(rl_core, "_far_field", lambda *args: calls.append(1) or far_field(*args))
+    g = UniformGrid1D(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    real = [sample(RAMP, g), SampledFunction1D(g, rng.standard_normal(n + 1))]
+    cplx = [SampledFunction1D(g, rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)),
+            SampledFunction1D(g, 1j * rng.standard_normal(n + 1))]
+    sequences = (real, cplx, [cplx[0], real[0], real[1], cplx[1]], (real[1],))
+    for alpha in (0.3, 1.0, 1.5, 2.5):
+        for fs in sequences:
+            outs = rl_integral(alpha, fs)
+            assert isinstance(outs, list) and len(outs) == len(fs)
+            for f, out in zip(fs, outs):
+                assert out.grid == g
+                assert np.array_equal(out.values, rl_integral(alpha, f).values), (alpha, n)
+            for f, out in zip(fs, outs):
+                if f.is_real:
+                    assert np.all(out.values.imag == 0.0)
+    # each of the three non-unit orders: two stacks and the singles of 8 functions
+    assert len(calls) == (0 if n < FAR else 3 * (3 * 2 + 8))
+
+
+def test_sequence_rejects_bad_input():
+    g = UniformGrid1D(0.0, 1.0, 8)
+    ok = sample(lambda t: t, g)
+    with pytest.raises(ValueError, match="at least one"):
+        rl_integral(0.5, [])
+    with pytest.raises(ValueError, match="grid mismatch"):
+        rl_integral(0.5, [ok, sample(lambda t: t, UniformGrid1D(0.0, 2.0, 8))])
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        vals = np.ones(9, dtype=complex)
+        vals[3] = bad
+        message = "function 2: non-finite sample at node index 3 (t=0.375)"
+        for alpha in (0.5, 1.0, 2.5):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                rl_integral(alpha, (ok, ok, SampledFunction1D(g, vals)))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_apply_passes_sequences_through(name):
+    g = UniformGrid1D(0.0, 1.0, 300)
+    fs = [sample(expr, g) for expr in TEST_FUNCTIONS.values()]
+    fs.append(SampledFunction1D(g, fs[2].values * (1.0 - 2.0j)))
+    fam = make_family(name)
+    for alpha in (0.5, 1.0, 1.3):
+        outs = fam.apply(alpha, fs)
+        assert len(outs) == len(fs)
+        for f, out in zip(fs, outs):
+            assert np.array_equal(out.values, fam.apply(alpha, f).values)
 
 
 def test_sum_of_exponentials_is_uniform_in_alpha():

@@ -6,6 +6,8 @@ from math import gamma
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -799,8 +801,7 @@ def test_integrator_rejects_undeclared_gap():
 def test_segment_contiguity_is_judged_on_the_domain_scale():
     # a rounding-size mismatch of the shared end is contiguity at any scale;
     # a hole is one however small, once it is above a few ulps of the ends
-    # plus 1e-12 of the length (image gaps still take an absolute 1e-12,
-    # which rounding at 1e8 would exceed)
+    # plus 1e-12 of the length
     for scale in (1e-13, 1.0, 1e3):
         mid = 0.3 * scale
         nudged = mid * (1.0 + 2.0 * np.finfo(np.float64).eps)
@@ -833,6 +834,49 @@ def test_segment_contiguity_is_judged_on_the_domain_scale():
     # an infinite end would make the tolerance infinite and hide any hole
     with pytest.raises(ValueError, match="finite lo < hi"):
         Segment(-math.inf, 0.0, "exp", (0.0, 1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_scale=st.floats(-8.0, 12.0),
+    s0=st.floats(0.05, 0.95),
+    k1=st.floats(0.1, 10.0),
+    k2=st.floats(0.1, 10.0),
+    cubic=st.floats(0.0, 5.0),
+    rate=st.floats(0.1, 3.0),
+    later=st.sampled_from(["poly", "exp"]),
+    jump=st.floats(1e-3, 10.0),
+    above=st.floats(0.5, 6.0),
+)
+def test_image_gaps_are_judged_on_the_images_scale(
+    log_scale, s0, k1, k2, cubic, rate, later, jump, above
+):
+    # a cubic, then a line or an exponential whose image starts where the
+    # cubic's ends, shifted; the scale S multiplies every image
+    S = 10.0 ** log_scale
+    first = Segment(0.0, s0, "poly", (0.0, k1 * S, 0.0, cubic * S))
+    end = float(first.eval(s0))
+
+    def shifted(shift):
+        if later == "poly":
+            return Segment(s0, 1.0, "poly", (end + shift - k2 * S * s0, k2 * S))
+        c1 = k2 * S
+        return Segment(s0, 1.0, "exp", (end + shift - c1 * math.exp(rate * s0), c1, rate))
+
+    # continuity and a matched jump are accepted at every scale
+    Integrator((first, shifted(0.0)))
+    size = jump * S
+    Integrator((first, shifted(size)), (Jump(s0, size),))
+    # a hole, an overlap or a mismatch of a jump above the bound is rejected
+    gap = transmute._image_gap_tol(first, shifted(0.0)) * 10.0 ** above
+    with pytest.raises(ValueError, match="does not match a declared jump"):
+        Integrator((first, shifted(gap)))
+    with pytest.raises(ValueError, match="images overlap"):
+        Integrator((first, shifted(-gap)))
+    gap = transmute._image_gap_tol(first, shifted(size)) * 10.0 ** above
+    for wrong in (size + gap, size - gap):
+        with pytest.raises(ValueError, match="does not match a declared jump"):
+            Integrator((first, shifted(wrong)), (Jump(s0, size),))
 
 
 def test_integrator_rejects_misplaced_jump():
