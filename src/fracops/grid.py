@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,6 +137,31 @@ def _finite_samples(grid: UniformGrid1D, nodes: np.ndarray, vals: np.ndarray) ->
         k = int(bad[0])
         raise ValueError(f"non-finite sample at node index {k} (t={nodes[k]})")
     return SampledFunction1D(grid, vals)
+
+
+def _functions_on_one_grid(
+    f: SampledFunction1D | Sequence[SampledFunction1D],
+) -> list[SampledFunction1D]:
+    """The functions of f, one sampled function or a sequence of them on one grid.
+
+    An empty sequence, functions on different grids and a non-finite sample
+    are ``ValueError``s; the last names the node index and t, and in a
+    sequence the function's position.
+    """
+    single = isinstance(f, SampledFunction1D)
+    fs = [f] if single else list(f)
+    if not fs:
+        raise ValueError("the sequence is empty; it needs at least one sampled function")
+    grid = fs[0].grid
+    for other in fs[1:]:
+        _require_same_grid(fs[0], other)
+    for q, g in enumerate(fs):
+        if not np.isfinite(g.values).all():
+            try:
+                _finite_samples(grid, grid.nodes, g.values)
+            except ValueError as err:
+                raise ValueError(str(err) if single else f"function {q}: {err}") from None
+    return fs
 
 
 def sample(expr: Callable[[float], complex], grid: UniformGrid1D) -> SampledFunction1D:

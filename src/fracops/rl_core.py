@@ -13,20 +13,15 @@ are integrated exactly on the cell that holds the weak singularity at
 s = t and by Gauss-Legendre on the smooth cells farther away. The weights
 depend only on node distance, so on a uniform grid the integral is a
 lower-triangular Toeplitz matrix applied to the samples; ``_sweep`` applies
-it as one GEMM per block lag, O(N^2). From N = 8192 nodes on, for the orders
-whose history is short enough (``_sweep`` states the rule), it applies only
-the two nearest block lags that way and reads the rest from a history of
-positive-weight exponentials, O(N J) for J of about 140, to about 4e-15
-relative. ``rl_integral`` also takes a list of functions on one grid and
-sweeps them as one stack, every function through GEMMs of the shape a call
-of its own would use, so it gets the same bits. Consequences used
-throughout the test suite, each holding by construction:
+it as one GEMM per block lag, O(N^2). ``rl_integral`` also takes a list of
+functions on one grid and sweeps them as one stack, every function through
+GEMMs of the shape a call of its own would use, so it gets the same bits.
+Consequences used throughout the test suite, each holding by construction:
 
 * at alpha = 1 the integral is a ``cumsum`` of the subinterval trapezoids,
   so it agrees with the composite trapezoid rule bit-for-bit;
-* all weights and history factors are nonnegative and every product is of
-  such a factor and a sample, so nonnegative inputs give nonnegative
-  outputs exactly;
+* all weights are nonnegative and every product is of a weight and a
+  sample, so nonnegative inputs give nonnegative outputs exactly;
 * the value at the left endpoint is 0 for every alpha > 0 (empty integral).
 
 The module also carries a small catalog of operator families built on top of
@@ -45,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import SampledFunction1D, _finite_samples, _require_same_grid
+from .grid import SampledFunction1D, _functions_on_one_grid
 
 ORDER_CAP = 20.0  # largest accepted order; keeps Gamma well inside range
 
@@ -186,110 +181,13 @@ def _sum_of_exponentials(
     return np.concatenate([s_low, s_high]), np.concatenate([w_low, w_high])
 
 
-# _sweep takes the far field of n >= _FAR_FIELD_MIN nodes from a history
-# (_far_field) when it has at most n / _NODES_PER_TERM terms; see _sweep.
-_FAR_FIELD_MIN = 8192
-_NODES_PER_TERM = 16
-
-
-def _binomial_shift(k: int, d: np.ndarray) -> np.ndarray:
-    """S[..., i, l] = C(i, l) d^(i-l) for l <= i <= k, else 0: (d + u)^i = sum_l S[i, l] u^l."""
-    binom = np.array([[math.comb(i, l) for l in range(k + 1)] for i in range(k + 1)], dtype=float)
-    power = np.maximum(np.subtract.outer(np.arange(k + 1), np.arange(k + 1)), 0)
-    return binom * np.asarray(d, dtype=float)[..., None, None] ** power
-
-
-def _history_terms(alpha: float, n: int, b: int) -> int:
-    """J (k+1): the exponentials times the powers u^0 .. u^k that ``_far_field`` carries."""
-    k = math.ceil(alpha) - 1
-    rates = 1 if alpha == k + 1 else _GAUSS_POINTS * (1 + _octaves(b + 1.0, n))
-    return (k + 1) * rates
-
-
-def _segment_moments(k: int, s: np.ndarray, b: int, scale: float) -> np.ndarray:
-    """scale times the integrals of u^i e^(-s_j u) against each node's hat on a b-cell segment.
-
-    Row i * len(s) + j, column q = 0..b for the segment's nodes left to right;
-    u runs from the segment's right end in steps. Cell q spans u in [d, d+1],
-    d = b-1-q, and one Gauss rule gives every cell's integrals against the
-    hats of its left node q and right node q+1.
-    """
-    x, gw = _NEAR_RULE
-    d = np.arange(b - 1.0, -1.0, -1.0)
-    kern = np.exp(-np.outer(s, x)) * (scale * gw)
-    powers = np.add.outer(x, d) ** np.arange(k + 1.0)[:, None, None]
-    decay = np.exp(-np.outer(s, d))
-    moments = np.zeros((k + 1, len(s), b + 1))
-    for nodes, hat in ((slice(None, -1), x), (slice(1, None), 1.0 - x)):
-        part = (kern * hat) @ powers
-        part *= decay
-        moments[..., nodes] += part
-    return moments.reshape(-1, b + 1)
-
-
-def _far_field(alpha: float, h: float, cols: np.ndarray, b: int) -> np.ndarray:
-    """The far field of ``_sweep``'s blocks 2, 3, ..., laid out like its GEMM output.
-
-    Block I (output nodes 1 + I*b .. (I+1)*b) has its cutoff at node
-    c_I = (I-1)*b; the cells left of it lie r = a + u away from an output
-    node, with a = m - c_I in [b+1, 2b] and u >= 0 in steps of h. With
-    alpha = k + beta, 0 < beta <= 1,
-
-        r^(alpha-1) = sum_i C(k, i) a^(k-i) u^i * r^(beta-1),
-        r^(beta-1) ~ sum_j w_j e^(-s_j a) e^(-s_j u),
-
-    the second from ``_sum_of_exponentials`` on [b+1, n] (for beta = 1 the
-    single rate 0), so the far field is sum_(i,j) C(k, i) a^(k-i) w_j
-    e^(-s_j a) H_ij(c_I) with the history H_ij(c) = integral of u^i e^(-s_j u)
-    times the piecewise-linear samples over the cells left of c. Each b-cell
-    segment's share of a history is one fixed matrix of moments against its
-    b + 1 samples (one GEMM for every segment); moving the cutoff by b
-    multiplies H by e^(-s_j b) and mixes the u^i with the binomial shift; one
-    more GEMM evaluates every block. Every factor is nonnegative. The rates
-    are at most 2 _SOE_CUT / (b+1) per step, so one 16-point Gauss rule gives
-    a cell's moments to rounding. Each GEMM is a stack with one same-shape
-    entry per entry of ``cols``.
-    """
-    p, c, n = cols.shape[0], cols.shape[1], cols.shape[2] - 1
-    segments = (n - 1) // b - 1
-    k = math.ceil(alpha) - 1
-    beta = alpha - k
-    if beta == 1.0:
-        s, w = np.zeros(1), np.ones(1)
-    else:
-        s, w = _sum_of_exponentials(beta, b + 1.0, float(n))
-    # samples[q, g, col, node] = node g*b + node of column col of entry q
-    e = cols.itemsize
-    samples = np.ndarray(
-        (p, segments, c, b + 1), buffer=cols, strides=(cols.strides[0], e * b, cols.strides[1], e)
-    )
-    scale = float(h) ** alpha / math.gamma(alpha)
-    hist = samples.reshape(p, segments * c, b + 1) @ _segment_moments(k, s, b, scale).T
-    hist = hist.reshape(p, segments, c, k + 1, len(s))
-    # hist[:, g] holds segment g's share; add the history up to it, moved by b steps
-    step = _binomial_shift(k, float(b))
-    decay = np.exp(-s * b)
-    for g in range(1, segments):
-        prev = hist[:, g - 1] if k == 0 else step @ hist[:, g - 1]
-        hist[:, g] += decay * prev
-    a = np.arange(b + 1.0, 2.0 * b + 1.0)
-    kern = np.exp(-np.outer(a, s))
-    kern *= w
-    evaluate = _binomial_shift(k, a)[:, k, :, None] * kern[:, None, :]
-    return evaluate.reshape(b, -1) @ hist.reshape(p, segments * c, -1).transpose(0, 2, 1)
-
-
 def _block_size(n: int) -> int:
     """Toeplitz block edge for n nodes: one block up to 128 nodes, then 128.
 
     Timed on one core with one GEMM column per real row. For n = 256..4096
     and 1 to 257 rows, 128 was within 9% of the fastest of 64, 128 and 256;
     sqrt(n)-sized blocks ran up to 1.5x slower, because their n/B GEMM
-    calls are each too small. A sweep whose far field comes from the history
-    (``_far_field``) uses the same blocks as its segments: at n = 8192,
-    16384 and 32768, alpha = 0.5 and 1.5, and 1 or 8 rows, 128 was within
-    15% of the fastest of 64, 128 and 256, and 256 ran 4-13% slower than
-    128 at n = 32768.
+    calls are each too small.
     """
     return min(n, 128)
 
@@ -311,30 +209,10 @@ def _sweep(alpha: float, h: float, cols: np.ndarray) -> np.ndarray:
     the zero-padded symbol as its column-reversed (Hankel) form, which
     multiplies the block-reversed samples. This costs O(n^2) per column.
 
-    Long sweeps take the far field from a history instead. With
-    alpha = k + beta, 0 < beta <= 1, the rule is: when n >= _FAR_FIELD_MIN
-    (8192) and the history has at most n / _NODES_PER_TERM (n / 16) terms
-    J (k+1) (``_history_terms``), only lags 0 and 1 go through the GEMM,
-    with the exact weights of distances up to 2B, and block I >= 2 reads
-    every cell left of node (I-1)*B from ``_far_field``. That costs
-    O(n (J (k+1) + B)) time and O(n J (k+1) / B) temporaries per column,
-    with J = 10 (1 + ceil(log2(40 n / (B+1)))) rates (130 at n = 8192, 140
-    at 16384, 150 at 32768) and J = 1 at integer orders. So every integer
-    order takes it, the others up to k = 2 at n = 8192, k = 6 at 16384 and
-    k = 12 at 32768, and every accepted order from n = 65536. Each node
-    stays within about 4e-15 of the sum of its exact rule's term
-    magnitudes. Timed on one core with one row, history against full GEMM:
-    at n = 8192, 1.7 against 3.4 ms for alpha = 0.5, 1.9 against 2.9 ms for
-    alpha = 2.5, but 2.8 against 2.6 ms for alpha = 3.5 (k = 3); at
-    n = 16384, 1.7 against 8.2 ms for alpha = 0.5, 2.3 against 8.0 ms for
-    alpha = 1.5 and 5.9 against 8.5 ms for alpha = 7.5; at n = 4096, 1.1
-    against 0.9 ms for alpha = 0.5.
-
     What holds by construction:
 
-    * every product is of a nonnegative weight and a sample, or of
-      nonnegative history factors, so nonnegative input gives exactly
-      nonnegative output and zeros stay exact zeros;
+    * every product is of a nonnegative weight and a sample, so nonnegative
+      input gives exactly nonnegative output and zeros stay exact zeros;
     * alpha = 1 takes a ``cumsum`` of the subinterval trapezoids, the
       grouping of ``cumulative_trapezoid``, so it agrees bit-for-bit.
 
@@ -353,12 +231,7 @@ def _sweep(alpha: float, h: float, cols: np.ndarray) -> np.ndarray:
     else:
         b = _block_size(n)
         nb = -(-n // b)
-        far = n >= _FAR_FIELD_MIN and _history_terms(alpha, n, b) * _NODES_PER_TERM <= n
-        lags = 2 if far else nb
-        m = min(n, lags * b)
-        wl, wr = product_quadrature_weights(alpha, h, m)
-        # the history first, before the GEMM's temporaries are allocated
-        history = _far_field(alpha, h, cols, b) if far else None
+        wl, wr = product_quadrature_weights(alpha, h, n)
         x = np.zeros((p, c, nb * b))
         x[..., :n] = cols[..., 1:]
         # xr[q, k, J*c + col] is node 1 + J*b + (b-1-k) of column col of entry
@@ -366,9 +239,9 @@ def _sweep(alpha: float, h: float, cols: np.ndarray) -> np.ndarray:
         # BLAS cannot take
         xr = x.reshape(p, c, nb, b)[..., ::-1].transpose(0, 3, 2, 1).reshape(p, b, nb * c)
         xr = np.ascontiguousarray(xr)
-        symbol = np.zeros(lags * b + b - 1)
+        symbol = np.zeros(nb * b + b - 1)
         symbol[b - 1] = wr[0]
-        symbol[b:b + m - 1] = wl[:-1] + wr[1:]
+        symbol[b:b + n - 1] = wl[:-1] + wr[1:]
         # windows[i] = symbol[i:i+b], a strided view (no copy); hankel_L is
         # windows[L*b:(L+1)*b]. numpy's sliding_window_view gives the same
         # view, but in long in-process runs a 939 KiB block allocated inside
@@ -380,19 +253,11 @@ def _sweep(alpha: float, h: float, cols: np.ndarray) -> np.ndarray:
         # (one core of an Intel Xeon)
         hankel = np.empty((b, b))
         y = np.zeros((p, b, nb * c))
-        for lag in range(lags):
+        for lag in range(nb):
             np.copyto(hankel, windows[lag * b:(lag + 1) * b])
             y[..., lag * c:] += hankel @ xr[..., :(nb - lag) * c]
-        if far:
-            # the left node of each block's first near cell: node 0 for blocks
-            # 0 and 1, block I's cutoff node (I-1)*b for the others
-            y[..., :c] += wl[:b, None] * cols[:, None, :, 0]
-            cutoffs = cols[..., :(nb - 1) * b:b].transpose(0, 2, 1).reshape(p, 1, -1)
-            y[..., c:] += wl[b:, None] * cutoffs
-            y[..., 2 * c:] += history
         res = y.reshape(p, b, nb, c).transpose(0, 3, 2, 1).reshape(p, c, nb * b)[..., :n]
-        if not far:
-            res += wl * cols[..., :1]
+        res += wl * cols[..., :1]
     if not np.isfinite(res).all():
         raise ValueError(f"the order-{alpha} integral overflows at step {h}")
     return res
@@ -417,19 +282,8 @@ def rl_integral(
     grids, raise one too.
     """
     alpha = _check_order(alpha)
-    single = isinstance(f, SampledFunction1D)
-    fs = [f] if single else list(f)
-    if not fs:
-        raise ValueError("rl_integral needs at least one sampled function")
+    fs = _functions_on_one_grid(f)
     grid = fs[0].grid
-    for other in fs[1:]:
-        _require_same_grid(fs[0], other)
-    for q, g in enumerate(fs):
-        if not np.isfinite(g.values).all():
-            try:
-                _finite_samples(grid, grid.nodes, g.values)
-            except ValueError as err:
-                raise ValueError(str(err) if single else f"function {q}: {err}") from None
     is_real = [not g.values.imag.any() for g in fs]
     out = np.zeros((len(fs), grid.N + 1), dtype=np.complex128)
     for real, parts in ((True, ("real",)), (False, ("real", "imag"))):
@@ -440,7 +294,7 @@ def rl_integral(
             for j, part in enumerate(parts):
                 getattr(out, part)[rows, 1:] = res[:, j]
     results = [SampledFunction1D(grid, v) for v in out]
-    return results[0] if single else results
+    return results[0] if isinstance(f, SampledFunction1D) else results
 
 
 @dataclass(frozen=True)
@@ -545,10 +399,14 @@ def estimate_order(g: SampledFunction1D) -> float:
 
     Fits beta in log g(t) = beta*log(t - a) - log Gamma(beta+1) over the
     interior nodes, scanning beta in (0, 20] and refining the best bracket by
-    golden section to 1e-6.
+    golden section to 1e-6. A grid with no interior node (N = 1) is a
+    ``ValueError``: there is nothing to fit.
     """
     if not g.is_real:
         raise ValueError("order estimation requires a real-valued function")
+    if g.grid.N < 2:
+        raise ValueError("order estimation needs an interior node; a grid with N = 1 "
+                         "has nothing to fit")
     vals = g.values.real[1:-1]
     if np.any(vals <= 0.0):
         k = int(np.nonzero(vals <= 0.0)[0][0]) + 1

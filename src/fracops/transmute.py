@@ -64,7 +64,7 @@ from .grid import (
     SampledFunction1D,
     UniformGrid1D,
     _finite_samples,
-    _require_same_grid,
+    _functions_on_one_grid,
     l1_distance,
     sample_array,
 )
@@ -497,17 +497,12 @@ def rl_wrt_phi_direct(
     Either way the result agrees with the exact rule over the whole prefix to
     about 1e-14 relative, node 0 is exactly 0, and since every weight is
     nonnegative a nonnegative real g gives an exactly nonnegative real result.
-    A non-finite sample, or a result that overflows, is a ``ValueError``.
+    A non-finite sample, or a result that overflows, is a ``ValueError``; the
+    first names the node index and t, and in a sequence the function's position.
     """
     alpha = _check_order(alpha)
-    gs = [g] if isinstance(g, SampledFunction1D) else list(g)
-    if not gs:
-        raise ValueError("the direct route needs at least one sampled function")
+    gs = _functions_on_one_grid(g)
     grid = gs[0].grid
-    for other in gs[1:]:
-        _require_same_grid(gs[0], other)
-    for f in gs:
-        _finite_samples(grid, grid.nodes, f.values)
     u, ends, live, G = _image_mesh(phi, grid, [f.values for f in gs])
     # G[p] is function p on the mesh, its real and imaginary parts as columns
     G = G.view(np.float64).reshape(len(gs), -1, 2)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracops import rl_core
 from fracops.grid import (
     BoxGridND,
     SampledFunction1D,
@@ -22,7 +21,6 @@ from fracops.grid import (
 from fracops.harness import TEST_FUNCTIONS
 from fracops.rl_core import (
     FAMILY_NAMES,
-    _FAR_FIELD_MIN,
     _FAR_RULE,
     _NEAR_RULE,
     _block_size,
@@ -263,8 +261,8 @@ def test_weights_match_quadrature_oracle_at_every_distance():
 
 
 BLOCK = 128  # block edge from N = 128 on; up to 128 nodes the matrix is one block
-WIDE = 32768  # the largest N here; orders up to 13 read the history there
-FAR = _FAR_FIELD_MIN  # first N whose far field may come from the history
+WIDE = 32768  # the largest N here
+FAR = 8192  # long sweeps, above every size the commands run by default
 RAMP = TEST_FUNCTIONS["ramp"]  # zero on [0, 0.3]
 
 
@@ -294,13 +292,9 @@ def test_positivity_is_exact_across_block_edges(n):
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 1.001, 1.5, 2.0, 3.3, 20.0])
-def test_far_field_nodes_are_within_1e14_of_their_exact_sums(alpha, monkeypatch):
-    # the history serves every block from the third on (at 2 FAR nodes every
-    # order here takes it); the last block is ragged. Checked at the first
-    # nodes, both sides of five block edges, a stride and the last nodes.
-    calls = []
-    far_field = rl_core._far_field
-    monkeypatch.setattr(rl_core, "_far_field", lambda *args: calls.append(1) or far_field(*args))
+def test_long_sweeps_are_within_1e14_of_their_exact_sums(alpha):
+    # 129 blocks, the last one ragged. Checked at the first nodes, both sides
+    # of five block edges, a stride and the last nodes.
     n = 2 * FAR + 7
     g = UniformGrid1D(0.0, 1.0, n)
     edges = BLOCK * np.array([1, 2, 3, 17, n // BLOCK])
@@ -327,10 +321,9 @@ def test_far_field_nodes_are_within_1e14_of_their_exact_sums(alpha, monkeypatch)
         assert np.all(rows_out[[0, 2]].imag == 0.0)
         for row_in, row_out in zip(rows_in, rows_out):
             assert_near_exact(row_in, row_out)
-    assert len(calls) == 4
 
 
-def test_far_field_keeps_the_non_finite_and_overflow_messages():
+def test_long_sweeps_keep_the_non_finite_and_overflow_messages():
     vals = np.ones(FAR + 1, dtype=complex)
     vals[5000] = math.nan
     f = SampledFunction1D(UniformGrid1D(0.0, 1.0, FAR), vals)
@@ -349,12 +342,9 @@ def test_far_field_keeps_the_non_finite_and_overflow_messages():
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 2048, FAR + 7])
-def test_sequence_equals_one_call_per_function(n, monkeypatch):
+def test_sequence_equals_one_call_per_function(n):
     # every function is its own entry of a stack of same-shape GEMMs, so it
-    # gets the bits of a call of its own; FAR + 7 nodes take the far field
-    calls = []
-    far_field = rl_core._far_field
-    monkeypatch.setattr(rl_core, "_far_field", lambda *args: calls.append(1) or far_field(*args))
+    # gets the bits of a call of its own
     g = UniformGrid1D(0.0, 1.0, n)
     rng = np.random.default_rng(n)
     real = [sample(RAMP, g), SampledFunction1D(g, rng.standard_normal(n + 1))]
@@ -371,14 +361,12 @@ def test_sequence_equals_one_call_per_function(n, monkeypatch):
             for f, out in zip(fs, outs):
                 if f.is_real:
                     assert np.all(out.values.imag == 0.0)
-    # each of the three non-unit orders: two stacks and the singles of 8 functions
-    assert len(calls) == (0 if n < FAR else 3 * (3 * 2 + 8))
 
 
 def test_sequence_rejects_bad_input():
     g = UniformGrid1D(0.0, 1.0, 8)
     ok = sample(lambda t: t, g)
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="needs at least one sampled function"):
         rl_integral(0.5, [])
     with pytest.raises(ValueError, match="grid mismatch"):
         rl_integral(0.5, [ok, sample(lambda t: t, UniformGrid1D(0.0, 2.0, 8))])
@@ -570,6 +558,12 @@ def test_estimate_order_rejects_nonpositive():
     vals[5] = -1.0
     with pytest.raises(ValueError, match="interior node"):
         estimate_order(SampledFunction1D(g, vals.astype(complex)))
+
+
+def test_estimate_order_without_an_interior_node_is_an_error():
+    f = SampledFunction1D(UniformGrid1D(0.0, 1.0, 1), [0.0, 1.0])
+    with pytest.raises(ValueError, match="nothing to fit"):
+        estimate_order(f)
 
 
 def test_estimate_order_respects_grid_origin():

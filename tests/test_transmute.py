@@ -424,10 +424,18 @@ def test_batched_direct_equals_one_call_per_function(phi):
 def test_direct_batch_and_mesh_are_checked():
     phi = unit_jump_integrator()
     g = sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, 16))
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="needs at least one sampled function"):
         rl_wrt_phi_direct(0.5, phi, [])
     with pytest.raises(ValueError, match="grid mismatch"):
         rl_wrt_phi_direct(0.5, phi, [g, sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, 8))])
+    # a non-finite sample is named by its function's position, as in rl_integral
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        vals = np.ones(17, dtype=complex)
+        vals[3] = bad
+        message = "function 2: non-finite sample at node index 3 (t=0.1875)"
+        for alpha in (0.5, 1.3):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                rl_wrt_phi_direct(alpha, phi, (g, g, SampledFunction1D(g.grid, vals)))
     # the image mesh checks its grid against the domain itself
     with pytest.raises(ValueError, match="does not match the integrator domain"):
         _image_mesh(phi, UniformGrid1D(0.0, 2.0, 8), [np.ones(9)])
