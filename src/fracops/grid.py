@@ -186,9 +186,9 @@ def sample_array(expr: Callable[[np.ndarray], np.ndarray], grid: UniformGrid1D) 
 def sample_nd(expr: Callable[..., complex], grid: BoxGridND) -> SampledFunctionND:
     mesh = np.meshgrid(*[g.nodes for g in grid.axes], indexing="ij")
     vals = np.vectorize(expr, otypes=[np.complex128])(*mesh)
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-        idx = np.argwhere(~(np.isfinite(vals.real) & np.isfinite(vals.imag)))[0]
-        raise ValueError(f"non-finite sample at node index {tuple(idx)}")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"non-finite sample at node index {_first_index(bad)}")
     return SampledFunctionND(grid, vals)
 
 
@@ -211,13 +211,28 @@ def cumulative_trapezoid(f: SampledFunction1D) -> SampledFunction1D:
     return SampledFunction1D(f.grid, out)
 
 
+def _first_index(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first true entry of a nonempty boolean mask, as plain ints."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
 def _finite_norm(norm: float, values: np.ndarray, step: str) -> float:
     if math.isfinite(norm):
         return norm
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"non-finite sample at node index {tuple(int(i) for i in bad[0])}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"non-finite sample at node index {_first_index(bad)}")
     raise ValueError(f"the L1 norm integral overflows at {step}")
+
+
+def _difference(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f - g, with no warning; an overflow of finite samples is a ``ValueError`` naming its node."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = f - g
+    over = ~np.isfinite(diff) & np.isfinite(f) & np.isfinite(g)
+    if over.any():
+        raise ValueError(f"the L1 distance overflows at node index {_first_index(over)}")
+    return diff
 
 
 def l1_norm(f: SampledFunction1D) -> float:
@@ -235,7 +250,7 @@ def l1_norm(f: SampledFunction1D) -> float:
 
 def l1_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
     _require_same_grid(f, g)
-    return l1_norm(f - g)
+    return l1_norm(SampledFunction1D(f.grid, _difference(f.values, g.values)))
 
 
 def trapezoid_weights(h: float, n: int) -> np.ndarray:
@@ -258,4 +273,4 @@ def l1_norm_nd(f: SampledFunctionND) -> float:
 def l1_distance_nd(f: SampledFunctionND, g: SampledFunctionND) -> float:
     if f.grid != g.grid:
         raise ValueError("grid mismatch between ND sampled functions")
-    return l1_norm_nd(SampledFunctionND(f.grid, f.values - g.values))
+    return l1_norm_nd(SampledFunctionND(f.grid, _difference(f.values, g.values)))

@@ -11,8 +11,7 @@ one inverse transform per part. ``composition_residual`` checks the law
 I^b I^a = I^(a+b) with one forward transform of its sample and one of each
 first step I^a f, one inverse per first step and one per compared pair, of
 the spectral difference m_b F[I^a f] - m_(a+b) F[f]: 5 ``rfftn`` and 20
-``irfftn`` for 4 orders on a real 3D sample. Each first-step spectrum is
-freed once its order's pairs are read.
+``irfftn`` for 4 orders on a real 3D sample.
 """
 
 from __future__ import annotations
@@ -157,25 +156,16 @@ def _pair_residuals(
     _, spectra = _transform(values)
     log_xi = _log_xi(grid)
     axes = tuple(range(grid.dim))
-    # every pair writes its multipliers and each part's spectral difference
-    # into these, allocated once; a second spectrum-sized buffer for the
-    # subtrahend would stay alive through every irfftn and raised the peak
-    # by 2 MB at 3D/64, so m_b F_a stays one temporary
-    mult_b, mult_sum = np.empty(log_xi.shape), np.empty(log_xi.shape)
-    diff = np.empty(spectra[0].shape, complex)
     for a in orders:
         partners = [b for b in orders if a + b < grid.dim]
         if not partners:
             continue
         _, first = _transform(_potential(a, grid, spectra))
         for b in partners:
-            np.exp(np.multiply(-b, log_xi, out=mult_b), out=mult_b)
-            np.exp(np.multiply(-(a + b), log_xi, out=mult_sum), out=mult_sum)
-            parts = []
-            for first_coeffs, coeffs in zip(first, spectra):
-                np.multiply(coeffs, mult_sum, out=diff)
-                np.subtract(first_coeffs * mult_b, diff, out=diff)
-                parts.append(np.fft.irfftn(diff, s=grid.shape, axes=axes))
+            mult_b = np.exp(-b * log_xi)
+            mult_sum = np.exp(-(a + b) * log_xi)
+            parts = [np.fft.irfftn(first_spec * mult_b - spec * mult_sum, s=grid.shape, axes=axes)
+                     for first_spec, spec in zip(first, spectra)]
             # a complex sample's residual is the modulus of its two parts' residuals
             mod = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(*parts)
             yield a, b, float(mod.max())

@@ -120,67 +120,6 @@ def product_quadrature_weights(alpha: float, h: float, n: int) -> tuple[np.ndarr
     return scale * wl, scale * wr
 
 
-# A sum of exponentials for a kernel power: Gauss points per rule, and
-# s * delta at its top rate, where e^(-s delta) < 5e-18.
-_GAUSS_POINTS = 10
-_SOE_CUT = 40.0
-_GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(10)
-    (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-     0.9739065285171717),
-    (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
-     0.06667134430868814),
-)
-
-
-def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 < alpha < 1.
-
-    Golub-Welsch (Math. Comp. 23, 1969) on the Jacobi matrix of
-    (1 + x)^(-alpha) on [-1, 1]: the nodes are its eigenvalues, in ascending
-    order, and the weights the squared first components of its eigenvectors,
-    divided by their sum, so they are positive and sum to 1.
-    """
-    b = -alpha
-    k = np.arange(_GAUSS_POINTS, dtype=np.float64)
-    diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
-    diag[0] = b / (b + 2.0)
-    k = k[1:]
-    c = 2.0 * k + b
-    off = 2.0 * k * (k - alpha) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    v = vec[0] ** 2
-    return 0.5 * (x + 1.0), v / v.sum()
-
-
-def _octaves(delta: float, length: float) -> int:
-    """ceil(log2(_SOE_CUT * length / delta)), the octaves of ``_sum_of_exponentials``."""
-    return max(1, math.ceil(math.log2(_SOE_CUT * length / delta)))
-
-
-def _sum_of_exponentials(
-    alpha: float, delta: float, length: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates s_j and positive weights w_j with sum_j w_j e^(-s_j r) = r^(alpha-1).
-
-    For 0 < alpha < 1, r^(alpha-1) = int_0^inf s^(-alpha) e^(-s r) ds / Gamma(1-alpha).
-    Gauss-Jacobi with weight s^(-alpha) covers [0, 1/length] and
-    Gauss-Legendre each dyadic interval above it, up to _SOE_CUT / delta,
-    which leaves a tail below e^(-_SOE_CUT). The relative error stays near
-    2e-15 on [delta, length] for every alpha in (0, 1), and the count is
-    _GAUSS_POINTS * (1 + _octaves(delta, length)), whatever alpha. The rates
-    come out sorted.
-    """
-    t, v = _gauss_jacobi(alpha)
-    # (1 - alpha) Gamma(1 - alpha) = Gamma(2 - alpha)
-    s_low = t / length
-    w_low = v * length ** (alpha - 1.0) / math.gamma(2.0 - alpha)
-    lo = 2.0 ** np.arange(_octaves(delta, length))[:, None] / length
-    y, wy = _GAUSS_RULE
-    s_high = (lo * (1.0 + y)).ravel()
-    w_high = (lo * wy).ravel() * s_high ** (-alpha) / math.gamma(1.0 - alpha)
-    return np.concatenate([s_low, s_high]), np.concatenate([w_low, w_high])
-
-
 def _block_size(n: int) -> int:
     """Toeplitz block edge for n nodes: one block up to 128 nodes, then 128.
 
@@ -244,8 +183,7 @@ def _sweep(alpha: float, h: float, cols: np.ndarray) -> np.ndarray:
         symbol[b:b + n - 1] = wl[:-1] + wr[1:]
         # windows[i] = symbol[i:i+b], a strided view (no copy); hankel_L is
         # windows[L*b:(L+1)*b]. numpy's sliding_window_view gives the same
-        # view, but in long in-process runs a 939 KiB block allocated inside
-        # it stayed alive (seen with tracemalloc).
+        # view but raised axioms' peak RSS by 0.05 to 0.15 MB in three perfbench runs.
         windows = np.ndarray((symbol.size - b + 1, b), buffer=symbol, strides=2 * symbol.strides)
         # every lag copies its matrix into one buffer: malloc maps a fresh
         # 128 KiB array per lag anew, which at n = 2048 took 480 page faults

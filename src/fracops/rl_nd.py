@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoxGridND, SampledFunctionND, l1_distance_nd
+from .grid import BoxGridND, SampledFunctionND, _first_index, l1_distance_nd
 from .rl_core import ORDER_CAP, _sweep
 
 MultiOrder = tuple[float, ...]
@@ -64,7 +64,7 @@ def _sweep_axis(alpha: float, h: float, values: np.ndarray, axis: int) -> np.nda
     # zero imaginary parts are finite, so checking the columns checks the input
     cols = np.concatenate((flat.real, flat.imag) if flat.imag.any() else (flat.real,))
     if not np.isfinite(cols).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        idx = _first_index(~np.isfinite(values))
         raise ValueError(f"non-finite sample at node index {idx[0] if len(idx) == 1 else idx}")
     res = _sweep(alpha, h, cols[None])[0]
     out = np.zeros(rows.shape, dtype=np.complex128)

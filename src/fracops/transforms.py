@@ -44,12 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import (
-    BoxGridND,
-    SampledFunction1D,
-    SampledFunctionND,
-    UniformGrid1D,
-)
+from .grid import BoxGridND, SampledFunction1D, SampledFunctionND, UniformGrid1D, _first_index
 from .rl_core import OperatorFamily1D, _check_order, product_quadrature_weights
 from .special import upper_gamma, zeta_neg
 
@@ -250,9 +245,9 @@ def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
             acc = np.tensordot(acc, w, axes=([axis], [0]))
     value = float(acc)
     if not math.isfinite(value):
-        bad = np.argwhere(~np.isfinite(f.values.real))
-        if bad.size:
-            raise ValueError(f"non-finite sample at node index {tuple(int(i) for i in bad[0])}")
+        bad = ~np.isfinite(f.values.real)
+        if bad.any():
+            raise ValueError(f"non-finite sample at node index {_first_index(bad)}")
         ends = tuple(g.T for g in f.grid.axes)
         raise ValueError(f"transform value at x={xs} overflows on the box [0, {ends}]")
     return value

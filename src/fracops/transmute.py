@@ -68,7 +68,7 @@ from .grid import (
     l1_distance,
     sample_array,
 )
-from .rl_core import _check_order, _sum_of_exponentials, rl_integral
+from .rl_core import _check_order, _gauss_legendre, rl_integral
 
 # segment ends that should meet, and the declared domain against the
 # segments, are judged on the domain's own scale (_boundary_tol); image gaps
@@ -78,8 +78,7 @@ _BOUNDARY_MARGIN = 1e-12
 _EVAL_ULPS = 4.0
 
 # The direct route's block kernel: nodes per block and grid nodes of exact
-# near field before each block; the far field's sum of exponentials is
-# rl_core's.
+# near field before each block.
 _BLOCK = 64
 _NEAR = 4
 _BLOCK_ENTRIES = 65536  # most rows x mesh nodes of a block that reads whole prefixes
@@ -390,6 +389,63 @@ def _near_field(
     # cells no longer than 1e-15 max(1, |x|) keep only their left value
     m1 *= inv_du * (du > 1e-15 * np.maximum(1.0, np.abs(x))[:, None])
     return (m0 - m1) @ G[:, :-1] + m1 @ G[:, 1:]
+
+
+# A sum of exponentials for a kernel power: Gauss points per rule, and
+# s * delta at its top rate, where e^(-s delta) < 5e-18.
+_GAUSS_POINTS = 10
+_SOE_CUT = 40.0
+_GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(10)
+    (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+     0.9739065285171717),
+    (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+     0.06667134430868814),
+)
+
+
+def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 < alpha < 1.
+
+    Golub-Welsch (Math. Comp. 23, 1969) on the Jacobi matrix of
+    (1 + x)^(-alpha) on [-1, 1]: the nodes are its eigenvalues, in ascending
+    order, and the weights the squared first components of its eigenvectors,
+    divided by their sum, so they are positive and sum to 1.
+    """
+    b = -alpha
+    k = np.arange(_GAUSS_POINTS, dtype=np.float64)
+    diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
+    diag[0] = b / (b + 2.0)
+    k = k[1:]
+    c = 2.0 * k + b
+    off = 2.0 * k * (k - alpha) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    v = vec[0] ** 2
+    return 0.5 * (x + 1.0), v / v.sum()
+
+
+def _sum_of_exponentials(
+    alpha: float, delta: float, length: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates s_j and positive weights w_j with sum_j w_j e^(-s_j r) = r^(alpha-1).
+
+    For 0 < alpha < 1, r^(alpha-1) = int_0^inf s^(-alpha) e^(-s r) ds / Gamma(1-alpha).
+    Gauss-Jacobi with weight s^(-alpha) covers [0, 1/length] and
+    Gauss-Legendre each dyadic interval above it, up to _SOE_CUT / delta,
+    which leaves a tail below e^(-_SOE_CUT). The relative error stays near
+    2e-15 on [delta, length] for every alpha in (0, 1), and the count is
+    _GAUSS_POINTS * (1 + max(1, ceil(log2(_SOE_CUT * length / delta)))),
+    whatever alpha. The rates come out sorted.
+    """
+    t, v = _gauss_jacobi(alpha)
+    # (1 - alpha) Gamma(1 - alpha) = Gamma(2 - alpha)
+    s_low = t / length
+    w_low = v * length ** (alpha - 1.0) / math.gamma(2.0 - alpha)
+    octaves = max(1, math.ceil(math.log2(_SOE_CUT * length / delta)))
+    lo = 2.0 ** np.arange(octaves)[:, None] / length
+    y, wy = _GAUSS_RULE
+    s_high = (lo * (1.0 + y)).ravel()
+    w_high = (lo * wy).ravel() * s_high ** (-alpha) / math.gamma(1.0 - alpha)
+    return np.concatenate([s_low, s_high]), np.concatenate([w_low, w_high])
 
 
 def _far_field_exponentials(

@@ -15,6 +15,7 @@ from fracops.grid import (
     UniformGrid1D,
     cumulative_trapezoid,
     l1_distance,
+    l1_distance_nd,
     l1_norm,
     l1_norm_nd,
     sample,
@@ -174,9 +175,39 @@ def test_shape_mismatch_rejected():
 
 
 def test_sample_nd_rejects_nonfinite():
+    # the index reads as plain ints, not as numpy scalars
     box = BoxGridND((UniformGrid1D(0.0, 1.0, 2), UniformGrid1D(0.0, 1.0, 2)))
-    with pytest.raises(ValueError, match="node index"):
-        sample_nd(lambda x, y: float("nan") if (x, y) == (0.5, 0.5) else 1.0, box)
+    message = "non-finite sample at node index (1, 2)"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        sample_nd(lambda x, y: float("nan") if (x, y) == (0.5, 1.0) else 1.0, box)
+
+
+def test_l1_distance_overflow_is_an_error_naming_the_node():
+    # finite samples whose difference overflows: no warning, and the error
+    # names the distance, not a non-finite sample that neither input has
+    g = UniformGrid1D(0.0, 1.0, 4)
+    box = BoxGridND((g, UniformGrid1D(0.0, 1.0, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e308, 1e308j):
+            f, h = np.ones(5, dtype=complex), np.ones(5, dtype=complex)
+            f[2], h[2] = big, -big
+            message = re.escape("the L1 distance overflows at node index (2,)") + "$"
+            with pytest.raises(ValueError, match=message):
+                l1_distance(SampledFunction1D(g, f), SampledFunction1D(g, h))
+            f, h = np.ones(box.shape, dtype=complex), np.ones(box.shape, dtype=complex)
+            f[2, 1], h[2, 1] = big, -big
+            message = re.escape("the L1 distance overflows at node index (2, 1)") + "$"
+            with pytest.raises(ValueError, match=message):
+                l1_distance_nd(SampledFunctionND(box, f), SampledFunctionND(box, h))
+        # a non-finite sample is still named as one, and large finite
+        # differences still come back
+        f = np.ones(5)
+        f[3] = np.inf
+        with pytest.raises(ValueError, match=re.escape("non-finite sample at node index (3,)")):
+            l1_distance(SampledFunction1D(g, f), SampledFunction1D(g, np.ones(5)))
+        top = SampledFunction1D(g, np.full(5, 2e307))
+        assert l1_distance(top, -1.0 * top) == pytest.approx(4e307)
 
 
 def test_l1_norm_overflow_is_an_error_naming_the_step():

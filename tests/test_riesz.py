@@ -211,6 +211,9 @@ def test_composition_residual_peak_memory_does_not_grow_with_orders():
             tracemalloc.stop()
     half_spectrum = 64 * 64 * 33 * 16  # one complex rfftn output at 64^3
     assert abs(peaks[1] - peaks[0]) < half_spectrum
+    # about 7 half-spectra here; multiplier and difference buffers kept
+    # across pairs add 1.5 more
+    assert peaks[0] < 7.5 * half_spectrum
 
 
 def test_composition_residual_checks_the_operator_output(monkeypatch):

@@ -24,14 +24,13 @@ from fracops.rl_core import (
     _FAR_RULE,
     _NEAR_RULE,
     _block_size,
-    _gauss_jacobi,
-    _sum_of_exponentials,
     estimate_order,
     make_family,
     product_quadrature_weights,
     rl_integral,
 )
 from fracops.rl_nd import rl_integral_nd
+from fracops.transmute import _GAUSS_RULE
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # closed form of I^0.5 1 at t = 1
 
@@ -233,7 +232,7 @@ def test_positivity_is_exact(vals, alpha):
 
 
 def test_gauss_legendre_rules_are_numpys():
-    for rule, k in ((_NEAR_RULE, 16), (_FAR_RULE, 8)):
+    for rule, k in ((_NEAR_RULE, 16), (_FAR_RULE, 8), (_GAUSS_RULE, 10)):
         x, w = np.polynomial.legendre.leggauss(k)
         assert np.array_equal(rule[0], 0.5 * (x + 1.0))
         assert np.array_equal(rule[1], 0.5 * w)
@@ -390,34 +389,6 @@ def test_family_apply_passes_sequences_through(name):
         assert len(outs) == len(fs)
         for f, out in zip(fs, outs):
             assert np.array_equal(out.values, fam.apply(alpha, f).values)
-
-
-def test_sum_of_exponentials_is_uniform_in_alpha():
-    # the count depends on R / delta only, so alpha -> 1 costs no more time
-    # or memory, and the kernel error stays near rounding
-    delta, length = 4.0 / 4096.0, 2.0
-    r = np.geomspace(delta, length, 2001)
-    counts = set()
-    for alpha in (1e-8, 0.5, 0.999, 1.0 - 1e-9):
-        s, w = _sum_of_exponentials(alpha, delta, length)
-        counts.add(len(s))
-        assert np.all(w > 0.0) and np.all(np.diff(s) > 0.0)
-        kernel = np.exp(-np.outer(r, s)) @ w
-        assert np.abs(kernel / r ** (alpha - 1.0) - 1.0).max() < 5e-15, alpha
-    assert counts == {10 * (1 + math.ceil(math.log2(40.0 * length / delta)))}
-    assert counts == {180}
-
-
-def test_gauss_jacobi_is_exact_to_degree_19():
-    # the rule behind the history's slowest exponentials: 10 Gauss points
-    # integrate t^m exactly against (1 - alpha) t^(-alpha) for m <= 19
-    m = np.arange(20.0)
-    for alpha in (1e-8, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-9):
-        t, v = _gauss_jacobi(alpha)
-        moments = (t[:, None] ** m * v[:, None]).sum(axis=0)
-        assert np.abs(moments - (1.0 - alpha) / (m + 1.0 - alpha)).max() <= 2e-15, alpha
-        assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < 1.0, alpha
-        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15, alpha
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,8 +21,10 @@ from fracops.transmute import (
     _BLOCK,
     _NEAR,
     _far_field_exponentials,
+    _gauss_jacobi,
     _image_mesh,
     _pieces,
+    _sum_of_exponentials,
     identity_integrator,
     integrator_from_dict,
     integrator_to_dict,
@@ -507,6 +509,34 @@ def test_far_field_count_grows_logarithmically_for_flat_integrator():
     assert counts[-1] == 10 * (1 + math.ceil(math.log2(40.0 * 4096 / _NEAR)))
     assert _far_field_exponentials(1.5, x) is None  # bounded kernel: exact rule
     assert _far_field_exponentials(0.5, x[: _BLOCK + 1]) is None  # one block, no far field
+
+
+def test_sum_of_exponentials_is_uniform_in_alpha():
+    # the count depends on R / delta only, so alpha -> 1 costs no more time
+    # or memory, and the kernel error stays near rounding
+    delta, length = 4.0 / 4096.0, 2.0
+    r = np.geomspace(delta, length, 2001)
+    counts = set()
+    for alpha in (1e-8, 0.5, 0.999, 1.0 - 1e-9):
+        s, w = _sum_of_exponentials(alpha, delta, length)
+        counts.add(len(s))
+        assert np.all(w > 0.0) and np.all(np.diff(s) > 0.0)
+        kernel = np.exp(-np.outer(r, s)) @ w
+        assert np.abs(kernel / r ** (alpha - 1.0) - 1.0).max() < 5e-15, alpha
+    assert counts == {10 * (1 + math.ceil(math.log2(40.0 * length / delta)))}
+    assert counts == {180}
+
+
+def test_gauss_jacobi_is_exact_to_degree_19():
+    # the rule behind the history's slowest exponentials: 10 Gauss points
+    # integrate t^m exactly against (1 - alpha) t^(-alpha) for m <= 19
+    m = np.arange(20.0)
+    for alpha in (1e-8, 0.25, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+        t, v = _gauss_jacobi(alpha)
+        moments = (t[:, None] ** m * v[:, None]).sum(axis=0)
+        assert np.abs(moments - (1.0 - alpha) / (m + 1.0 - alpha)).max() <= 2e-15, alpha
+        assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < 1.0, alpha
+        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15, alpha
 
 
 # --------------------------------------------------------- transmuted route
