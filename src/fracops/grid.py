@@ -69,16 +69,20 @@ class SampledFunction1D:
             raise ValueError("sampled function has nonzero imaginary parts")
         return self.values.real
 
+    # an overflow of finite samples is a ValueError naming its node, as in l1_distance
     def __add__(self, other: "SampledFunction1D") -> "SampledFunction1D":
         _require_same_grid(self, other)
-        return SampledFunction1D(self.grid, self.values + other.values)
+        values = _finite_op(np.add, self.values, other.values, "the sum")
+        return SampledFunction1D(self.grid, values)
 
     def __sub__(self, other: "SampledFunction1D") -> "SampledFunction1D":
         _require_same_grid(self, other)
-        return SampledFunction1D(self.grid, self.values - other.values)
+        values = _finite_op(np.subtract, self.values, other.values, "the difference")
+        return SampledFunction1D(self.grid, values)
 
     def __mul__(self, scalar: complex) -> "SampledFunction1D":
-        return SampledFunction1D(self.grid, self.values * scalar)
+        values = _finite_op(np.multiply, self.values, scalar, "the product")
+        return SampledFunction1D(self.grid, values)
 
     __rmul__ = __mul__
 
@@ -225,14 +229,19 @@ def _finite_norm(norm: float, values: np.ndarray, step: str) -> float:
     raise ValueError(f"the L1 norm integral overflows at {step}")
 
 
-def _difference(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """f - g, with no warning; an overflow of finite samples is a ``ValueError`` naming its node."""
+def _finite_op(op: np.ufunc, f: np.ndarray, g: np.ndarray | complex, what: str) -> np.ndarray:
+    """op(f, g) with no warning; an overflow of finite operands is a ``ValueError`` naming its node.
+
+    A non-finite operand is passed through, to be named where it is checked.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = f - g
-    over = ~np.isfinite(diff) & np.isfinite(f) & np.isfinite(g)
+        out = op(f, g)
+    if np.isfinite(out).all():  # the common case, in one pass
+        return out
+    over = ~np.isfinite(out) & np.isfinite(f) & np.isfinite(g)
     if over.any():
-        raise ValueError(f"the L1 distance overflows at node index {_first_index(over)}")
-    return diff
+        raise ValueError(f"{what} overflows at node index {_first_index(over)}")
+    return out
 
 
 def l1_norm(f: SampledFunction1D) -> float:
@@ -250,7 +259,8 @@ def l1_norm(f: SampledFunction1D) -> float:
 
 def l1_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
     _require_same_grid(f, g)
-    return l1_norm(SampledFunction1D(f.grid, _difference(f.values, g.values)))
+    diff = _finite_op(np.subtract, f.values, g.values, "the L1 distance")
+    return l1_norm(SampledFunction1D(f.grid, diff))
 
 
 def trapezoid_weights(h: float, n: int) -> np.ndarray:
@@ -273,4 +283,5 @@ def l1_norm_nd(f: SampledFunctionND) -> float:
 def l1_distance_nd(f: SampledFunctionND, g: SampledFunctionND) -> float:
     if f.grid != g.grid:
         raise ValueError("grid mismatch between ND sampled functions")
-    return l1_norm_nd(SampledFunctionND(f.grid, _difference(f.values, g.values)))
+    diff = _finite_op(np.subtract, f.values, g.values, "the L1 distance")
+    return l1_norm_nd(SampledFunctionND(f.grid, diff))

@@ -10,8 +10,16 @@ real. log|xi| is tabulated once per grid, so each call costs one forward and
 one inverse transform per part. ``composition_residual`` checks the law
 I^b I^a = I^(a+b) with one forward transform of its sample and one of each
 first step I^a f, one inverse per first step and one per compared pair, of
-the spectral difference m_b F[I^a f] - m_(a+b) F[f]: 5 ``rfftn`` and 20
-``irfftn`` for 4 orders on a real 3D sample.
+the spectral difference m_b F[I^a f] - m_(a+b) F[f]: 5 forward and 20
+inverse transforms for 4 orders on a real 3D sample.
+
+Every transform writes into arrays its caller passes. ``np.fft.rfftn``
+makes all of its passes in its ``out``, but ``np.fft.irfftn`` hands each
+pass but the last a new array, and at 3D/64 each of those 2 MiB arrays was
+mapped anew, about 1,000 page faults per transform; ``_inverse`` makes the
+same passes in place instead. So ``composition_residual`` allocates its
+workspace once per call, and its loops allocate no array of transform size
+but the boolean mask of each first step's finiteness check.
 """
 
 from __future__ import annotations
@@ -81,8 +89,19 @@ def _log_xi(grid: PeriodicGridND) -> np.ndarray:
     return table
 
 
-def _transform(values: np.ndarray) -> tuple[PeriodicGridND, list[np.ndarray]]:
-    """Check that ``values`` is a finite, mean-zero periodic sample; ``rfftn`` each part."""
+def _parts(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real parts of a sample: itself if real, else views of its real and imaginary parts."""
+    return (values,) if np.isrealobj(values) else (values.real, values.imag)
+
+
+def _transform(
+    values: np.ndarray, out: Sequence[np.ndarray] | None = None
+) -> tuple[PeriodicGridND, list[np.ndarray]]:
+    """Check that ``values`` is a finite, mean-zero periodic sample; ``rfftn`` each part.
+
+    Each part's half spectrum is written into its array of ``out``, or into a
+    new one; ``rfftn`` makes every pass in its ``out``.
+    """
     values = np.asarray(values)
     grid = _grid_for(values)
     real = np.isrealobj(values)
@@ -96,8 +115,20 @@ def _transform(values: np.ndarray) -> tuple[PeriodicGridND, list[np.ndarray]]:
         raise ValueError(
             f"input mean {complex(mean)} exceeds {MEAN_TOL}; the zero mode would be ill-defined"
         )
-    parts = (values,) if real else (values.real, values.imag)
-    return grid, [np.fft.rfftn(part) for part in parts]
+    parts = _parts(values)
+    out = out or [None] * len(parts)
+    return grid, [np.fft.rfftn(part, out=spec) for part, spec in zip(parts, out)]
+
+
+def _inverse(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.irfftn``'s passes without its new arrays: ``spectrum`` is overwritten.
+
+    Each leading axis's ``ifft`` runs in place, then the last axis's
+    ``irfft`` writes into the real array ``out``.
+    """
+    for axis in range(spectrum.ndim - 1):
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
 
 
 def _check_order(alpha: float, dim: int) -> None:
@@ -105,16 +136,29 @@ def _check_order(alpha: float, dim: int) -> None:
         raise ValueError(f"order must lie in (0, {dim}), got {alpha}")
 
 
-def _potential(alpha: float, grid: PeriodicGridND, spectra: list[np.ndarray]) -> np.ndarray:
-    """Multiply each part's spectrum by |xi|^(-alpha), zero mode 0, and transform back."""
+def _multiplier(alpha: float, log_xi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|xi|^(-alpha) on the half spectrum, 0 at the zero mode, written into ``out``."""
+    return np.exp(np.multiply(log_xi, -alpha, out=out), out=out)
+
+
+def _potential(
+    alpha: float,
+    grid: PeriodicGridND,
+    spectra: list[np.ndarray],
+    out: np.ndarray,
+    mult: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """Write the potential of the sample whose parts' spectra are ``spectra`` into ``out``.
+
+    Each spectrum is multiplied by |xi|^(-alpha), zero mode 0, and
+    transformed back into its part of ``out`` (real for one part, complex for
+    two). ``mult`` and ``work`` are real and complex half-spectrum scratch.
+    """
     _check_order(alpha, grid.dim)
-    mult = np.exp(-alpha * _log_xi(grid))
-    axes = tuple(range(grid.dim))
-    parts = [np.fft.irfftn(coeffs * mult, s=grid.shape, axes=axes) for coeffs in spectra]
-    if len(parts) == 1:
-        return parts[0]
-    out = np.empty(grid.shape, dtype=np.complex128)
-    out.real, out.imag = parts
+    _multiplier(alpha, _log_xi(grid), mult)
+    for coeffs, part in zip(spectra, _parts(out)):
+        _inverse(np.multiply(coeffs, mult, out=work), part)
     return out
 
 
@@ -126,7 +170,10 @@ def riesz_potential(alpha: float, values: np.ndarray) -> np.ndarray:
     real float64 array, complex input a complex128 one whose real and
     imaginary parts are the potentials of the input's parts.
     """
-    return _potential(alpha, *_transform(values))
+    grid, spectra = _transform(values)
+    out = np.empty(grid.shape, dtype=np.float64 if len(spectra) == 1 else np.complex128)
+    work = np.empty_like(spectra[0])
+    return _potential(alpha, grid, spectra, out, np.empty(work.shape), work)
 
 
 def composition_residual(alpha_grid: Sequence[float], values: np.ndarray) -> float:
@@ -138,9 +185,15 @@ def composition_residual(alpha_grid: Sequence[float], values: np.ndarray) -> flo
     again into F_a, so the second step acts on the operator's output. The
     inverse transform is linear, so the residual of the pair (a, b) is read
     from one inverse of the spectral difference m_b F_a - m_(a+b) F, with
-    m_s = |xi|^(-s) as in ``riesz_potential``. F_a is freed when the loop
-    over its partners b ends, and an order without a partner is never
-    transformed. With no pair in range the residual is 0.
+    m_s = |xi|^(-s) as in ``riesz_potential``. An order without a partner is
+    never transformed. With no pair in range the residual is 0.
+
+    Every array of transform size is allocated once per call, before the
+    loops: F and F_a per part, the two multipliers, two complex scratch
+    spectra and the physical output. Each transform writes into one of
+    them; ``np.fft.irfftn`` would give each of its leading passes a new
+    array, which at 3D/64 made every transform map about 1,000 fresh pages.
+    So the peak does not grow with the number of orders.
     """
     return max((r for _, _, r in _pair_residuals(alpha_grid, values)), default=0.0)
 
@@ -155,21 +208,26 @@ def _pair_residuals(
     orders = list(dict.fromkeys(alpha_grid))  # a repeated order adds no pair
     _, spectra = _transform(values)
     log_xi = _log_xi(grid)
-    axes = tuple(range(grid.dim))
+    first = [np.empty_like(spec) for spec in spectra]
+    work, product = np.empty_like(spectra[0]), np.empty_like(spectra[0])
+    mult_b, mult_sum = np.empty(log_xi.shape), np.empty(log_xi.shape)
+    real = len(spectra) == 1
+    step = np.empty(grid.shape, dtype=np.float64 if real else np.complex128)
     for a in orders:
         partners = [b for b in orders if a + b < grid.dim]
         if not partners:
             continue
-        _, first = _transform(_potential(a, grid, spectra))
+        _transform(_potential(a, grid, spectra, step, mult_b, work), first)
         for b in partners:
-            mult_b = np.exp(-b * log_xi)
-            mult_sum = np.exp(-(a + b) * log_xi)
-            parts = [np.fft.irfftn(first_spec * mult_b - spec * mult_sum, s=grid.shape, axes=axes)
-                     for first_spec, spec in zip(first, spectra)]
+            _multiplier(b, log_xi, mult_b)
+            _multiplier(a + b, log_xi, mult_sum)
+            for first_spec, spec, part in zip(first, spectra, _parts(step)):
+                np.multiply(first_spec, mult_b, out=work)
+                np.subtract(work, np.multiply(spec, mult_sum, out=product), out=work)
+                _inverse(work, part)
             # a complex sample's residual is the modulus of its two parts' residuals
-            mod = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(*parts)
+            mod = np.abs(step, out=step) if real else np.hypot(step.real, step.imag, out=step.real)
             yield a, b, float(mod.max())
-        del first  # only one first-step spectrum is alive at a time
 
 
 @dataclass(frozen=True)

@@ -251,10 +251,10 @@ def test_riesz_check_second_step_transforms_the_first_step(monkeypatch, tmp_path
     original = riesz._transform
     calls = []
 
-    def tampered(values):
+    def tampered(values, *out):
         calls.append(values)
         # the first call transforms the sample f itself; every later one is a first step
-        return original(values * (1.0 + eps) if len(calls) > 1 else values)
+        return original(values * (1.0 + eps) if len(calls) > 1 else values, *out)
 
     monkeypatch.setattr(riesz, "_transform", tampered)
     out = tmp_path / "riesz.json"

@@ -210,6 +210,42 @@ def test_l1_distance_overflow_is_an_error_naming_the_node():
         assert l1_distance(top, -1.0 * top) == pytest.approx(4e307)
 
 
+def _huge_on_three_nodes():
+    # 1e308 everywhere but node 1, where f + f, f - (-1) f and 10 f stay finite
+    return SampledFunction1D(UniformGrid1D(0.0, 1.0, 2), [1e308, 1.0, 1e308])
+
+
+def test_sum_overflow_is_an_error_naming_the_node():
+    f = _huge_on_three_nodes()
+    message = re.escape("the sum overflows at node index (0,)") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            f + f
+        assert np.array_equal((f + (-1.0) * f).values, [0.0, 0.0, 0.0])
+
+
+def test_difference_overflow_is_an_error_naming_the_node():
+    f = _huge_on_three_nodes()
+    message = re.escape("the difference overflows at node index (0,)") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            f - (-1.0) * f
+        assert np.array_equal((f - f).values, [0.0, 0.0, 0.0])
+
+
+def test_product_overflow_is_an_error_naming_the_node():
+    f = SampledFunction1D(UniformGrid1D(0.0, 1.0, 2), [1.0, 1e308j, 1e308])
+    message = re.escape("the product overflows at node index (1,)") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for product in (lambda: 10.0 * f, lambda: f * 10.0):
+            with pytest.raises(ValueError, match=message):
+                product()
+        assert np.array_equal((0.5 * f).values, [0.5, 5e307j, 5e307])
+
+
 def test_l1_norm_overflow_is_an_error_naming_the_step():
     # finite samples whose norm overflows: in the step, in the sum or in |f|
     wide = UniformGrid1D(0.0, 1e80, 8)

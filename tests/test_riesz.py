@@ -128,16 +128,15 @@ def test_composition_residual_takes_complex_input():
 def _pairwise_residuals(alpha_grid, values):
     # the pair-by-pair loop: a first step per order, then for every partner a
     # full riesz_potential round trip and a one-step potential of its own
-    grid, spectra = riesz._transform(values)
     residuals, scales = {}, {}
     for a in alpha_grid:
-        partners = [b for b in alpha_grid if a + b < grid.dim]
+        partners = [b for b in alpha_grid if a + b < values.ndim]
         if not partners:
             continue
-        first = riesz._potential(a, grid, spectra)
+        first = riesz_potential(a, values)
         for b in partners:
             two_step = riesz_potential(b, first)
-            one_step = riesz._potential(a + b, grid, spectra)
+            one_step = riesz_potential(a + b, values)
             residuals[a, b] = float(np.abs(two_step - one_step).max())
             scales[a, b] = float(np.abs(one_step).max())
     return residuals, scales
@@ -175,30 +174,85 @@ def test_composition_residual_matches_pairwise_loop_per_pair():
             assert composition_residual(alphas, values) == max(got.values())
 
 
+def _reference_pair_residuals(alpha_grid, values):
+    # the law read with np.fft's own n-D calls: per part,
+    # irfftn(rfftn(irfftn(F m_a)) m_b - F m_(a+b)), F = rfftn(f)
+    grid = riesz._grid_for(values)
+    axes = tuple(range(grid.dim))
+    log_xi = _log_xi(grid)
+    parts = (values,) if np.isrealobj(values) else (values.real, values.imag)
+    spectra = [np.fft.rfftn(part) for part in parts]
+    orders = list(dict.fromkeys(alpha_grid))
+    for a in orders:
+        partners = [b for b in orders if a + b < grid.dim]
+        if not partners:
+            continue
+        first = [
+            np.fft.rfftn(np.fft.irfftn(spec * np.exp(-a * log_xi), s=grid.shape, axes=axes))
+            for spec in spectra
+        ]
+        for b in partners:
+            diffs = [
+                np.fft.irfftn(
+                    first_spec * np.exp(-b * log_xi) - spec * np.exp(-(a + b) * log_xi),
+                    s=grid.shape,
+                    axes=axes,
+                )
+                for first_spec, spec in zip(first, spectra)
+            ]
+            yield a, b, float((np.abs(diffs[0]) if len(diffs) == 1 else np.hypot(*diffs)).max())
+
+
+def test_composition_residual_is_bit_identical_to_numpys_nd_transforms():
+    # the workspace changes where each pass writes, not what it computes
+    rng = np.random.default_rng(23)
+    for dim, m in ((1, 256), (2, 64), (3, 32)):
+        # scaled by n / 2; 1.8 n / 2 has no partner, and 0.5 is repeated
+        alphas = [a * dim / 2 for a in (0.3, 0.5, 0.5, 0.9, 1.2, 1.8)]
+        f = _periodic_sample(dim, m)
+        g = f + 1j * np.roll(f, 3, axis=0) ** 2
+        g -= g.mean()
+        noise = rng.standard_normal(f.shape)
+        noise -= noise.mean()
+        for values in (f, g, noise):
+            got = list(riesz._pair_residuals(alphas, values))
+            expected = list(_reference_pair_residuals(alphas, values))
+            assert [pair[:2] for pair in got] == [pair[:2] for pair in expected]
+            assert all(a != alphas[-1] for a, _, _ in got)
+            for (a, b, residual), (_, _, want) in zip(got, expected):
+                assert residual.hex() == want.hex(), (dim, a, b)
+
+
 def test_composition_residual_transforms_once_per_first_step_and_pair(monkeypatch):
-    counts = {"rfftn": 0, "irfftn": 0}
-    for name in counts:
-        fft = getattr(np.fft, name)
+    counts = {"rfftn": 0, "irfftn": 0, "np.fft.irfftn": 0}
+    # every n-D inverse of the check goes through riesz._inverse; none may
+    # fall back to np.fft.irfftn, which allocates a new array per pass
+    for owner, name, key in (
+        (np.fft, "rfftn", "rfftn"),
+        (riesz, "_inverse", "irfftn"),
+        (np.fft, "irfftn", "np.fft.irfftn"),
+    ):
+        transform = getattr(owner, name)
 
-        def counted(*args, _name=name, _fft=fft, **kwargs):
-            counts[_name] += 1
-            return _fft(*args, **kwargs)
+        def counted(*args, _key=key, _transform=transform, **kwargs):
+            counts[_key] += 1
+            return _transform(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     # 4 orders, all 16 pairs in range: 1 + 4 forward transforms and 4 first
     # steps + 16 spectral-difference inverses
     f = _periodic_sample(3, 64)
     composition_residual([0.25, 0.5, 0.7, 1.0], f)
-    assert counts == {"rfftn": 5, "irfftn": 20}
+    assert counts == {"rfftn": 5, "irfftn": 20, "np.fft.irfftn": 0}
     # 2.9 has no partner below 3, so it adds no transform at all
     counts.update(rfftn=0, irfftn=0)
     composition_residual([0.25, 0.5, 2.9, 0.7, 1.0], f)
-    assert counts == {"rfftn": 5, "irfftn": 20}
+    assert counts == {"rfftn": 5, "irfftn": 20, "np.fft.irfftn": 0}
 
 
 def test_composition_residual_peak_memory_does_not_grow_with_orders():
-    # each first-step spectrum is freed before the next one is made, so the
-    # peak is one order's working set however many orders the grid holds
+    # the workspace is allocated once per call, so the peak does not depend
+    # on how many orders the grid holds
     f = _periodic_sample(3, 64)
     composition_residual([0.25], f)  # tabulates log|xi| outside the measurement
     peaks = []
@@ -211,9 +265,9 @@ def test_composition_residual_peak_memory_does_not_grow_with_orders():
             tracemalloc.stop()
     half_spectrum = 64 * 64 * 33 * 16  # one complex rfftn output at 64^3
     assert abs(peaks[1] - peaks[0]) < half_spectrum
-    # about 7 half-spectra here; multiplier and difference buffers kept
-    # across pairs add 1.5 more
-    assert peaks[0] < 7.5 * half_spectrum
+    # about 6.1 half-spectra here: the workspace of F, F_a, two complex
+    # scratch spectra, two real multipliers and the physical output
+    assert peaks[0] < 6.5 * half_spectrum
 
 
 def test_composition_residual_checks_the_operator_output(monkeypatch):
@@ -222,8 +276,8 @@ def test_composition_residual_checks_the_operator_output(monkeypatch):
     original = riesz._potential
     pattern = 1e-9 * np.sin(TWO_PI * nodes(32))[:, None]
 
-    def perturbed(alpha, grid, spectra):
-        return original(alpha, grid, spectra) + pattern
+    def perturbed(alpha, grid, spectra, out, mult, work):
+        return original(alpha, grid, spectra, out, mult, work) + pattern
 
     f = _periodic_sample(2, 32)
     alphas = [0.3, 0.6, 0.9]
