@@ -30,7 +30,6 @@ from .transforms import (
     extend_additive,
     fit_affine,
     fit_affine_nd,
-    kernel_laplace_transform,
     laplace_transform,
     laplace_transform_nd,
     semigroup_table,

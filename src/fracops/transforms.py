@@ -1,36 +1,32 @@
 """Laplace transforms on a truncated half line, semigroup tables, and fits.
 
 Transforms are computed on [0, T_big] by the composite trapezoid rule with
-end corrections and reported together with an explicit error ledger: a
-certified tail bound (via the upper incomplete gamma function, for
+end corrections, tensorized over the axes of a box: one rule serves every
+dimension, and 1D is its one-axis case. A 1D transform comes with an error
+ledger: a certified tail bound (via the upper incomplete gamma function, for
 integrands with a declared polynomial growth bound) and a conservative
 quadrature-error estimate.
 
-Two refinements keep the tables accurate enough to fit on a log scale:
+The weights of the m = 8 nodes next to each end are corrected so that the
+first m terms of the generalized Euler-Maclaurin expansion of the error
+cancel (Navot, J. Math. Phys. 40, 1961; Lyness-Ninham, Math. Comp. 21, 1967;
+end corrections as in Kapur-Rokhlin, SINUM 34, 1997), which keeps the tables
+accurate enough to fit on a log scale. Where the integrand behaves like t^p
+times a smooth function at 0, the left weights c_1..c_m solve
+sum_k c_k k^(p+j) = -zeta(-p-j) for j < m, with p = log2(f(2h)/f(h)); p is
+used only when f(0) = 0 and the samples at h, 2h and 4h look like a clean
+power, in every fibre of an nD sample alike. Otherwise, and always at the
+right end, the end is regular (p = 0, where the half weight of the end node
+makes the j = 0 term vanish). The weights depend on p alone, not on the
+grid, and are cached per p; they are not all positive, and grids of fewer
+than 2m cells keep the plain trapezoid rule. At N = 4096 on [0, 40] the
+transform of I^alpha 1 is within about 1e-11 relative of the exact truncated
+value for alpha in [0.25, 2] and x in [1, 8]; the plain rule was off by up
+to 8e-4.
 
-* the trapezoid weights of the m = 8 nodes next to each end are corrected
-  so that the first m terms of the generalized Euler-Maclaurin expansion of
-  the error cancel (Navot, J. Math. Phys. 40, 1961; Lyness-Ninham, Math.
-  Comp. 21, 1967; end corrections as in Kapur-Rokhlin, SINUM 34, 1997).
-  Where the integrand behaves like t^p times a smooth function at 0, the
-  left weights c_1..c_m solve sum_k c_k k^(p+j) = -zeta(-p-j) for j < m,
-  with p = log2(f(2h)/f(h)); p is used only when f(0) = 0 and the samples
-  at h, 2h and 4h look like a clean power, in every fibre of an nD sample
-  alike. Otherwise, and always at the right end, the end is regular (p = 0,
-  where the half weight of the end node makes the j = 0 term vanish). The
-  weights depend on p alone, not on the grid, and are cached per p; they
-  are not all positive, and grids of fewer than 2m cells keep the plain
-  trapezoid rule. At N = 4096 on [0, 40] the transform of I^alpha 1 is
-  within about 1e-11 relative of the exact truncated value for alpha in
-  [0.25, 2] and x in [1, 8]; the plain rule was off by up to 8e-4;
-* transforms of the singular convolution kernel t^(alpha-1)/Gamma(alpha)
-  integrate the piecewise-linear interpolant of the exponential factor
-  against the product-quadrature kernel moments (exact on the singular
-  cell), so the endpoint singularity never meets the trapezoid rule.
-
-The module also fits log-affine models to transform tables (scalar and
-multi-order) and extends additive samples from (0, n) to doubled domains,
-checking well-posedness of each new value against distinct decompositions.
+The module also fits log-affine models to transform tables (one fit for
+scalar and tuple orders) and extends additive samples from (0, n) to doubled
+domains, checking each new value against distinct decompositions.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import BoxGridND, SampledFunction1D, SampledFunctionND, UniformGrid1D, _first_index
-from .rl_core import OperatorFamily1D, _check_order, product_quadrature_weights
+from .rl_core import OperatorFamily1D
 from .special import upper_gamma, zeta_neg
 
 # End corrections: nodes corrected next to each end, the largest exponent of
@@ -138,83 +134,12 @@ def laplace_transform(
     A value that is not finite is a ``ValueError`` naming the first
     non-finite sample or, for finite samples, the overflow.
     """
-    return _laplace_transforms(f, (x,), growth_bound)[0]
-
-
-def _laplace_transforms(
-    f: SampledFunction1D,
-    xs: Sequence[float],
-    growth_bound: tuple[float, float] | None = None,
-) -> list[LaplaceValue]:
-    """``laplace_transform`` at each of ``xs``, reading f's weights once."""
-    xs = [float(x) for x in xs]
-    for x in xs:
-        if not 0.0 < x < math.inf:
-            raise ValueError(f"transform point must be positive and finite, got x={x}")
-    if f.grid.a != 0.0:
-        raise ValueError(f"transform grid must start at 0, got a={f.grid.a}")
-    fvals = f.real_values
-    h = f.grid.h
-    t = f.grid.nodes
-    w = _transform_weights(fvals, 0)
-    out = []
-    for x in xs:
-        # where x t overflows e^(-x t) is rightly 0; an overflowing value is rejected
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = fvals * np.exp(-x * t)
-            value = h * float((w * g).sum())
-            quad_est = (h / 3.0) * float(np.abs(np.diff(g, 2)).sum())
-        if not math.isfinite(value):
-            bad = np.flatnonzero(~np.isfinite(fvals))
-            if bad.size:
-                k = int(bad[0])
-                raise ValueError(f"non-finite sample at node index {k} (t={t[k]})")
-            raise ValueError(f"transform value at x={x} overflows on [0, {f.grid.T}]")
-        tail = None
-        if growth_bound is not None:
-            c, p = float(growth_bound[0]), float(growth_bound[1])
-            if c < 0.0 or p < 0.0:
-                raise ValueError(f"tail-bound parameters must be nonnegative, got C={c}, p={p}")
-            try:
-                tail = c * x ** (-(p + 1.0)) * upper_gamma(p + 1.0, x * f.grid.T)
-            except OverflowError:
-                raise ValueError(f"tail bound overflows at x={x} (C={c}, p={p})") from None
-        out.append(LaplaceValue(value, tail, quad_est))
-    return out
-
-
-def kernel_laplace_transform(alpha: float, x: float, t_big: float, n: int) -> LaplaceValue:
-    """Transform of the convolution kernel t^(alpha-1)/Gamma(alpha) on [0, t_big].
-
-    Product integration: the exponential factor is replaced by its piecewise
-    linear interpolant and integrated against the kernel with the weights of
-    ``product_quadrature_weights`` (the kernel integral read at t = t_big),
-    so the origin singularity (alpha < 1) is handled exactly.
-    """
-    alpha = _check_order(alpha)
+    value = _transforms(f, (x,))[0]
     x = float(x)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"transform point must be positive and finite, got x={x}")
-    if not 0.0 < t_big < math.inf:
-        raise ValueError(f"kernel transform needs a positive finite t_big, got {t_big}")
-    if not 1 <= n < math.inf or n != int(n):
-        raise ValueError(f"kernel transform needs a positive integer n, got {n}")
-    n = int(n)
-    h = t_big / n
-    # weight index d - 1 is the cell [(d-1)h, dh]: wr weighs its left node
-    # and wl its right node, and wl + wr is the cell's kernel mass
-    wl, wr = product_quadrature_weights(alpha, h, n)
-    e = np.exp(-x * h * np.arange(n + 1))
-    value = float((e[:-1] * wr + e[1:] * wl).sum())
-    try:
-        tail = x ** (-alpha) * upper_gamma(alpha, x * t_big) / math.gamma(alpha)
-    except OverflowError:
-        raise ValueError(f"kernel tail bound overflows at x={x}, order {alpha}") from None
-    # interpolation error of e per cell ~ |second difference|/8, weighted by
-    # the cell's kernel mass; factor 1/2 instead of 1/8 keeps it conservative
-    mass = wl + wr
-    quad_est = 0.5 * float((np.abs(np.diff(e, 2)) * np.maximum(mass[:-1], mass[1:])).sum())
-    return LaplaceValue(value, tail, quad_est)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = f.values.real * np.exp(-x * f.grid.nodes)
+        quad_est = (f.grid.h / 3.0) * float(np.abs(np.diff(g, 2)).sum())
+    return LaplaceValue(value, _tail_bound(x, f.grid.T, growth_bound), quad_est)
 
 
 def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
@@ -222,35 +147,69 @@ def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
 
     Each axis takes the weights of ``laplace_transform``, with p read from
     every fibre along that axis: a fibre that is zero at nodes 0, h, 2h and
-    4h has no say, and fibres that disagree leave the end regular.
-
-    A value that is not finite is a ``ValueError`` naming the first
-    non-finite sample by node index or, for finite samples, the overflow.
+    4h has no say, and fibres that disagree leave the end regular. A value
+    that is not finite is a ``ValueError`` naming the first non-finite
+    sample by node index or, for finite samples, the overflow.
     """
-    xs = tuple(float(v) for v in x)
-    if len(xs) != f.grid.dim:
-        raise ValueError(f"{len(xs)} transform points for a {f.grid.dim}D grid")
-    if not all(0.0 < v < math.inf for v in xs):
-        raise ValueError(f"transform points must be positive and finite, got {xs}")
-    if any(g.a != 0.0 for g in f.grid.axes):
-        raise ValueError("transform box must have left corner 0")
+    return _transforms(f, (x,))[0]
+
+
+def _transforms(f: SampledFunction1D | SampledFunctionND, points: Sequence) -> list[float]:
+    """Transforms of f at each point, by one tensorized rule in every dimension.
+
+    A 1D function is the one-axis case, with float points; an nD one takes
+    one x per axis. Each axis's weights are read from f once, for all points;
+    then each axis, last first, is reduced as h * sum(w * (acc * e^(-x t)))
+    over the last axis of acc, which starts as the samples.
+    """
+    one_d = isinstance(f, SampledFunction1D)
+    axes = (f.grid,) if one_d else f.grid.axes
+
+    def shown(v: tuple):  # a per-axis tuple as the caller wrote it
+        return v[0] if one_d else v
+
+    points = [(float(x),) if one_d else tuple(float(v) for v in x) for x in points]
+    for xs in points:
+        if len(xs) != len(axes):
+            raise ValueError(f"{len(xs)} transform points for a {len(axes)}D grid")
+        if not all(0.0 < v < math.inf for v in xs):
+            raise ValueError(f"transform point must be positive and finite, got x={shown(xs)}")
+    if any(g.a != 0.0 for g in axes):
+        raise ValueError(f"transform grid must start at 0, got a={shown(tuple(g.a for g in axes))}")
     if not f.is_real:
         raise ValueError("transform requires a real-valued function")
     vals = f.values.real
-    acc = vals.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for axis in range(f.grid.dim - 1, -1, -1):
-            g = f.grid.axes[axis]
-            w = g.h * _transform_weights(vals, axis) * np.exp(-xs[axis] * g.nodes)
-            acc = np.tensordot(acc, w, axes=([axis], [0]))
-    value = float(acc)
-    if not math.isfinite(value):
-        bad = ~np.isfinite(f.values.real)
-        if bad.any():
-            raise ValueError(f"non-finite sample at node index {_first_index(bad)}")
-        ends = tuple(g.T for g in f.grid.axes)
-        raise ValueError(f"transform value at x={xs} overflows on the box [0, {ends}]")
-    return value
+    weights = [_transform_weights(vals, axis) for axis in range(len(axes))]
+    out = []
+    for xs in points:
+        acc = vals
+        # where x t overflows e^(-x t) is rightly 0; an overflowing value is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g, w, x in reversed(list(zip(axes, weights, xs))):
+                acc = g.h * (w * (acc * np.exp(-x * g.nodes))).sum(axis=-1)
+        if not math.isfinite(acc):
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                k = _first_index(bad)
+                t = tuple(float(g.nodes[i]) for g, i in zip(axes, k))
+                raise ValueError(f"non-finite sample at node index {shown(k)} (t={shown(t)})")
+            ends = tuple(g.T for g in axes)
+            raise ValueError(f"transform value at x={shown(xs)} overflows on [0, {shown(ends)}]")
+        out.append(float(acc))
+    return out
+
+
+def _tail_bound(x: float, t_big: float, growth_bound: tuple[float, float] | None) -> float | None:
+    """C * integral_{t_big}^inf s^p e^(-sx) ds for ``growth_bound = (C, p)``; None without one."""
+    if growth_bound is None:
+        return None
+    c, p = float(growth_bound[0]), float(growth_bound[1])
+    if c < 0.0 or p < 0.0:
+        raise ValueError(f"tail-bound parameters must be nonnegative, got C={c}, p={p}")
+    try:
+        return c * x ** (-(p + 1.0)) * upper_gamma(p + 1.0, x * t_big)
+    except OverflowError:
+        raise ValueError(f"tail bound overflows at x={x} (C={c}, p={p})") from None
 
 
 @dataclass(frozen=True)
@@ -258,9 +217,9 @@ class TransformTable:
     """Sampled transform values over a grid of orders times transform points.
 
     Entries must be strictly positive (they are fitted on a log scale), so
-    NaN entries are rejected too.
-    Orders and transform points are floats in 1D and equal-length tuples in
-    higher dimension.
+    NaN entries are rejected too. Orders and transform points are floats in
+    1D and equal-length tuples in higher dimension; sequences, such as the
+    lists that ``to_json`` writes, are stored as tuples.
     """
 
     order_grid: tuple
@@ -269,8 +228,10 @@ class TransformTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        orders = tuple(self.order_grid)
-        xs = tuple(self.x_grid)
+        orders, xs = (
+            tuple(tuple(float(c) for c in v) if np.ndim(v) else v for v in grid)
+            for grid in (self.order_grid, self.x_grid)
+        )
         if not orders or not xs:
             raise ValueError("transform table grids must be nonempty")
         ent = np.asarray(self.entries, dtype=np.float64)
@@ -296,8 +257,8 @@ class TransformTable:
 
     def to_json(self) -> str:
         payload = {
-            "order_grid": [list(o) if isinstance(o, tuple) else o for o in self.order_grid],
-            "x_grid": [list(x) if isinstance(x, tuple) else x for x in self.x_grid],
+            "order_grid": self.order_grid,
+            "x_grid": self.x_grid,
             "entries": self.entries.ravel(order="C").tolist(),
             "meta": self.meta,
         }
@@ -317,33 +278,13 @@ def semigroup_table(
     with any nonpositive entry (those cannot be log-fitted); certified tail
     bounds from the family's growth declaration go into the metadata.
     """
+    grid = UniformGrid1D(0.0, float(t_big), int(n))
     orders = tuple(float(a) for a in order_grid)
     xs = tuple(float(x) for x in x_grid)
-    grid = UniformGrid1D(0.0, float(t_big), int(n))
     ones = SampledFunction1D(grid, np.ones(grid.N + 1))
-    entries = np.empty((len(orders), len(xs)))
-    tails = np.empty_like(entries)
-    for i, a in enumerate(orders):
-        out = family.apply(a, ones)
-        if not out.is_real:
-            raise ValueError(
-                f"family {family.name!r} is not real-valued on 1 at order {a}"
-            )
-        bound = family.growth_of_one(a)
-        for j, (x, res) in enumerate(zip(xs, _laplace_transforms(out, xs, bound))):
-            if res.value <= 0.0:
-                raise ValueError(
-                    f"nonpositive transform entry for family {family.name!r} "
-                    f"at (alpha={a}, x={x}); the table cannot be log-fitted"
-                )
-            entries[i, j] = res.value
-            tails[i, j] = res.tail_bound
-    meta = {
-        "family": family.name,
-        "T_big": float(t_big),
-        "N": int(n),
-        "tail_bounds": tails.ravel(order="C").tolist(),
-    }
+    entries = _entries(family.apply, ones, orders, xs, f"family {family.name!r}")
+    tails = [_tail_bound(x, grid.T, family.growth_of_one(a)) for a in orders for x in xs]
+    meta = {"family": family.name, "T_big": grid.T, "N": grid.N, "tail_bounds": tails}
     return TransformTable(orders, xs, entries, meta)
 
 
@@ -354,23 +295,30 @@ def semigroup_table_nd(
     t_big: float,
     n: int,
 ) -> TransformTable:
-    """Multi-order table over a box [0, t_big]^n at n+1 subintervals per axis."""
+    """``semigroup_table`` over a box [0, t_big]^dim, n cells per axis, without tail bounds."""
     orders = tuple(tuple(float(a) for a in o) for o in order_grid)
     xs = tuple(tuple(float(v) for v in x) for x in x_grid)
-    dim = len(orders[0])
-    axes = tuple(UniformGrid1D(0.0, float(t_big), int(n)) for _ in range(dim))
-    box = BoxGridND(axes)
-    ones = SampledFunctionND(box, np.ones(box.shape))
+    axis = UniformGrid1D(0.0, float(t_big), int(n))
+    box = BoxGridND((axis,) * len(orders[0]))
+    entries = _entries(apply_nd, SampledFunctionND(box, np.ones(box.shape)), orders, xs)
+    return TransformTable(orders, xs, entries, {"T_big": axis.T, "N": axis.N, "tail_bounds": None})
+
+
+def _entries(apply, ones, orders: tuple, xs: tuple, who: str = "the operator") -> np.ndarray:
+    """R[alpha, x] = transform of apply(alpha, ones) at x: the one loop of both tables."""
     entries = np.empty((len(orders), len(xs)))
     for i, a in enumerate(orders):
-        out = apply_nd(a, ones)
-        for j, x in enumerate(xs):
-            val = laplace_transform_nd(out, x)
-            if val <= 0.0:
-                raise ValueError(f"nonpositive transform entry at (alpha={a}, x={x})")
-            entries[i, j] = val
-    meta = {"T_big": float(t_big), "N": int(n), "tail_bounds": None}
-    return TransformTable(orders, xs, entries, meta)
+        out = apply(a, ones)
+        if not out.is_real:
+            raise ValueError(f"{who} is not real-valued on 1 at order {a}")
+        entries[i] = _transforms(out, xs)
+        for x, value in zip(xs, entries[i]):
+            if value <= 0.0:
+                raise ValueError(
+                    f"nonpositive transform entry for {who} at (alpha={a}, x={x}); "
+                    "the table cannot be log-fitted"
+                )
+    return entries
 
 
 @dataclass(frozen=True)
@@ -380,51 +328,39 @@ class FitResult:
     intercepts: np.ndarray
     slopes: np.ndarray
     max_residual: float
-    condition: float | None = None
+    condition: float | None = None  # of the design's normal matrix; fit_affine sets it
 
 
 def fit_affine(table: TransformTable) -> FitResult:
-    """Per x, least squares for log R[alpha, x] = c(x) + d(x) * alpha."""
-    if table.order_dim != 1:
-        raise ValueError("scalar fit requires scalar orders; use fit_affine_nd")
+    """Per x, least squares for log R[alpha, x] = c(x) + d(x) . alpha.
+
+    Slopes have shape (n_x,) for scalar orders and (n_x, dim) for tuple
+    orders. It needs at least 3 orders that span their space affinely.
+    """
     orders = np.array(table.order_grid, dtype=np.float64)
     if len(orders) < 3:
         raise ValueError(f"need at least 3 orders per x, got {len(orders)}")
-    if len(np.unique(orders)) < 2:
-        raise ValueError("degenerate order grid: fewer than 2 distinct orders")
-    logs = np.log(table.entries)
-    design = np.column_stack([np.ones_like(orders), orders])
-    coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    resid = np.abs(logs - design @ coef)
-    return FitResult(
-        intercepts=coef[0].copy(),
-        slopes=coef[1].copy(),
-        max_residual=float(resid.max()),
-    )
-
-
-def fit_affine_nd(table: TransformTable) -> FitResult:
-    """Per x-tuple, least squares for log R = c(x) + d(x) . alpha, d in R^n."""
-    dim = table.order_dim
-    if dim < 2:
-        raise ValueError("multi-order fit requires tuple orders")
-    orders = np.array(table.order_grid, dtype=np.float64)
     design = np.column_stack([np.ones(len(orders)), orders])
+    dim = design.shape[1] - 1
     rank = int(np.linalg.matrix_rank(design))
     if rank < dim + 1:
         raise ValueError(
-            f"order set is affinely degenerate: design rank {rank} < {dim + 1}"
+            f"degenerate order grid: design rank {rank} < {dim + 1}, too few "
+            "affinely independent orders (in 1D: fewer than 2 distinct orders)"
         )
     logs = np.log(table.entries)
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     resid = np.abs(logs - design @ coef)
-    cond = float(np.linalg.cond(design.T @ design))
     return FitResult(
         intercepts=coef[0].copy(),
-        slopes=coef[1:].T.copy(),
+        slopes=(coef[1] if orders.ndim == 1 else coef[1:].T).copy(),
         max_residual=float(resid.max()),
-        condition=cond,
+        condition=float(np.linalg.cond(design.T @ design)),
     )
+
+
+# fit_affine fits tuple orders too; the nD name stays for the callers that use it
+fit_affine_nd = fit_affine
 
 
 ADDITIVITY_TOL = 1e-9

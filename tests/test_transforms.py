@@ -10,6 +10,7 @@ import pytest
 
 from scipy.special import gammainc
 
+from fracops import transforms
 from fracops.grid import (
     BoxGridND,
     SampledFunction1D,
@@ -28,7 +29,6 @@ from fracops.transforms import (
     extend_additive,
     fit_affine,
     fit_affine_nd,
-    kernel_laplace_transform,
     laplace_transform,
     laplace_transform_nd,
     semigroup_table,
@@ -56,11 +56,6 @@ def test_transform_of_half_order_integral():
     assert abs(res.value - 1.0) < 1e-4
 
 
-def test_kernel_transform_half_order():
-    res = kernel_laplace_transform(0.5, 4.0, 40.0, 16384)
-    assert abs(res.value - 0.5) < 1e-3
-
-
 def test_transform_rejects_bad_arguments():
     f = ones_on(1.0, 16)
     with pytest.raises(ValueError, match="positive"):
@@ -78,19 +73,9 @@ def test_transform_rejects_bad_arguments():
         with pytest.raises(ValueError, match="finite"):
             laplace_transform(f, x)
         with pytest.raises(ValueError, match="finite"):
-            kernel_laplace_transform(0.5, x, 40.0, 256)
-        with pytest.raises(ValueError, match="finite"):
             laplace_transform_nd(ones, (1.0, x))
-    for t_big in (math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="t_big"):
-            kernel_laplace_transform(0.5, 1.0, t_big, 256)
-    for n in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="positive integer n"):
-            kernel_laplace_transform(0.5, 1.0, 40.0, n)
     with pytest.raises(ValueError, match="x=1e-300"):  # tail bounds overflow
         laplace_transform(ones_on(1.0, 16), 1e-300, growth_bound=(1.0, 0.5))
-    with pytest.raises(ValueError, match="x=1e-300"):
-        kernel_laplace_transform(2.0, 1e-300, 40.0, 64)
 
 
 def test_transform_on_a_huge_window_has_no_float_warnings():
@@ -278,25 +263,43 @@ def test_table_validates_entries():
         TransformTable((), (1.0,), np.zeros((0, 1)))
 
 
-def test_kernel_table_multiplicativity():
-    # tables built on the kernels directly: R entries multiply across orders
-    alphas = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
-    xs = [1.0, 2.0, 4.0, 8.0, 10.0]
-    entries = {
-        (a, x): kernel_laplace_transform(a, x, 40.0, 16384).value
-        for a in alphas
-        for x in xs
-    }
-    worst = 0.0
-    for a in alphas:
-        for b in alphas:
-            s = a + b
-            if s not in alphas:
-                continue
-            for x in xs:
-                rel = abs(entries[(s, x)] - entries[(a, x)] * entries[(b, x)])
-                worst = max(worst, rel / entries[(s, x)])
-    assert worst < 1e-3
+def test_nd_table_reads_each_axis_weights_once_per_order(monkeypatch):
+    # the weights of an axis depend on the function alone, not on the point
+    calls = []
+    weights = transforms._transform_weights
+
+    def counted(values, axis):
+        calls.append(axis)
+        return weights(values, axis)
+
+    monkeypatch.setattr(transforms, "_transform_weights", counted)
+    orders = [(0.5, 0.5), (1.0, 0.5), (0.5, 1.0)]
+    xs = [(1.0, 1.0), (1.0, 1.5), (1.5, 1.0), (1.5, 1.5)]
+    semigroup_table_nd(rl_integral_nd, orders, xs, 10.0, 32)
+    assert calls == [0, 1] * len(orders)
+
+
+def test_table_fits_the_same_after_a_json_round_trip():
+    # to_json writes tuple orders and points as lists; read back, they must
+    # fit as tuples again, not as scalar orders
+    fam = make_family("riemann_liouville")
+    orders = np.array([(0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0)])
+    entries = np.exp(-orders.sum(axis=1))[:, None] * [1.0, 2.0]  # e^(c - a1 - a2)
+    tables = (
+        semigroup_table(fam, [0.5, 1.0, 1.5], [1.0, 2.0], 40.0, 256),
+        TransformTable(orders, ((1.0, 1.0), (2.0, 1.0)), entries),
+    )
+    for table in tables:
+        data = json.loads(table.to_json())
+        read = np.reshape(data["entries"], table.entries.shape)
+        back = TransformTable(data["order_grid"], data["x_grid"], read, data["meta"])
+        assert (back.order_grid, back.x_grid) == (table.order_grid, table.x_grid)
+        fit, fit_back = fit_affine(table), fit_affine(back)
+        np.testing.assert_array_equal(fit_back.intercepts, fit.intercepts)
+        np.testing.assert_array_equal(fit_back.slopes, fit.slopes)
+    # the 2D table read back: slopes (-1, -1) and intercepts (0, ln 2)
+    np.testing.assert_allclose(fit_back.slopes, [[-1.0, -1.0]] * 2, rtol=1e-14)
+    np.testing.assert_allclose(fit_back.intercepts, [0.0, math.log(2.0)], atol=1e-14)
 
 
 # ---------------------------------------------------------------- fitting
@@ -367,6 +370,25 @@ def test_fit_affine_nd_rejects_collinear_orders():
     table = TransformTable(orders, ((1.0, 1.0),), np.ones((3, 1)))
     with pytest.raises(ValueError, match="rank 2"):
         fit_affine_nd(table)
+
+
+def test_one_axis_nd_transform_is_the_1d_transform_bit_for_bit():
+    # one tensorized rule: the 1D transform is its one-axis case, in the
+    # same sum order, whatever the BLAS thread count
+    axis = UniformGrid1D(0.0, 40.0, 4096)
+    vals = np.sqrt(axis.nodes) * np.exp(-0.1 * axis.nodes)
+    f = SampledFunction1D(axis, vals)
+    f_nd = SampledFunctionND(BoxGridND((axis,)), vals)
+    for x in (0.5, 1.0, 2.0, 8.0):
+        assert laplace_transform(f, x).value == laplace_transform_nd(f_nd, (x,))
+
+
+def test_fit_slopes_have_one_column_per_order_component():
+    # scalar orders give one slope per x, tuple orders one per component
+    for orders, shape in (((0.5, 1.0, 1.5), (2,)), (((0.5,), (1.0,), (1.5,)), (2, 1))):
+        fit = fit_affine(TransformTable(orders, (1.0, 2.0), np.ones((3, 2))))
+        assert fit.slopes.shape == shape
+        assert isinstance(fit.condition, float)
 
 
 def test_laplace_transform_nd_of_ones():
