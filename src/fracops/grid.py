@@ -2,7 +2,10 @@
 
 Grids are node-inclusive: a grid with N subintervals carries N+1 values,
 both endpoints present. Values are stored as complex128 throughout, with an
-``is_real`` flag when every imaginary part is exactly zero.
+``is_real`` flag when every imaginary part is exactly zero. Samples are
+finite by construction: both sampled-function types reject a NaN or
+infinite sample (in either part) with a ``ValueError`` naming its node, so
+no operator re-checks its input.
 """
 
 from __future__ import annotations
@@ -57,17 +60,14 @@ class SampledFunction1D:
             raise ValueError(
                 f"expected {self.grid.N + 1} values, got shape {vals.shape}"
             )
+        if not np.isfinite(vals).all():
+            k = _first_index(~np.isfinite(vals))[0]
+            raise ValueError(f"non-finite sample at node index {k} (t={self.grid.nodes[k]})")
         object.__setattr__(self, "values", _freeze(vals))
 
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
-
-    @property
-    def real_values(self) -> np.ndarray:
-        if not self.is_real:
-            raise ValueError("sampled function has nonzero imaginary parts")
-        return self.values.real
 
     # an overflow of finite samples is a ValueError naming its node, as in l1_distance
     def __add__(self, other: "SampledFunction1D") -> "SampledFunction1D":
@@ -81,6 +81,8 @@ class SampledFunction1D:
         return SampledFunction1D(self.grid, values)
 
     def __mul__(self, scalar: complex) -> "SampledFunction1D":
+        if not np.isfinite(scalar):
+            raise ValueError(f"cannot scale a sampled function by the non-finite scalar {scalar}")
         values = _finite_op(np.multiply, self.values, scalar, "the product")
         return SampledFunction1D(self.grid, values)
 
@@ -123,6 +125,8 @@ class SampledFunctionND:
             raise ValueError(
                 f"expected tensor of shape {self.grid.shape}, got {vals.shape}"
             )
+        if not np.isfinite(vals).all():
+            raise ValueError(f"non-finite sample at node index {_first_index(~np.isfinite(vals))}")
         object.__setattr__(self, "values", _freeze(vals))
 
     @property
@@ -135,44 +139,25 @@ def _require_same_grid(f: SampledFunction1D, g: SampledFunction1D) -> None:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
 
 
-def _finite_samples(grid: UniformGrid1D, nodes: np.ndarray, vals: np.ndarray) -> SampledFunction1D:
-    bad = np.nonzero(~np.isfinite(vals.real) | ~np.isfinite(vals.imag))[0]
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"non-finite sample at node index {k} (t={nodes[k]})")
-    return SampledFunction1D(grid, vals)
-
-
 def _functions_on_one_grid(
     f: SampledFunction1D | Sequence[SampledFunction1D],
 ) -> list[SampledFunction1D]:
     """The functions of f, one sampled function or a sequence of them on one grid.
 
-    An empty sequence, functions on different grids and a non-finite sample
-    are ``ValueError``s; the last names the node index and t, and in a
-    sequence the function's position.
+    An empty sequence and functions on different grids are ``ValueError``s.
+    The samples need no check: they are finite by construction.
     """
-    single = isinstance(f, SampledFunction1D)
-    fs = [f] if single else list(f)
+    fs = [f] if isinstance(f, SampledFunction1D) else list(f)
     if not fs:
         raise ValueError("the sequence is empty; it needs at least one sampled function")
-    grid = fs[0].grid
     for other in fs[1:]:
         _require_same_grid(fs[0], other)
-    for q, g in enumerate(fs):
-        if not np.isfinite(g.values).all():
-            try:
-                _finite_samples(grid, grid.nodes, g.values)
-            except ValueError as err:
-                raise ValueError(str(err) if single else f"function {q}: {err}") from None
     return fs
 
 
 def sample(expr: Callable[[float], complex], grid: UniformGrid1D) -> SampledFunction1D:
-    """Evaluate ``expr`` at every node; rejects non-finite values by node index."""
-    nodes = grid.nodes
-    vals = np.array([complex(expr(t)) for t in nodes], dtype=np.complex128)
-    return _finite_samples(grid, nodes, vals)
+    """Evaluate ``expr`` at every node; a non-finite value is rejected by node index."""
+    return SampledFunction1D(grid, [complex(expr(t)) for t in grid.nodes])
 
 
 def sample_array(expr: Callable[[np.ndarray], np.ndarray], grid: UniformGrid1D) -> SampledFunction1D:
@@ -181,28 +166,22 @@ def sample_array(expr: Callable[[np.ndarray], np.ndarray], grid: UniformGrid1D) 
     An overflow is not a warning: like any non-finite value, it is rejected
     by node index as in ``sample``.
     """
-    nodes = grid.nodes
     with np.errstate(over="ignore"):
-        vals = np.asarray(expr(nodes), dtype=np.complex128)
-    return _finite_samples(grid, nodes, vals)
+        vals = expr(grid.nodes)
+    return SampledFunction1D(grid, vals)
 
 
 def sample_nd(expr: Callable[..., complex], grid: BoxGridND) -> SampledFunctionND:
     mesh = np.meshgrid(*[g.nodes for g in grid.axes], indexing="ij")
-    vals = np.vectorize(expr, otypes=[np.complex128])(*mesh)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise ValueError(f"non-finite sample at node index {_first_index(bad)}")
-    return SampledFunctionND(grid, vals)
+    return SampledFunctionND(grid, np.vectorize(expr, otypes=[np.complex128])(*mesh))
 
 
 def cumulative_trapezoid(f: SampledFunction1D) -> SampledFunction1D:
     """Cumulative integral from the left endpoint by the composite trapezoid rule.
 
-    A result that is not finite is a ``ValueError`` naming the first
-    non-finite sample or, for finite samples, the step at which the integral
-    overflows. Once a partial sum is not finite no later one is, so only the
-    last is checked.
+    A result that is not finite is a ``ValueError`` naming the step at which
+    the integral overflows. Once a partial sum is not finite no later one is,
+    so only the last is checked.
     """
     w = 0.5 * f.grid.h
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,7 +189,6 @@ def cumulative_trapezoid(f: SampledFunction1D) -> SampledFunction1D:
         out = np.zeros(f.grid.N + 1, dtype=np.complex128)
         out[1:] = np.cumsum(inc)
     if not np.isfinite(out[-1]):
-        _finite_samples(f.grid, f.grid.nodes, f.values)
         raise ValueError(f"the trapezoid integral overflows at step {f.grid.h}")
     return SampledFunction1D(f.grid, out)
 
@@ -220,41 +198,35 @@ def _first_index(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
-def _finite_norm(norm: float, values: np.ndarray, step: str) -> float:
-    if math.isfinite(norm):
-        return norm
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"non-finite sample at node index {_first_index(bad)}")
-    raise ValueError(f"the L1 norm integral overflows at {step}")
+def _finite_norm(norm: float, step: str) -> float:
+    if not math.isfinite(norm):
+        raise ValueError(f"the L1 norm integral overflows at {step}")
+    return norm
 
 
 def _finite_op(op: np.ufunc, f: np.ndarray, g: np.ndarray | complex, what: str) -> np.ndarray:
-    """op(f, g) with no warning; an overflow of finite operands is a ``ValueError`` naming its node.
+    """op(f, g) of finite operands, with no warning.
 
-    A non-finite operand is passed through, to be named where it is checked.
+    A non-finite result is an overflow, a ``ValueError`` naming its node.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = op(f, g)
-    if np.isfinite(out).all():  # the common case, in one pass
-        return out
-    over = ~np.isfinite(out) & np.isfinite(f) & np.isfinite(g)
-    if over.any():
-        raise ValueError(f"{what} overflows at node index {_first_index(over)}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} overflows at node index {_first_index(~np.isfinite(out))}")
     return out
 
 
 def l1_norm(f: SampledFunction1D) -> float:
     """Trapezoid rule applied to |f| over the grid.
 
-    A norm that is not finite is a ``ValueError`` naming the non-finite
-    sample or, for finite samples, the step at which the norm overflows.
+    A norm that is not finite is a ``ValueError`` naming the step at which
+    the norm overflows.
     """
     h = f.grid.h
     with np.errstate(over="ignore"):
         mod = np.abs(f.values)
         norm = float(h * (0.5 * mod[0] + mod[1:-1].sum() + 0.5 * mod[-1]))
-    return _finite_norm(norm, f.values, f"step {h}")
+    return _finite_norm(norm, f"step {h}")
 
 
 def l1_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
@@ -277,7 +249,7 @@ def l1_norm_nd(f: SampledFunctionND) -> float:
         for axis in range(f.grid.dim - 1, -1, -1):
             g = f.grid.axes[axis]
             acc = np.tensordot(acc, trapezoid_weights(g.h, g.N), axes=([axis], [0]))
-    return _finite_norm(float(acc), f.values, f"steps {tuple(g.h for g in f.grid.axes)}")
+    return _finite_norm(float(acc), f"steps {tuple(g.h for g in f.grid.axes)}")
 
 
 def l1_distance_nd(f: SampledFunctionND, g: SampledFunctionND) -> float:

@@ -214,10 +214,9 @@ def rl_integral(
     its own, bit for bit, at any BLAS thread count.
 
     The weights depend only on the step, so the result is translation
-    invariant: moving the grid moves the output with it. A non-finite sample
-    raises a ``ValueError`` naming its node index and t, and in a sequence
-    the function's position; an empty sequence, or functions on different
-    grids, raise one too.
+    invariant: moving the grid moves the output with it. An integral that
+    overflows raises a ``ValueError`` naming the order and step; an empty
+    sequence, or functions on different grids, raise one too.
     """
     alpha = _check_order(alpha)
     fs = _functions_on_one_grid(f)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoxGridND, SampledFunctionND, _first_index, l1_distance_nd
+from .grid import BoxGridND, SampledFunctionND, l1_distance_nd
 from .rl_core import ORDER_CAP, _sweep
 
 MultiOrder = tuple[float, ...]
@@ -38,8 +38,8 @@ def rl_integral_nd(alpha: Sequence[float], f: SampledFunctionND) -> SampledFunct
     Axes with alpha_j = 0 are left untouched; with all components zero the
     input values are returned unchanged. Sweeps are applied in axis order,
     but the output is axis-order independent up to rounding (the sweeps
-    commute). A non-finite sample raises a ``ValueError`` naming its node
-    index, unless every component is zero.
+    commute). An integral that overflows is a ``ValueError`` naming its
+    order and step.
     """
     alpha = check_multi_order(alpha, f.grid.dim)
     values = f.values
@@ -54,18 +54,13 @@ def _sweep_axis(alpha: float, h: float, values: np.ndarray, axis: int) -> np.nda
 
     The rows are one entry of ``_sweep``'s stack: their real parts as
     columns, then their imaginary parts only when some imaginary part is
-    nonzero, so a real row keeps an exactly zero imaginary part. A
-    non-finite sample is a ``ValueError`` naming its first node index.
+    nonzero, so a real row keeps an exactly zero imaginary part.
     """
     rows = np.moveaxis(values, axis, -1)
     n = rows.shape[-1] - 1
     flat = rows.reshape(-1, n + 1)
     r = flat.shape[0]
-    # zero imaginary parts are finite, so checking the columns checks the input
     cols = np.concatenate((flat.real, flat.imag) if flat.imag.any() else (flat.real,))
-    if not np.isfinite(cols).all():
-        idx = _first_index(~np.isfinite(values))
-        raise ValueError(f"non-finite sample at node index {idx[0] if len(idx) == 1 else idx}")
     res = _sweep(alpha, h, cols[None])[0]
     out = np.zeros(rows.shape, dtype=np.complex128)
     o = out.reshape(r, n + 1)
@@ -103,9 +98,11 @@ def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> Sampled
     convolution (see the module docstring) by zero-padded real FFTs of the
     real and imaginary parts; when both inputs are real, of the real parts
     alone. Each axis of n nodes is padded to the least 2*3*5-smooth length
-    >= 2n - 1 (200, not the prime 193, for 97 nodes). It matches per-node sums only to rounding, so zeros inside the box
-    and nonnegativity are exact only to rounding. Exact: 0 on the lower faces
-    (degenerate boxes), 0 for zero input, and real output for real inputs.
+    >= 2n - 1 (200, not the prime 193, for 97 nodes). It matches per-node
+    sums only to rounding, so zeros inside the box and nonnegativity are
+    exact only to rounding. Exact: 0 on the lower faces (degenerate boxes),
+    0 for zero input, and real output for real inputs. A result that
+    overflows, which finite inputs can give, is a ``ValueError``.
     """
     if h.grid != f.grid:
         raise ValueError("kernel and function must share a grid")
@@ -114,25 +111,29 @@ def truncated_convolution(h: SampledFunctionND, f: SampledFunctionND) -> Sampled
     axes = tuple(range(grid.dim))
     size = tuple(_fft_length(2 * n - 1) for n in grid.shape)
     real = h.is_real and f.is_real
-    spectra = []
-    for values in (h.values, f.values):
-        halved = values.real.copy() if real else values.copy()
-        for axis in axes:
-            halved[(slice(None),) * axis + (0,)] *= 0.5
-        parts = (halved,) if real else (halved.real, halved.imag)
-        spectra.append([np.fft.rfftn(part, size, axes) for part in parts])
     box = tuple(slice(0, n) for n in grid.shape)
     scale = math.prod(g.h for g in grid.axes)
     out = np.zeros(grid.shape, dtype=np.complex128)
-    if real:
-        (hr,), (fr,) = spectra
-        out.real = scale * np.fft.irfftn(hr * fr, size, axes)[box]
-    else:
-        (hr, hi), (fr, fi) = spectra
-        out.real = scale * np.fft.irfftn(hr * fr - hi * fi, size, axes)[box]
-        out.imag = scale * np.fft.irfftn(hr * fi + hi * fr, size, axes)[box]
+    # an overflow is rejected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = []
+        for values in (h.values, f.values):
+            halved = values.real.copy() if real else values.copy()
+            for axis in axes:
+                halved[(slice(None),) * axis + (0,)] *= 0.5
+            parts = (halved,) if real else (halved.real, halved.imag)
+            spectra.append([np.fft.rfftn(part, size, axes) for part in parts])
+        if real:
+            (hr,), (fr,) = spectra
+            out.real = scale * np.fft.irfftn(hr * fr, size, axes)[box]
+        else:
+            (hr, hi), (fr, fi) = spectra
+            out.real = scale * np.fft.irfftn(hr * fr - hi * fi, size, axes)[box]
+            out.imag = scale * np.fft.irfftn(hr * fi + hi * fr, size, axes)[box]
     for axis in axes:
         out[(slice(None),) * axis + (0,)] = 0.0
+    if not np.isfinite(out).all():
+        raise ValueError("the truncated convolution overflows")
     return SampledFunctionND(grid, out)
 
 

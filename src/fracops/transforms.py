@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import BoxGridND, SampledFunction1D, SampledFunctionND, UniformGrid1D, _first_index
+from .grid import BoxGridND, SampledFunction1D, SampledFunctionND, UniformGrid1D
 from .rl_core import OperatorFamily1D
 from .special import upper_gamma, zeta_neg
 
@@ -131,8 +131,7 @@ def laplace_transform(
     ``growth_bound = (C, p)`` declares |f(s)| <= C * s^p for s >= T_big; the
     certified tail C * integral_{T_big}^inf s^p e^(-sx) ds is then evaluated
     via the upper incomplete gamma function and reported alongside the value.
-    A value that is not finite is a ``ValueError`` naming the first
-    non-finite sample or, for finite samples, the overflow.
+    A value that overflows is a ``ValueError`` naming x and the interval.
     """
     value = _transforms(f, (x,))[0]
     x = float(x)
@@ -148,8 +147,7 @@ def laplace_transform_nd(f: SampledFunctionND, x: Sequence[float]) -> float:
     Each axis takes the weights of ``laplace_transform``, with p read from
     every fibre along that axis: a fibre that is zero at nodes 0, h, 2h and
     4h has no say, and fibres that disagree leave the end regular. A value
-    that is not finite is a ``ValueError`` naming the first non-finite
-    sample by node index or, for finite samples, the overflow.
+    that overflows is a ``ValueError`` naming x and the box.
     """
     return _transforms(f, (x,))[0]
 
@@ -188,11 +186,6 @@ def _transforms(f: SampledFunction1D | SampledFunctionND, points: Sequence) -> l
             for g, w, x in reversed(list(zip(axes, weights, xs))):
                 acc = g.h * (w * (acc * np.exp(-x * g.nodes))).sum(axis=-1)
         if not math.isfinite(acc):
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                k = _first_index(bad)
-                t = tuple(float(g.nodes[i]) for g, i in zip(axes, k))
-                raise ValueError(f"non-finite sample at node index {shown(k)} (t={shown(t)})")
             ends = tuple(g.T for g in axes)
             raise ValueError(f"transform value at x={shown(xs)} overflows on [0, {shown(ends)}]")
         out.append(float(acc))
@@ -249,11 +242,6 @@ class TransformTable:
         object.__setattr__(self, "x_grid", xs)
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
-
-    @property
-    def order_dim(self) -> int:
-        first = self.order_grid[0]
-        return len(first) if isinstance(first, tuple) else 1
 
     def to_json(self) -> str:
         payload = {

@@ -63,7 +63,6 @@ import numpy as np
 from .grid import (
     SampledFunction1D,
     UniformGrid1D,
-    _finite_samples,
     _functions_on_one_grid,
     l1_distance,
     sample_array,
@@ -553,8 +552,7 @@ def rl_wrt_phi_direct(
     Either way the result agrees with the exact rule over the whole prefix to
     about 1e-14 relative, node 0 is exactly 0, and since every weight is
     nonnegative a nonnegative real g gives an exactly nonnegative real result.
-    A non-finite sample, or a result that overflows, is a ``ValueError``; the
-    first names the node index and t, and in a sequence the function's position.
+    A result that overflows is a ``ValueError`` naming the order.
     """
     alpha = _check_order(alpha)
     gs = _functions_on_one_grid(g)
@@ -614,11 +612,10 @@ def rl_wrt_phi_transmuted(
 
     It shares only phi with the direct route: the composition reads phi(t_m)
     from ``Integrator.value``, with t_m clamped to T so that a last node past T
-    by an ulp reads phi(T). A non-finite sample of g is a ``ValueError`` that
-    names its node index and t on g's grid, as on the direct route.
+    by an ulp reads phi(T). An integral that overflows on the image grid is
+    a ``ValueError`` naming the order and the image step.
     """
     alpha = _check_order(alpha)
-    _finite_samples(g.grid, g.grid.nodes, g.values)
     pulled = pullback_to_image(phi, g)
     integrated = rl_integral(alpha, pulled)
     x = phi.value(np.minimum(g.grid.nodes, phi.T))

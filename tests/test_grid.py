@@ -106,6 +106,7 @@ def test_cumulative_trapezoid_overflow_is_an_error_naming_the_step():
             cumulative_trapezoid(huge)
         with pytest.raises(ValueError, match=re.escape("order-1.0 integral overflows at step 1.0")):
             rl_integral(1.0, huge)
+        # a non-finite sample never reaches the integral: it is rejected where it is built
         vals = np.ones(9)
         vals[3] = np.nan
         with pytest.raises(ValueError, match=re.escape("non-finite sample at node index 3 (t=3.0)")):
@@ -174,6 +175,34 @@ def test_shape_mismatch_rejected():
         SampledFunctionND(box, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_sampled_functions_are_finite_by_construction(bad):
+    # the one check of input samples: each constructor names the first bad node
+    vals = np.ones(5, dtype=complex)
+    vals[[1, 3]] = bad
+    message = re.escape("non-finite sample at node index 1 (t=0.25)") + "$"
+    with pytest.raises(ValueError, match=message):
+        SampledFunction1D(UniformGrid1D(0.0, 1.0, 4), vals)
+    box = BoxGridND((UniformGrid1D(0.0, 1.0, 2), UniformGrid1D(0.0, 1.0, 3)))
+    vals = np.ones(box.shape, dtype=complex)
+    vals[1, 2] = vals[2, 0] = bad
+    message = re.escape("non-finite sample at node index (1, 2)") + "$"
+    with pytest.raises(ValueError, match=message):
+        SampledFunctionND(box, vals)
+
+
+def test_non_finite_scalar_is_rejected_by_name():
+    # inf * 0 and nan * anything would build a NaN function, which no later
+    # check could tell from a bad sample
+    f = SampledFunction1D(UniformGrid1D(0.0, 1.0, 2), [0.0, 1.0, 2.0])
+    cases = ((math.nan, "nan"), (math.inf, "inf"), (complex(1.0, -math.inf), "(1-infj)"))
+    for scalar, shown in cases:
+        message = re.escape(f"non-finite scalar {shown}") + "$"
+        for product in (lambda: scalar * f, lambda: f * scalar):
+            with pytest.raises(ValueError, match=message):
+                product()
+
+
 def test_sample_nd_rejects_nonfinite():
     # the index reads as plain ints, not as numpy scalars
     box = BoxGridND((UniformGrid1D(0.0, 1.0, 2), UniformGrid1D(0.0, 1.0, 2)))
@@ -200,11 +229,12 @@ def test_l1_distance_overflow_is_an_error_naming_the_node():
             message = re.escape("the L1 distance overflows at node index (2, 1)") + "$"
             with pytest.raises(ValueError, match=message):
                 l1_distance_nd(SampledFunctionND(box, f), SampledFunctionND(box, h))
-        # a non-finite sample is still named as one, and large finite
+        # a non-finite sample is rejected where it is built, and large finite
         # differences still come back
         f = np.ones(5)
         f[3] = np.inf
-        with pytest.raises(ValueError, match=re.escape("non-finite sample at node index (3,)")):
+        message = re.escape("non-finite sample at node index 3 (t=0.75)")
+        with pytest.raises(ValueError, match=message):
             l1_distance(SampledFunction1D(g, f), SampledFunction1D(g, np.ones(5)))
         top = SampledFunction1D(g, np.full(5, 2e307))
         assert l1_distance(top, -1.0 * top) == pytest.approx(4e307)
@@ -264,11 +294,12 @@ def test_l1_norm_overflow_is_an_error_naming_the_step():
         box = BoxGridND((wide, unit))
         with pytest.raises(ValueError, match=r"overflows at steps \(1\.25e\+79, 0\.5\)"):
             l1_norm_nd(SampledFunctionND(box, np.full(box.shape, 1e300)))
-        # a non-finite sample is named as such, not as an overflow
+        # a non-finite sample is named as such where it is built, not as an overflow
         for bad in (np.nan, np.inf, complex(0.0, np.nan)):
             vals = np.ones(9, dtype=complex)
             vals[5] = bad
-            with pytest.raises(ValueError, match=re.escape("non-finite sample at node index (5,)")):
+            message = re.escape("non-finite sample at node index 5 (t=6.25e+79)")
+            with pytest.raises(ValueError, match=message):
                 l1_norm(SampledFunction1D(wide, vals))
         # the largest finite norms still come back
         assert l1_norm(SampledFunction1D(unit, np.full(3, 1e307))) == pytest.approx(1e307)

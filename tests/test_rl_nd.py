@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +273,24 @@ def test_convolution_requires_matching_grids_and_zero_corner():
     shifted = SampledFunctionND(shifted_box, np.ones(9))
     with pytest.raises(ValueError, match="corner"):
         truncated_convolution(shifted, shifted)
+
+
+def test_overflowing_convolution_is_an_error_with_no_warning():
+    # finite samples whose spectra overflow: the error names the convolution,
+    # not a non-finite sample that neither input has
+    b = box(8)
+    big = SampledFunctionND(b, np.full(b.shape, 1e200))
+    message = re.escape("the truncated convolution overflows") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (big, SampledFunctionND(b, np.full(b.shape, 1e200j))):
+            with pytest.raises(ValueError, match=message):
+                truncated_convolution(h, big)
+        with pytest.raises(ValueError, match=message):
+            commutation_residual((0.5, 0.5), big, big)
+        # large results that stay finite still come back: 1 * 1 on [0, 1]^2 is 1
+        top = SampledFunctionND(b, np.full(b.shape, 1e150))
+        assert truncated_convolution(top, top).values[-1, -1] == pytest.approx(1e300)
 
 
 def test_commutation_unit_case():

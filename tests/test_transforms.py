@@ -91,7 +91,7 @@ def test_transform_on_a_huge_window_has_no_float_warnings():
 
 
 def test_non_finite_transform_names_the_sample_or_the_overflow():
-    # the bad sample is searched for only once the value is not finite
+    # a bad sample is rejected where it is built; finite samples can still overflow
     grid = UniformGrid1D(0.0, 1.0, 8)
     box = BoxGridND((UniformGrid1D(0.0, 1.0, 4), UniformGrid1D(0.0, 1.0, 4)))
     with warnings.catch_warnings():

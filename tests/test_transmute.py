@@ -430,11 +430,11 @@ def test_direct_batch_and_mesh_are_checked():
         rl_wrt_phi_direct(0.5, phi, [])
     with pytest.raises(ValueError, match="grid mismatch"):
         rl_wrt_phi_direct(0.5, phi, [g, sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, 8))])
-    # a non-finite sample is named by its function's position, as in rl_integral
+    # a non-finite sample is rejected where it is built, as for rl_integral
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         vals = np.ones(17, dtype=complex)
         vals[3] = bad
-        message = "function 2: non-finite sample at node index 3 (t=0.1875)"
+        message = "non-finite sample at node index 3 (t=0.1875)"
         for alpha in (0.5, 1.3):
             with pytest.raises(ValueError, match=re.escape(message)):
                 rl_wrt_phi_direct(alpha, phi, (g, g, SampledFunction1D(g.grid, vals)))
@@ -461,22 +461,22 @@ def test_direct_overflow_names_the_order():
                 with pytest.raises(ValueError, match=re.escape(message)):
                     rl_wrt_phi_direct(alpha, phi, g)
         grid = UniformGrid1D(0.0, 1.0, 8)
-        bad = SampledFunction1D(grid, np.where(grid.nodes > 0.6, np.nan, 1.0))
-        with pytest.raises(ValueError, match=re.escape("non-finite sample at node index 5")):
-            rl_wrt_phi_direct(0.5, unit_jump_integrator(), bad)
+        bad = np.where(grid.nodes > 0.6, np.nan, 1.0)
+        message = re.escape("non-finite sample at node index 5 (t=0.625)")
+        with pytest.raises(ValueError, match=message):
+            rl_wrt_phi_direct(0.5, unit_jump_integrator(), SampledFunction1D(grid, bad))
 
 
 def test_both_routes_name_a_non_finite_sample_by_its_grid_node():
-    # node 2 of 8 is t = 0.25; the pulled-back image grid has its own indices,
-    # so the transmuted route must check g before it pulls it back
+    # node 2 of 8 is t = 0.25; the pulled-back image grid has its own
+    # indices, but g is rejected on its own grid before either route starts
     grid = UniformGrid1D(0.0, 1.0, 8)
     vals = np.ones(9)
     vals[2] = np.inf
-    g = SampledFunction1D(grid, vals)
     message = "non-finite sample at node index 2 (t=0.25)"
     for route in (rl_wrt_phi_direct, rl_wrt_phi_transmuted):
         with pytest.raises(ValueError, match=re.escape(message)):
-            route(0.5, off_grid_jump_integrator(), g)
+            route(0.5, off_grid_jump_integrator(), SampledFunction1D(grid, vals))
 
 
 def test_transmutation_residual_builds_one_mesh_and_one_exponential_sum(monkeypatch):
