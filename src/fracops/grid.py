@@ -216,23 +216,27 @@ def _finite_op(op: np.ufunc, f: np.ndarray, g: np.ndarray | complex, what: str) 
     return out
 
 
+def _l1(values: np.ndarray, h: float) -> float:
+    """Trapezoid rule applied to |values| at step h; errors as in ``l1_norm``."""
+    with np.errstate(over="ignore"):
+        mod = np.abs(values)
+        norm = float(h * (0.5 * mod[0] + mod[1:-1].sum() + 0.5 * mod[-1]))
+    return _finite_norm(norm, f"step {h}")
+
+
 def l1_norm(f: SampledFunction1D) -> float:
     """Trapezoid rule applied to |f| over the grid.
 
     A norm that is not finite is a ``ValueError`` naming the step at which
     the norm overflows.
     """
-    h = f.grid.h
-    with np.errstate(over="ignore"):
-        mod = np.abs(f.values)
-        norm = float(h * (0.5 * mod[0] + mod[1:-1].sum() + 0.5 * mod[-1]))
-    return _finite_norm(norm, f"step {h}")
+    return _l1(f.values, f.grid.h)
 
 
 def l1_distance(f: SampledFunction1D, g: SampledFunction1D) -> float:
+    """``l1_norm(f - g)`` bit for bit, read from the difference's samples."""
     _require_same_grid(f, g)
-    diff = _finite_op(np.subtract, f.values, g.values, "the L1 distance")
-    return l1_norm(SampledFunction1D(f.grid, diff))
+    return _l1(_finite_op(np.subtract, f.values, g.values, "the L1 distance"), f.grid.h)
 
 
 def trapezoid_weights(h: float, n: int) -> np.ndarray:
@@ -242,18 +246,23 @@ def trapezoid_weights(h: float, n: int) -> np.ndarray:
     return w
 
 
+def _l1_nd(values: np.ndarray, grid: BoxGridND) -> float:
+    """Tensorized trapezoid rule applied to |values| over the box; errors as in ``l1_norm``."""
+    with np.errstate(over="ignore"):
+        acc = np.abs(values)
+        for axis in range(grid.dim - 1, -1, -1):
+            g = grid.axes[axis]
+            acc = np.tensordot(acc, trapezoid_weights(g.h, g.N), axes=([axis], [0]))
+    return _finite_norm(float(acc), f"steps {tuple(g.h for g in grid.axes)}")
+
+
 def l1_norm_nd(f: SampledFunctionND) -> float:
     """Tensorized trapezoid rule applied to |f| over the box; errors as in ``l1_norm``."""
-    with np.errstate(over="ignore"):
-        acc = np.abs(f.values)
-        for axis in range(f.grid.dim - 1, -1, -1):
-            g = f.grid.axes[axis]
-            acc = np.tensordot(acc, trapezoid_weights(g.h, g.N), axes=([axis], [0]))
-    return _finite_norm(float(acc), f"steps {tuple(g.h for g in f.grid.axes)}")
+    return _l1_nd(f.values, f.grid)
 
 
 def l1_distance_nd(f: SampledFunctionND, g: SampledFunctionND) -> float:
+    """``l1_norm_nd(f - g)`` bit for bit, read from the difference's samples."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch between ND sampled functions")
-    diff = _finite_op(np.subtract, f.values, g.values, "the L1 distance")
-    return l1_norm_nd(SampledFunctionND(f.grid, diff))
+    return _l1_nd(_finite_op(np.subtract, f.values, g.values, "the L1 distance"), f.grid)

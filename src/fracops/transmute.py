@@ -35,20 +35,23 @@ fractional integral there, and composing the result with phi(t) from
 ``Integrator.value``. The two routes agree up to resampling error, which
 shrinks under refinement.
 
-The direct route costs O(N (J + K + B)) time and O(B (K + B + J))
-temporaries for 0 < alpha < 1: nodes go in blocks of B = 64, each takes
-exact kernel moments on the cells from K = 4 grid nodes before it, and the
-rest of its prefix comes from a history of J positive-weight exponentials,
-J = 10 (1 + ceil(log2(40 R / delta))) for the image length R and the least
-image gap delta across K nodes at a block start (J = 180 for the unit jump
-at N = 4096). For alpha >= 1 the kernel is bounded and each node takes the
-exact rule over its whole prefix, O(N^2) time in blocks of at most 65536
-kernel entries. None of the kernel work depends on g: the image mesh
-(apart from g's own row on it), the exponential rates, the decays and the
-cell and kernel moments are paid once per call, and one call takes several
-functions on one grid, each adding GEMM multiply-adds of the same order
-through its own columns. ``transmutation_residual`` runs the direct route
-once for every probe.
+The direct route costs O(N (J + K + B)) time for 0 < alpha < 1: nodes go
+in blocks of B = 32, each takes exact kernel moments on the cells from
+K = 4 grid nodes before it, and the rest of its prefix comes from a history
+of J positive-weight exponentials, J = 10 (1 + ceil(log2(40 R / delta))) for
+the image length R and the least image gap delta across K nodes at a block
+start (J = 180 for the unit jump at N = 4096). The kernel tables are built
+for a chunk of blocks at once, as many as keep a history table (J x cells)
+within 65536 entries, in one workspace per call: the decays, cell moments
+and far-read exponentials of the history, and the near-field moments. Only
+the J-vector recurrence of the history runs block by block. For alpha >= 1
+the kernel is bounded and each node takes the exact rule over its whole
+prefix, O(N^2) time in blocks of at most 65536 kernel entries. None of the
+kernel work depends on g: the image mesh (apart from g's own row on it),
+the exponential rates and every kernel table are paid once per call, and
+one call takes several functions on one grid, each adding GEMM
+multiply-adds of the same order through its own columns.
+``transmutation_residual`` runs the direct route once for every probe.
 """
 
 from __future__ import annotations
@@ -78,11 +81,13 @@ _EVAL_ULPS = 4.0
 
 # The direct route's block kernel: nodes per block and grid nodes of exact
 # near field before each block.
-_BLOCK = 64
+_BLOCK = 32
 _NEAR = 4
-_BLOCK_ENTRIES = 65536  # most rows x mesh nodes of a block that reads whole prefixes
+# Most rows x mesh nodes of a block that reads whole prefixes, and most
+# rates x cells of a chunk's history table.
+_BLOCK_ENTRIES = 65536
 
-# Taylor coefficients in z of the two moments of _exponential_cell_moments,
+# Taylor coefficients in z of the two cell moments of _history_increments,
 # (-1)^n / (n! (n+2)) and (-1)^n / (n! (n+1) (n+2)): 19 terms reach double
 # precision for z < 1
 _SERIES = np.array(
@@ -368,26 +373,46 @@ def _image_mesh(
 
 
 def _near_field(
-    alpha: float, x: np.ndarray, u: np.ndarray, G: np.ndarray
-) -> np.ndarray:
-    """Exact product quadrature of (x - u)^(alpha-1) g(u) over the mesh u, per row x.
+    alpha: float, x: np.ndarray, u: np.ndarray, G: np.ndarray, out: np.ndarray,
+    work: np.ndarray,
+) -> None:
+    """Exact product quadrature of (x - u)^(alpha-1) g(u) over a mesh window, per row x.
 
-    g is the piecewise-linear interpolant of the real columns G[p] between
-    mesh nodes, one stack entry p per function, and the kernel moments of each
-    cell are integrated exactly; cells right of x have r = 0 at both ends and
-    add exactly nothing, so one block of rows shares one mesh window and x may
-    touch its last node.
+    x holds one block of rows per window u; G[p] is function p on each
+    window, its real and imaginary parts as columns, and ``out[p]`` takes
+    the (block, row) sums. g is the piecewise-linear interpolant between
+    window nodes and the kernel moments of each cell are integrated exactly.
+    Cells right of x have r = 0 at both ends and zero-length cells (a window
+    padded with copies of its last node) add exactly nothing, so one block
+    of rows shares one window and x may touch its last node. A cell no
+    longer than 1e-15 max(1, |x|) for the block's largest |x| keeps only its
+    left value. ``work`` holds at least 4 * x.size * u.shape[1] floats.
     """
-    r = np.maximum(x[:, None] - u[None, :], 0.0)
-    ra = r ** alpha
-    rb = ra * r
-    m0 = (ra[:, :-1] - ra[:, 1:]) / alpha
-    m1 = r[:, :-1] * m0 - (rb[:, :-1] - rb[:, 1:]) / (alpha + 1.0)
-    du = np.diff(u)
-    inv_du = np.divide(1.0, du, out=np.zeros_like(du), where=du > 0.0)
-    # cells no longer than 1e-15 max(1, |x|) keep only their left value
-    m1 *= inv_du * (du > 1e-15 * np.maximum(1.0, np.abs(x))[:, None])
-    return (m0 - m1) @ G[:, :-1] + m1 @ G[:, 1:]
+    shape = (*x.shape, u.shape[1])
+    size = math.prod(shape)
+    # flat tables, one entry per (block, row, window node); entry i of a row
+    # stands for the cell from node i to node i + 1, so the last entry of
+    # each row spans two rows, and the GEMMs never read it
+    r, ra, m0, m1 = (work[k * size:(k + 1) * size] for k in range(4))
+    np.subtract(x[:, :, None], u[:, None, :], out=r.reshape(shape))
+    np.maximum(r, 0.0, out=r)
+    np.power(r, alpha, out=ra)
+    np.subtract(ra[:-1], ra[1:], out=m0[:-1])  # alpha m0, the cell's moment of r^(alpha-1)
+    ra *= r
+    np.subtract(ra[1:], ra[:-1], out=m1[:-1])
+    m0[-1] = m1[-1] = 0.0
+    m1 *= alpha / (alpha + 1.0)
+    r *= m0
+    m1 += r  # alpha m1 du: r m0 - (r^(alpha+1) difference) / (alpha+1), times alpha
+    du = np.zeros((len(u), 1, u.shape[1]))
+    np.subtract(u[:, 1:], u[:, :-1], out=du[:, 0, :-1])
+    least = 1e-15 * np.maximum(1.0, np.abs(x).max(axis=1))
+    m0, m1 = m0.reshape(shape), m1.reshape(shape)
+    m1 *= np.divide(1.0, du, out=np.zeros_like(du), where=du > least[:, None, None])
+    m0 -= m1
+    np.matmul(m0[..., :-1], G[:, :, :-1], out=out)
+    out += m1[..., :-1] @ G[:, :, 1:]
+    out /= alpha  # both moments were alpha times their value
 
 
 # A sum of exponentials for a kernel power: Gauss points per rule, and
@@ -469,56 +494,157 @@ def _far_field_exponentials(
     return _sum_of_exponentials(alpha, delta, length)
 
 
-def _exponential_cell_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^1 w e^(-z w) dw and int_0^1 (1 - w) e^(-z w) dw for z >= 0, both >= 0.
-
-    With w the distance from a cell's right end in cell lengths, they weigh g
-    at the cell's left and right node. The closed forms lose no digits for
-    z >= 1; below that the Taylor series is summed, whose terms alternate in
-    sign and shrink, so its sums stay positive.
-    """
-    zc = np.maximum(z, 1.0)
-    e = np.exp(-zc)
-    left = (1.0 - (1.0 + zc) * e) / zc / zc
-    right = (zc - 1.0 + e) / zc / zc
-    small = z < 1.0
-    if small.any():
-        left[small], right[small] = _SERIES.T @ z[small] ** _SERIES_POWERS[:, None]
-    return left, right
-
-
-def _advance_history(
-    H: np.ndarray, s: np.ndarray, u: np.ndarray, live: np.ndarray, G: np.ndarray,
-    c0: int, c1: int,
+def _history_increments(
+    s: np.ndarray, h: np.ndarray, gap: np.ndarray, Gl: np.ndarray, Gr: np.ndarray,
+    out: np.ndarray, work: np.ndarray,
 ) -> None:
-    """Move the history from cutoff u[c0] to u[c1], adding cells c0 .. c1-1 in place.
+    """What the cells of each block add to a history held at its cutoff.
 
-    H[j] = int_(u < cutoff) e^(-s_j (cutoff - u)) g(u) du for the piecewise-linear
-    g; each new cell adds the exact moments of e^(-s_j (cutoff - u)) against
-    the two linear pieces of g on it. Only the ``live`` cells are added: the
-    others add exactly nothing. Which cells those are does not depend on
-    g, and H and G are stacks with one entry per function, so an entry gets
-    the same arithmetic in any batch.
+    out[p, b, j] = sum_i int_(cell i) e^(-s_j (cutoff - u)) g(u) du for the
+    piecewise-linear g of function p, over the cells of block b: lengths
+    h[b] (0 for cells that add nothing), distances gap[b] from their right
+    ends to the cutoff, and g at their ends Gl[p, b] and Gr[p, b], real and
+    imaginary parts as columns. With w the distance from a cell's right end
+    in cell lengths, the left and right values of g are weighed by
+    e^(-s_j gap_i) h_i int_0^1 v(w) e^(-z w) dw, z = s_j h_i, for v = w and
+    1 - w: g-free tables of nonnegative weights, one product per entry, each
+    applied to g in one stack of same-shape GEMMs. ``work`` holds at least
+    2 * s.size * h.size floats.
     """
-    H *= np.exp(-s * (u[c1] - u[c0]))[:, None]
-    cells = c0 + np.flatnonzero(live[c0:c1])
-    if not cells.size:
+    size = s.size * h.size
+    decay, X = (work[k * size:(k + 1) * size].reshape(len(s), *h.shape) for k in range(2))
+    live = h[h > 0.0]
+    if not live.size:  # no cell adds anything
+        out[...] = 0.0
         return
-    h = u[cells + 1] - u[cells]
-    gl, gr = G[:, cells], G[:, cells + 1]
-    decay = np.exp(-np.outer(s, u[c1] - u[cells + 1]))
-    # rows with s h < 1 on every cell take the series as one product,
-    # sum_n (s_j hmax)^n sum_i decay_ji h_i (h_i / hmax)^n (a_n g_i + b_n g_(i+1))
-    # with (a_n, b_n) = _SERIES[n]; its terms alternate in n and shrink
-    hmax = float(h.max())
+    hmax = float(live.max())
+    np.einsum("j,bi->jbi", -s, gap, out=decay)  # outer products: faster than broadcasting
+    np.exp(decay, out=decay)
+    # rates with s hmax < 1 sum the Taylor series of both moments in z, times
+    # h, as one product, sum_n (s_j hmax)^n _SERIES[n] h_i (h_i / hmax)^n: its
+    # terms alternate in n and shrink, so its sums stay positive
     low = int(np.searchsorted(s, 1.0 / hmax))
-    V = gl[:, :, None] * _SERIES[:, 0, None] + gr[:, :, None] * _SERIES[:, 1, None]
-    V *= (h[:, None] * (h[:, None] / hmax) ** _SERIES_POWERS)[:, :, None]
-    S = (decay[:low] @ V.reshape(len(V), len(h), -1)).reshape(len(V), low, *_SERIES.shape)
-    H[:, :low] += (((hmax * s[:low, None]) ** _SERIES_POWERS)[:, None, :] @ S)[:, :, 0]
-    left, right = _exponential_cell_moments(np.outer(s[low:], h))
-    decay = decay[low:] * h
-    H[:, low:] += (decay * left) @ gl + (decay * right) @ gr
+    rates = (s[:low, None] * hmax) ** _SERIES_POWERS
+    powers = (h.reshape(1, -1) / hmax) ** _SERIES_POWERS[:, None]
+    powers *= h.reshape(-1)
+    # the others take the closed forms times h = z^2 / (s^2 h), which lose no
+    # digits for z >= 1, with 1 / s^2 in their decays; a zero-length cell gets
+    # 0 from its 1 / h = 0, and an entry with 0 < z < 1 (a cell shorter than
+    # hmax) sums the series alone
+    fast, high = s[low:], X[low:]
+    e = np.einsum("j,bi->jbi", -fast, h)
+    np.exp(e, out=e)
+    decay[low:] *= (fast ** -2.0)[:, None, None]
+    inv_h = np.divide(1.0, h, out=np.zeros_like(h), where=h > 0.0)
+    mid = int(np.searchsorted(fast, 1.0 / float(live.min())))
+    z = np.einsum("j,bi->jbi", fast[:mid], h)
+    small = (0.0 < z) & (z < 1.0)
+    series = z[small] ** _SERIES_POWERS[:, None] * (z * fast[:mid, None, None])[small]  # times s^2 h
+    for k, G in enumerate((Gl, Gr)):
+        np.matmul(rates * _SERIES[:, k], powers, out=X[:low].reshape(low, -1))
+        np.einsum("j,bi->jbi", -fast, h, out=high)
+        if k == 0:  # 1 - (1 + z) e^(-z)
+            np.subtract(1.0, high, out=high)
+            high *= e
+            np.subtract(1.0, high, out=high)
+        else:  # z - 1 + e^(-z)
+            np.subtract(-1.0, high, out=high)
+            high += e
+        high *= inv_h
+        high[:mid][small] = _SERIES[:, k] @ series
+        X *= decay
+        if k == 0:
+            np.matmul(X.transpose(1, 0, 2), G, out=out)
+        else:
+            out += X.transpose(1, 0, 2) @ G
+
+
+def _exact_prefixes(
+    alpha: float, x: np.ndarray, u: np.ndarray, ends: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """Every node's exact rule over its whole mesh prefix (``_near_field``).
+
+    Blocks that read whole prefixes get fewer rows, which bounds their
+    temporaries to _BLOCK_ENTRIES kernel entries each.
+    """
+    out = np.zeros((len(G), len(x), 2))
+    rows = max(1, min(_BLOCK, _BLOCK_ENTRIES // len(u)))
+    work = np.empty(4 * rows * len(u))
+    for m0 in range(1, len(x), rows):
+        m1 = min(m0 + rows, len(x))
+        k = int(ends[m1 - 1])
+        _near_field(alpha, x[None, m0:m1], u[None, :k], G[:, None, :k], out[:, None, m0:m1], work)
+    return out
+
+
+def _chunk_blocks(rates: int, cells: int) -> int:
+    """Blocks per chunk: as many as keep a history table within _BLOCK_ENTRIES entries."""
+    return max(1, _BLOCK_ENTRIES // (rates * cells))
+
+
+def _history_blocks(
+    alpha: float, x: np.ndarray, u: np.ndarray, ends: np.ndarray, live: np.ndarray,
+    G: np.ndarray, s: np.ndarray, w: np.ndarray,
+) -> np.ndarray:
+    """Blocks of _BLOCK nodes, each reading its near field exactly and the rest from a history.
+
+    Block b's rows read the exact moments on a window that starts at its
+    cutoff, the image of the grid node _NEAR before its first node (mesh
+    index 0 for the first block), and the history of exponentials, carried
+    from cutoff to cutoff, for everything left of it. The windows are padded
+    to one length with copies of their last node and the cells that each
+    block adds to the history to one count with zero-length cells at its
+    cutoff, per chunk; neither adds anything. The last block's rows are
+    padded with copies of the last node, whose sums are dropped.
+
+    Kernel tables, all independent of g, are built for a chunk of blocks at
+    once: as many blocks as keep a history table (rates x cells) within
+    _BLOCK_ENTRIES entries, in one workspace per call. Only the recurrence
+    H <- e^(-s (cutoff - previous cutoff)) H + dH runs block by block.
+    """
+    N, R, J, P = len(x) - 1, _BLOCK, len(s), len(G)
+    blocks = -(-N // R)
+    first = 1 + R * np.arange(blocks)
+    cuts = np.zeros(blocks, dtype=np.intp)
+    cuts[1:] = ends[first[1:] - _NEAR] - 1
+    stops = ends[np.minimum(first + R - 1, N)]
+    prev = np.concatenate([cuts[:1], cuts[:-1]])
+    widths, counts = stops - cuts, np.maximum(cuts - prev, 1)  # window nodes, history cells
+    c = u[cuts]
+    C = int(counts.max())
+    nb = _chunk_blocks(J, C)
+    work = np.empty(nb * max(2 * J * C, 4 * R * int(widths.max()), R * J))
+    out = np.empty((P, 1 + blocks * R, 2))
+    out[:, 0] = 0.0
+    history = np.empty((P, nb, J, 2))
+    H, step = np.zeros((P, J, 2)), np.empty((P, J, 2))
+    w = np.repeat(w, 2).reshape(J, 2)  # one weight for both parts: no broadcast in the loop
+    for b0 in range(0, blocks, nb):
+        b1 = min(b0 + nb, blocks)
+        n, L, C = b1 - b0, int(widths[b0:b1].max()), int(counts[b0:b1].max())
+        rows = np.minimum(first[b0:b1, None] + np.arange(R), N)
+        window = np.minimum(cuts[b0:b1, None] + np.arange(L), stops[b0:b1, None] - 1)
+        dst = out[:, 1 + b0 * R:1 + b1 * R].reshape(P, n, R, 2)
+        _near_field(alpha, x[rows], u[window], G[:, window], dst, work)
+        # the cells from the previous cutoff to this one, padded with zero-length cells
+        nodes = np.minimum(prev[b0:b1, None] + np.arange(C + 1), cuts[b0:b1, None])
+        mesh = u[nodes]
+        h = np.diff(mesh, axis=1) * live[nodes[:, :-1]]  # dead cells carry no g: length 0
+        hs = history[:, :n]
+        _history_increments(
+            s, h, c[b0:b1, None] - mesh[:, 1:], G[:, nodes[:, :-1]], G[:, nodes[:, 1:]], hs, work
+        )
+        decay = np.exp(-np.outer(c[b0:b1] - u[prev[b0:b1]], s)).repeat(2, axis=1)
+        for hb, d in zip(hs.transpose(1, 0, 2, 3), decay.reshape(n, J, 2)):
+            hb += np.multiply(d, H, out=step)
+            H = hb
+        H = H.copy()
+        hs *= w
+        far = work[:n * R * J].reshape(n, R, J)
+        np.einsum("bm,j->bmj", x[rows] - c[b0:b1, None], -s, out=far)
+        np.exp(far, out=far)
+        dst += far @ hs
+    return out[:, :N + 1]
 
 
 def rl_wrt_phi_direct(
@@ -541,13 +667,16 @@ def rl_wrt_phi_direct(
     The mesh is the direct route's own: the transmuted route reads phi(t_m)
     from ``Integrator.value``.
 
-    Nodes go in blocks of _BLOCK. For 0 < alpha < 1 a block takes the exact
-    moments only on the cells from _NEAR grid nodes before its first node on.
-    Everything left of that cutoff comes from a history of exponentials
-    whose positive-weight sum matches r^(alpha-1) to about 2e-15 relative
-    (``_sum_of_exponentials``) and which carries across the nonuniform image
-    mesh and its jumps; for alpha >= 1 every node takes the exact moments
-    over its whole prefix. The module docstring states the cost.
+    For 0 < alpha < 1 nodes go in blocks of _BLOCK, and a block takes the
+    exact moments only on the cells from _NEAR grid nodes before its first
+    node on (``_history_blocks``). Everything left of that cutoff comes from
+    a history of exponentials whose positive-weight sum matches r^(alpha-1)
+    to about 2e-15 relative (``_sum_of_exponentials``) and which carries
+    across the nonuniform image mesh and its jumps. The kernel tables are
+    built for chunks of blocks at once, and g enters each chunk through a
+    few stacked GEMMs. For alpha >= 1, and with no far field, every node
+    takes the exact moments over its whole prefix (``_exact_prefixes``). The
+    module docstring states the cost.
 
     Either way the result agrees with the exact rule over the whole prefix to
     about 1e-14 relative, node 0 is exactly 0, and since every weight is
@@ -561,25 +690,12 @@ def rl_wrt_phi_direct(
     # G[p] is function p on the mesh, its real and imaginary parts as columns
     G = G.view(np.float64).reshape(len(gs), -1, 2)
     x = u[ends - 1]
-    N = grid.N
-    out = np.zeros((len(gs), N + 1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         soe = _far_field_exponentials(alpha, x)
-        if soe is not None:
-            s, w = soe
-            H = np.zeros((len(gs), len(s), 2))
-        # blocks that read whole prefixes get fewer rows, which bounds their temporaries
-        rows = _BLOCK if soe is not None else max(1, min(_BLOCK, _BLOCK_ENTRIES // len(u)))
-        cut = 0
-        for m0 in range(1, N + 1, rows):
-            m1 = min(m0 + rows, N + 1)
-            if soe is not None and m0 > _BLOCK:
-                new_cut = int(ends[m0 - _NEAR]) - 1
-                _advance_history(H, s, u, live, G, cut, new_cut)
-                cut = new_cut
-                out[:, m0:m1] = np.exp(-np.outer(x[m0:m1] - u[cut], s)) @ (w[:, None] * H)
-            k = int(ends[m1 - 1])
-            out[:, m0:m1] += _near_field(alpha, x[m0:m1], u[cut:k], G[:, cut:k])
+        if soe is None:
+            out = _exact_prefixes(alpha, x, u, ends, G)
+        else:
+            out = _history_blocks(alpha, x, u, ends, live, G, *soe)
         out /= math.gamma(alpha)
     if not np.isfinite(out).all():
         raise ValueError(f"the order-{alpha} integral with respect to phi overflows")

@@ -166,6 +166,25 @@ def test_l1_distance_matches_norm_of_difference():
     assert l1_distance(f, h) == l1_norm(f - h)
 
 
+def test_l1_distance_is_the_norm_of_the_difference_bit_for_bit():
+    # real and complex samples, 1D and 2D: the distance reads the
+    # difference's samples directly, with the norm's own arithmetic
+    rng = np.random.default_rng(7)
+    g = UniformGrid1D(-1.0, 2.0, 97)
+    box = BoxGridND((g, UniformGrid1D(0.0, 0.5, 33)))
+    for shape in ((g.N + 1,), box.shape):
+        real = [rng.standard_normal(shape) for _ in range(2)]
+        cplx = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+        for a, b in (real, cplx, (real[0], cplx[1])):
+            if len(shape) == 1:
+                f, h = SampledFunction1D(g, a), SampledFunction1D(g, b)
+                got, want = l1_distance(f, h), l1_norm(f - h)
+            else:
+                f, h = SampledFunctionND(box, a), SampledFunctionND(box, b)
+                got, want = l1_distance_nd(f, h), l1_norm_nd(SampledFunctionND(box, a - b))
+            assert got == want and math.isfinite(got)
+
+
 def test_shape_mismatch_rejected():
     g = UniformGrid1D(0.0, 1.0, 4)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from math import gamma
 
@@ -373,21 +374,85 @@ def test_direct_nonnegative_input_gives_exactly_nonnegative_output(phi):
                 assert out[0] == 0.0
 
 
+CHUNK = 3  # blocks per chunk in the chunk-edge tests
+
+
+def first_chunk_blocks(phi, n):
+    # the block count of the first chunk's history tables in one call
+    seen = []
+    original = transmute._history_increments
+
+    def spy(s, h, *args):
+        seen.append(h.shape[0])
+        return original(s, h, *args)
+
+    transmute._history_increments = spy
+    try:
+        rl_wrt_phi_direct(0.5, phi, sample_array(np.ones_like, UniformGrid1D(0.0, 1.0, n)))
+    finally:
+        transmute._history_increments = original
+    return seen[0]
+
+
+def assert_matches_per_node_loop(phi, n, alphas=(0.05, 0.5, 0.95, 1.5)):
+    grid = UniformGrid1D(0.0, 1.0, n)
+    for g in (
+        sample(lambda t: math.cos(3.0 * t) + 1.0, grid),
+        sample(lambda t: (1.0 + t) * complex(math.cos(2 * t), math.sin(2 * t)), grid),
+    ):
+        for alpha in alphas:
+            got = rl_wrt_phi_direct(alpha, phi, g).values
+            ref = per_node_direct(alpha, phi, g)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
+
+
 @pytest.mark.parametrize("phi", [unit_jump_integrator(), cubic_exp_jump_integrator()],
                          ids=["unit-jump", "cubic-exp"])
-def test_direct_block_edges_match_per_node_loop(phi):
-    # node counts around the near-field width and the block length: from
-    # N = _BLOCK + 1 on, the last block reads its far field from the history
-    for n in (_NEAR - 1, _NEAR, _NEAR + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+def test_direct_block_edges_match_per_node_loop(phi, monkeypatch):
+    # node counts around the near-field width, the block length and one chunk
+    # of blocks: from N = _BLOCK + 1 on, the last block reads its far field
+    # from the history, and from one chunk + 1 on, a second chunk carries the
+    # history on; chunks of CHUNK blocks keep these grids small
+    monkeypatch.setattr(transmute, "_chunk_blocks", lambda rates, cells: CHUNK)
+    chunk = CHUNK * _BLOCK
+    assert first_chunk_blocks(phi, chunk + 1) == CHUNK
+    for n in (_NEAR - 1, _NEAR, _NEAR + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+              chunk - 1, chunk, chunk + 1):
+        assert_matches_per_node_loop(phi, n)
+
+
+@pytest.mark.parametrize("jump", [1.0, 0.0], ids=["jump", "seam"])
+def test_direct_chunk_that_starts_at_a_segment_boundary_matches_per_node_loop(
+    jump, monkeypatch
+):
+    # the second chunk's first node is the boundary between two segments,
+    # with or without a jump there
+    monkeypatch.setattr(transmute, "_chunk_blocks", lambda rates, cells: CHUNK)
+    n = 2 * CHUNK * _BLOCK
+    at = float(UniformGrid1D(0.0, 1.0, n).nodes[CHUNK * _BLOCK + 1])
+    phi = Integrator(
+        (Segment(0.0, at, "poly", (0.0, 1.0)), Segment(at, 1.0, "poly", (jump, 1.0))),
+        (Jump(at, jump),) if jump else (),
+    )
+    assert first_chunk_blocks(phi, n) == CHUNK
+    assert_matches_per_node_loop(phi, n)
+
+
+def test_direct_route_temporaries_stay_bounded():
+    # the chunk tables share one workspace per call, sized by _BLOCK_ENTRIES,
+    # so the peak grows with N only through the call's own arrays
+    phi = unit_jump_integrator()
+    for n, bound_mb in ((4096, 2.0), (16384, 4.0)):
         grid = UniformGrid1D(0.0, 1.0, n)
-        for g in (
-            sample(lambda t: math.cos(3.0 * t) + 1.0, grid),
-            sample(lambda t: (1.0 + t) * complex(math.cos(2 * t), math.sin(2 * t)), grid),
-        ):
-            for alpha in (0.05, 0.5, 0.95, 1.5):
-                got = rl_wrt_phi_direct(alpha, phi, g).values
-                ref = per_node_direct(alpha, phi, g)
-                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
+        gs = [sample_array(np.ones_like, grid), sample_array(lambda t: t, grid)]
+        rl_wrt_phi_direct(0.5, phi, gs)
+        tracemalloc.start()
+        try:
+            rl_wrt_phi_direct(0.5, phi, gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6, (n, peak)
 
 
 BATCH_PROBES = {

@@ -11,8 +11,13 @@ metrics) once in each. Writes ``BENCH_<label>.json`` for the change and,
 with ``--parent``, ``BENCH_<label>-parent.json``: the ``env`` line, the
 final JSON result line and the metric lines of every run, and per workload
 the median and quartiles of each end-to-end metric over its trace-0 runs.
-Two sides whose runs report different ``cpu_model`` values are refused: their
-timings do not compare.
+With ``--parent``, the i-th trace-0 runs of the two sides form pair i, and
+``BENCH_<label>.json`` also holds ``paired``: per workload and end-to-end
+metric, the median and quartiles of the per-pair ratio change/parent and
+the pairs won by each side, where winning follows the metric's ``better``
+in ``BENCHMARK.json`` and a tie counts for neither. Two sides whose runs
+report different ``cpu_model`` values are refused: their timings do not
+compare.
 """
 
 from __future__ import annotations
@@ -73,6 +78,27 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
+def paired(change: list[dict], parent: list[dict], better: dict[str, str]) -> dict:
+    """Per end-to-end metric: quartiles of the ratio change/parent over pairs, and pairs won.
+
+    Pair i is the i-th trace-0 run of each side. A pair whose parent value
+    is 0 has no ratio, but still counts as won, lost or tied.
+    """
+    out = {}
+    for name, direction in better.items():
+        pairs = [(c["result"]["metrics"][name]["value"], p["result"]["metrics"][name]["value"])
+                 for c, p in zip(change, parent, strict=True)]
+        ratios = [c / p for c, p in pairs if p != 0]
+        sign = 1 if direction == "lower" else -1
+        won = sum(sign * (p - c) > 0 for c, p in pairs)
+        lost = sum(sign * (c - p) > 0 for c, p in pairs)
+        q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                          if len(ratios) > 1 else [None] * 3)
+        out[name] = {"ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
+                     "pairs": len(pairs), "won": won, "lost": lost, "better": direction}
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {args.label: args.checkout.resolve()}
@@ -99,6 +125,7 @@ def main(argv=None) -> int:
     if len({m for ms in models.values() for m in ms}) > 1:
         raise SystemExit(f"refusing to write runs from different CPU models: {models}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     for label, by_workload in runs.items():
         bench = {
             "label": label,
@@ -108,6 +135,10 @@ def main(argv=None) -> int:
             "summary": {w: summarize(r["trace0"]) for w, r in by_workload.items()},
             "runs": by_workload,
         }
+        if label == args.label and args.parent is not None:
+            parent = runs[f"{args.label}-parent"]
+            bench["paired"] = {w: paired(r["trace0"], parent[w]["trace0"], better)
+                               for w, r in by_workload.items()}
         out = args.out_dir / f"BENCH_{label}.json"
         out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
         print(out)
