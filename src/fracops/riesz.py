@@ -13,13 +13,16 @@ first step I^a f, one inverse per first step and one per compared pair, of
 the spectral difference m_b F[I^a f] - m_(a+b) F[f]: 5 forward and 20
 inverse transforms for 4 orders on a real 3D sample.
 
-Every transform writes into arrays its caller passes. ``np.fft.rfftn``
-makes all of its passes in its ``out``, but ``np.fft.irfftn`` hands each
-pass but the last a new array, and at 3D/64 each of those 2 MiB arrays was
-mapped anew, about 1,000 page faults per transform; ``_inverse`` makes the
-same passes in place instead. So ``composition_residual`` allocates its
-workspace once per call, and its loops allocate no array of transform size
-but the boolean mask of each first step's finiteness check.
+Only spectra are held whole. Multipliers and spectral products are made in
+slabs along axis 0, about ``_SLAB_BYTES`` of spectrum each so that they stay
+in L2, and a physical sample inside the check exists one slab at a time. An
+n-D inverse runs its leading-axis ``ifft`` passes in place on the whole
+spectrum, then its last-axis ``irfft`` slab by slab; a first step's forward
+transform writes each slab's last-axis ``rfft`` straight into its spectrum,
+then runs the leading-axis ``fft`` passes in ``np.fft.rfftn``'s order. Each
+1D pass does the same arithmetic on each line as numpy's n-D calls, so the
+results are theirs bit for bit, while no pass maps a fresh transform-size
+array (``np.fft.irfftn`` gives each leading pass a new one).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 MEAN_TOL = 1e-10
 MULT_TOL = 1e-9  # log-scale slack of the product law m(a+b) = m(a) m(b)
+_SLAB_BYTES = 256 * 1024  # complex half spectrum per slab
 
 
 @dataclass(frozen=True)
@@ -79,12 +83,20 @@ def _grid_for(values: np.ndarray) -> PeriodicGridND:
 def _log_xi(grid: PeriodicGridND) -> np.ndarray:
     """log|xi| on the ``rfftn`` half spectrum, +inf at the zero mode so that exp(-alpha * .) is 0.
 
-    Index M/2 of the last axis holds k = -M/2 of the full layout, of equal modulus.
+    Built in place in one half-spectrum array. The last axis takes
+    k = 0..M/2-1 and then -M/2, which index M/2 of ``rfftn``'s output holds;
+    the squares are integers, so their sum is exact in any order.
     """
-    xi = grid.xi_norm()[..., : grid.modes // 2 + 1]
-    table = np.full(xi.shape, np.inf)
-    nz = xi > 0.0
-    table[nz] = np.log(xi[nz])
+    k = grid.integer_modes()
+    axes = [k] * (grid.dim - 1) + [k[: grid.modes // 2 + 1]]
+    table = np.zeros(tuple(len(axis) for axis in axes))
+    for m in np.meshgrid(*axes, indexing="ij", sparse=True):
+        table += m ** 2
+    np.sqrt(table, out=table)
+    table *= 2.0 * math.pi
+    with np.errstate(divide="ignore"):  # log 0 at the zero mode, set to +inf below
+        np.log(table, out=table)
+    table[(0,) * grid.dim] = np.inf
     table.flags.writeable = False
     return table
 
@@ -94,41 +106,39 @@ def _parts(values: np.ndarray) -> tuple[np.ndarray, ...]:
     return (values,) if np.isrealobj(values) else (values.real, values.imag)
 
 
-def _transform(
-    values: np.ndarray, out: Sequence[np.ndarray] | None = None
-) -> tuple[PeriodicGridND, list[np.ndarray]]:
-    """Check that ``values`` is a finite, mean-zero periodic sample; ``rfftn`` each part.
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with axis 0 as its slab axis: a 1D line gets a leading axis of length 1."""
+    return a if a.ndim > 1 else a[None]
 
-    Each part's half spectrum is written into its array of ``out``, or into a
-    new one; ``rfftn`` makes every pass in its ``out``.
+
+def _check_finite(parts: Sequence[np.ndarray], shape: tuple[int, ...], offset: int = 0) -> None:
+    """Raise naming the first index at which a part is not finite.
+
+    ``parts`` hold the entries of a sample of ``shape`` from flat index ``offset`` on.
     """
-    values = np.asarray(values)
-    grid = _grid_for(values)
-    real = np.isrealobj(values)
-    values = values.astype(np.float64 if real else np.complex128, copy=False)
-    finite = np.isfinite(values)
+    finite = functools.reduce(np.logical_and, [np.isfinite(part) for part in parts])
     if not finite.all():
-        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise ValueError(f"non-finite sample at index {idx}")
-    mean = values.mean()
+        idx = np.unravel_index(offset + int(np.flatnonzero(~finite)[0]), shape)
+        raise ValueError(f"non-finite sample at index {tuple(int(i) for i in idx)}")
+
+
+def _check_mean(mean: complex) -> None:
     if abs(mean) >= MEAN_TOL:
         raise ValueError(
             f"input mean {complex(mean)} exceeds {MEAN_TOL}; the zero mode would be ill-defined"
         )
-    parts = _parts(values)
-    out = out or [None] * len(parts)
-    return grid, [np.fft.rfftn(part, out=spec) for part, spec in zip(parts, out)]
 
 
-def _inverse(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.fft.irfftn``'s passes without its new arrays: ``spectrum`` is overwritten.
+def _transform(values: np.ndarray) -> list[np.ndarray]:
+    """Check that ``values`` is a finite, mean-zero periodic sample; ``rfftn`` each part.
 
-    Each leading axis's ``ifft`` runs in place, then the last axis's
-    ``irfft`` writes into the real array ``out``.
+    The half spectra are returned in ``_rows`` form.
     """
-    for axis in range(spectrum.ndim - 1):
-        np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    return np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
+    real = np.isrealobj(values)
+    values = values.astype(np.float64 if real else np.complex128, copy=False)
+    _check_finite(_parts(values), values.shape)
+    _check_mean(values.mean())
+    return [_rows(np.fft.rfftn(part)) for part in _parts(values)]
 
 
 def _check_order(alpha: float, dim: int) -> None:
@@ -141,25 +151,109 @@ def _multiplier(alpha: float, log_xi: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.exp(np.multiply(log_xi, -alpha, out=out), out=out)
 
 
-def _potential(
-    alpha: float,
-    grid: PeriodicGridND,
-    spectra: list[np.ndarray],
-    out: np.ndarray,
-    mult: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """Write the potential of the sample whose parts' spectra are ``spectra`` into ``out``.
+class _Slabs:
+    """The slabs along axis 0 of a grid's half spectrum in ``_rows`` form, and their scratch.
 
-    Each spectrum is multiplied by |xi|^(-alpha), zero mode 0, and
-    transformed back into its part of ``out`` (real for one part, complex for
-    two). ``mult`` and ``work`` are real and complex half-spectrum scratch.
+    A slab holds about ``_SLAB_BYTES`` of complex spectrum, at least one
+    row; a 1D line is one slab, since its one axis is the transforms' last.
+    Each scratch array holds one slab: two multipliers, a product and a
+    physical slab per part of the sample.
     """
-    _check_order(alpha, grid.dim)
-    _multiplier(alpha, _log_xi(grid), mult)
-    for coeffs, part in zip(spectra, _parts(out)):
-        _inverse(np.multiply(coeffs, mult, out=work), part)
-    return out
+
+    def __init__(self, grid: PeriodicGridND, parts: int):
+        self.grid = grid
+        self.parts = parts
+        self.log_xi = _rows(_log_xi(grid))
+        rows = len(self.log_xi)
+        step = min(rows, max(1, _SLAB_BYTES // (16 * self.log_xi[0].size)))
+        self.slices = [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+        self.mult = np.empty((2, step) + self.log_xi.shape[1:])
+
+    @functools.cached_property
+    def product(self) -> np.ndarray:
+        return np.empty(self.mult.shape[1:], dtype=np.complex128)
+
+    @functools.cached_property
+    def physical(self) -> np.ndarray:
+        return np.empty((self.parts,) + self.mult.shape[1:-1] + (self.grid.modes,))
+
+
+def _products(
+    slabs: _Slabs,
+    out: Sequence[np.ndarray],
+    s: float,
+    spectra: Sequence[np.ndarray],
+    t: float = 0.0,
+    minus: Sequence[np.ndarray] | None = None,
+) -> None:
+    """Write m_s G, less m_t H if ``minus`` holds H, into ``out``: per part, slab by slab.
+
+    G runs over ``spectra``, H over ``minus``; m_s = |xi|^(-s) as in
+    ``riesz_potential``. ``out`` may be ``spectra``.
+    """
+    for sl in slabs.slices:
+        k = sl.stop - sl.start
+        m_s = _multiplier(s, slabs.log_xi[sl], slabs.mult[0, :k])
+        if minus is not None:
+            m_t = _multiplier(t, slabs.log_xi[sl], slabs.mult[1, :k])
+        for part, (g, o) in enumerate(zip(spectra, out)):
+            o = np.multiply(g[sl], m_s, out=o[sl])
+            if minus is not None:
+                np.subtract(o, np.multiply(minus[part][sl], m_t, out=slabs.product[:k]), out=o)
+
+
+def _inverse(
+    slabs: _Slabs, spectra: Sequence[np.ndarray], out: Sequence[np.ndarray] | None = None
+) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """Yield (slab, parts) of the inverse transforms of ``spectra``, which are overwritten.
+
+    Each leading axis's ``ifft`` runs in place on the whole spectrum; then
+    each slab's last-axis ``irfft`` writes into that slab of ``out``, one
+    array in ``_rows`` form per part, or into the physical slab scratch.
+    """
+    for spec in spectra:
+        for axis in range(slabs.grid.dim - 1):
+            np.fft.ifft(spec, axis=axis, out=spec)
+    for sl in slabs.slices:
+        dest = slabs.physical[:, : sl.stop - sl.start] if out is None else [o[sl] for o in out]
+        yield sl, [
+            np.fft.irfft(spec[sl], n=slabs.grid.modes, axis=-1, out=d)
+            for spec, d in zip(spectra, dest)
+        ]
+
+
+def _forward_slab(
+    grid: PeriodicGridND, sl: slice, parts: Sequence[np.ndarray], spectra: Sequence[np.ndarray]
+) -> None:
+    """Check the slab ``sl`` of a first step's parts, then ``rfft`` it into ``spectra``'s slab."""
+    _check_finite(parts, grid.shape, sl.start * parts[0][0].size)
+    for part, spec in zip(parts, spectra):
+        np.fft.rfft(part, axis=-1, out=spec[sl])
+
+
+def _first_step(
+    slabs: _Slabs,
+    a: float,
+    spectra: Sequence[np.ndarray],
+    first: Sequence[np.ndarray],
+    work: Sequence[np.ndarray],
+) -> None:
+    """Write F[I^a f] into ``first`` from a full round trip of I^a f.
+
+    m_a F is made in ``work`` and inverted; each slab of I^a f is checked
+    and transformed along the last axis into ``first`` (``_forward_slab``),
+    whose leading axes then take their ``fft`` passes in ``np.fft.rfftn``'s
+    order. So the second step acts on the operator's output.
+    """
+    _products(slabs, work, a, spectra)
+    for sl, parts in _inverse(slabs, work):
+        _forward_slab(slabs.grid, sl, parts, first)
+    for spec in first:
+        for axis in reversed(range(slabs.grid.dim - 1)):
+            np.fft.fft(spec, axis=axis, out=spec)
+    # the zero mode of each part's spectrum is the part's sum
+    sums = (spec[(0,) * spec.ndim].real for spec in first)
+    _check_mean(complex(*sums) / math.prod(slabs.grid.shape))
 
 
 def riesz_potential(alpha: float, values: np.ndarray) -> np.ndarray:
@@ -170,10 +264,16 @@ def riesz_potential(alpha: float, values: np.ndarray) -> np.ndarray:
     real float64 array, complex input a complex128 one whose real and
     imaginary parts are the potentials of the input's parts.
     """
-    grid, spectra = _transform(values)
+    values = np.asarray(values)
+    grid = _grid_for(values)
+    _check_order(alpha, grid.dim)
+    slabs = _Slabs(grid, len(_parts(values)))
+    spectra = _transform(values)
     out = np.empty(grid.shape, dtype=np.float64 if len(spectra) == 1 else np.complex128)
-    work = np.empty_like(spectra[0])
-    return _potential(alpha, grid, spectra, out, np.empty(work.shape), work)
+    _products(slabs, spectra, alpha, spectra)
+    for _ in _inverse(slabs, spectra, [_rows(part) for part in _parts(out)]):
+        pass  # each slab is written into ``out``
+    return out
 
 
 def composition_residual(alpha_grid: Sequence[float], values: np.ndarray) -> float:
@@ -188,12 +288,13 @@ def composition_residual(alpha_grid: Sequence[float], values: np.ndarray) -> flo
     m_s = |xi|^(-s) as in ``riesz_potential``. An order without a partner is
     never transformed. With no pair in range the residual is 0.
 
-    Every array of transform size is allocated once per call, before the
-    loops: F and F_a per part, the two multipliers, two complex scratch
-    spectra and the physical output. Each transform writes into one of
-    them; ``np.fft.irfftn`` would give each of its leading passes a new
-    array, which at 3D/64 made every transform map about 1,000 fresh pages.
-    So the peak does not grow with the number of orders.
+    Three spectra per part of f are allocated once per call, before the
+    loops: F, F_a and one scratch spectrum that takes each product and its
+    inverse's leading passes. Everything else is one slab: the multipliers,
+    the products' scratch, and each slab of I^a f or of a pair's residual,
+    which is transformed or reduced to a running max as soon as its
+    ``irfft`` writes it. So the peak, about 3.4 half spectra for real f at
+    3D/64, does not grow with the number of orders.
     """
     return max((r for _, _, r in _pair_residuals(alpha_grid, values)), default=0.0)
 
@@ -202,32 +303,31 @@ def _pair_residuals(
     alpha_grid: Sequence[float], values: np.ndarray
 ) -> Iterator[tuple[float, float, float]]:
     """Yield (a, b, residual) for every in-range pair of distinct grid orders, a outermost."""
-    grid = _grid_for(np.asarray(values))
+    values = np.asarray(values)
+    grid = _grid_for(values)
     for a in alpha_grid:
         _check_order(a, grid.dim)
     orders = list(dict.fromkeys(alpha_grid))  # a repeated order adds no pair
-    _, spectra = _transform(values)
-    log_xi = _log_xi(grid)
+    slabs = _Slabs(grid, len(_parts(values)))  # tabulates log|xi| before F exists
+    spectra = _transform(values)
     first = [np.empty_like(spec) for spec in spectra]
-    work, product = np.empty_like(spectra[0]), np.empty_like(spectra[0])
-    mult_b, mult_sum = np.empty(log_xi.shape), np.empty(log_xi.shape)
-    real = len(spectra) == 1
-    step = np.empty(grid.shape, dtype=np.float64 if real else np.complex128)
+    work = [np.empty_like(spec) for spec in spectra]
     for a in orders:
         partners = [b for b in orders if a + b < grid.dim]
         if not partners:
             continue
-        _transform(_potential(a, grid, spectra, step, mult_b, work), first)
+        _first_step(slabs, a, spectra, first, work)
         for b in partners:
-            _multiplier(b, log_xi, mult_b)
-            _multiplier(a + b, log_xi, mult_sum)
-            for first_spec, spec, part in zip(first, spectra, _parts(step)):
-                np.multiply(first_spec, mult_b, out=work)
-                np.subtract(work, np.multiply(spec, mult_sum, out=product), out=work)
-                _inverse(work, part)
-            # a complex sample's residual is the modulus of its two parts' residuals
-            mod = np.abs(step, out=step) if real else np.hypot(step.real, step.imag, out=step.real)
-            yield a, b, float(mod.max())
+            _products(slabs, work, b, first, a + b, spectra)
+            worst = 0.0
+            for _, parts in _inverse(slabs, work):
+                # a complex sample's residual is the modulus of its two parts' residuals
+                if len(parts) == 1:
+                    mod = np.abs(parts[0], out=parts[0])
+                else:
+                    mod = np.hypot(*parts, out=parts[0])
+                worst = max(worst, float(mod.max()))
+            yield a, b, worst
 
 
 @dataclass(frozen=True)

@@ -244,30 +244,38 @@ def test_riesz_check_cli(tmp_path):
 
 
 def test_riesz_check_second_step_transforms_the_first_step(monkeypatch, tmp_path):
-    # a first step perturbed in physical space, before its forward transform,
-    # must show up as a composition gap: the two-step side is a real round
-    # trip, not a product of multipliers
+    # a first step perturbed in physical space, in the slab its last inverse
+    # pass writes and before its forward transform, must show up as a
+    # composition gap: the two-step side is a real round trip, not a product
+    # of multipliers
     eps = 1e-9
-    original = riesz._transform
-    calls = []
+    transform, forward_slab = riesz._transform, riesz._forward_slab
+    samples, slabs = [], []
 
-    def tampered(values, *out):
-        calls.append(values)
-        # the first call transforms the sample f itself; every later one is a first step
-        return original(values * (1.0 + eps) if len(calls) > 1 else values, *out)
+    def recorded(values):
+        samples.append(values)
+        return transform(values)
 
-    monkeypatch.setattr(riesz, "_transform", tampered)
+    def tampered(grid, sl, parts, spectra):
+        slabs.append(sl)
+        for part in parts:
+            part *= 1.0 + eps
+        return forward_slab(grid, sl, parts, spectra)
+
+    monkeypatch.setattr(riesz, "_transform", recorded)
+    monkeypatch.setattr(riesz, "_forward_slab", tampered)
     out = tmp_path / "riesz.json"
     alphas = [0.2, 0.3, 0.4]
     argv = ["riesz-check", "--dim", "1", "--modes", "64", "--alpha-grid", "0.2,0.3,0.4"]
     assert main(argv + ["--out", str(out)]) == 1
-    assert len(calls) == 1 + len(alphas)
+    # the sample is transformed once; a 1D first step is one slab
+    assert len(samples) == 1 and len(slabs) == len(alphas)
     payload = json.loads(out.read_text())
     assert payload["multiplier"]["pass"]
     assert payload["composition"]["pass"] is False
     # (1 + eps) I^b I^a f - I^(a+b) f = eps I^(a+b) f up to rounding
     monkeypatch.undo()
-    f = calls[0]
+    f = samples[0]
     expected = max(
         eps * float(np.abs(riesz.riesz_potential(a + b, f)).max())
         for a in alphas

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracops import riesz
+from fracops import cli, riesz
 from fracops.cli import RIESZ_TOL
 from fracops.riesz import (
     MultiplierFamily,
@@ -224,66 +224,118 @@ def test_composition_residual_is_bit_identical_to_numpys_nd_transforms():
 
 
 def test_composition_residual_transforms_once_per_first_step_and_pair(monkeypatch):
-    counts = {"rfftn": 0, "irfftn": 0, "np.fft.irfftn": 0}
-    # every n-D inverse of the check goes through riesz._inverse; none may
+    counts = {"forward": 0, "inverse": 0, "np.fft.irfftn": 0}
+    # an n-D transform of the check is counted at its one pass along axis 0:
+    # the last pass of a first step's forward transform, the first of an
+    # inverse; the sample's forward transform is one rfftn call. None may
     # fall back to np.fft.irfftn, which allocates a new array per pass
-    for owner, name, key in (
-        (np.fft, "rfftn", "rfftn"),
-        (riesz, "_inverse", "irfftn"),
-        (np.fft, "irfftn", "np.fft.irfftn"),
+    for name, key in (
+        ("rfftn", "forward"),
+        ("fft", "forward"),
+        ("ifft", "inverse"),
+        ("irfftn", "np.fft.irfftn"),
     ):
-        transform = getattr(owner, name)
+        transform = getattr(np.fft, name)
 
-        def counted(*args, _key=key, _transform=transform, **kwargs):
-            counts[_key] += 1
+        def counted(*args, _key=key, _transform=transform, _nd=name.endswith("n"), **kwargs):
+            if _nd or kwargs.get("axis") == 0:
+                counts[_key] += 1
             return _transform(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     # 4 orders, all 16 pairs in range: 1 + 4 forward transforms and 4 first
     # steps + 16 spectral-difference inverses
     f = _periodic_sample(3, 64)
     composition_residual([0.25, 0.5, 0.7, 1.0], f)
-    assert counts == {"rfftn": 5, "irfftn": 20, "np.fft.irfftn": 0}
+    assert counts == {"forward": 5, "inverse": 20, "np.fft.irfftn": 0}
     # 2.9 has no partner below 3, so it adds no transform at all
-    counts.update(rfftn=0, irfftn=0)
+    counts.update(forward=0, inverse=0)
     composition_residual([0.25, 0.5, 2.9, 0.7, 1.0], f)
-    assert counts == {"rfftn": 5, "irfftn": 20, "np.fft.irfftn": 0}
+    assert counts == {"forward": 5, "inverse": 20, "np.fft.irfftn": 0}
 
 
 def test_composition_residual_peak_memory_does_not_grow_with_orders():
     # the workspace is allocated once per call, so the peak does not depend
     # on how many orders the grid holds
     f = _periodic_sample(3, 64)
+    g = f + 1j * np.roll(f, 3, axis=0) ** 2
+    g -= g.mean()
     composition_residual([0.25], f)  # tabulates log|xi| outside the measurement
-    peaks = []
-    for alphas in ([0.25, 0.5, 0.7, 1.0], [0.1 * k for k in range(1, 9)]):
+    half_spectrum = 64 * 64 * 33 * 16  # one complex rfftn output at 64^3
+    # about 3.4 half spectra for real f: F, F_a and one scratch spectrum,
+    # and slabs of about 256 KiB for the two multipliers, the product and
+    # the physical values; a complex sample has three spectra and a physical
+    # slab per part, about 6.5
+    for values, bound in ((f, 3.6), (g, 6.75)):
+        peaks = []
+        for alphas in ([0.25, 0.5, 0.7, 1.0], [0.1 * k for k in range(1, 9)]):
+            tracemalloc.start()
+            try:
+                composition_residual(alphas, values)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < half_spectrum
+        assert peaks[0] < bound * half_spectrum
+
+
+def test_riesz_check_cli_peak_memory(tmp_path):
+    # the benchmark's riesz-check run peaks inside the check: the CLI's
+    # sample f (about 1 half spectrum), the check's 3.4 and, on a cold
+    # cache, the log|xi| table it keeps (0.5), which is built before F
+    argv = ["riesz-check", "--dim", "3", "--modes", "64", "--alpha-grid", "0.25,0.5,0.7,1.0"]
+    argv += ["--out", str(tmp_path / "riesz.json")]
+    half_spectrum = 64 * 64 * 33 * 16
+    for cache, bound in (("cold", 5.25), ("warm", 4.6)):
+        if cache == "cold":
+            _log_xi.cache_clear()
         tracemalloc.start()
         try:
-            composition_residual(alphas, f)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    half_spectrum = 64 * 64 * 33 * 16  # one complex rfftn output at 64^3
-    assert abs(peaks[1] - peaks[0]) < half_spectrum
-    # about 6.1 half-spectra here: the workspace of F, F_a, two complex
-    # scratch spectra, two real multipliers and the physical output
-    assert peaks[0] < 6.5 * half_spectrum
+        assert peak < bound * half_spectrum, (cache, peak / half_spectrum)
 
 
 def test_composition_residual_checks_the_operator_output(monkeypatch):
-    # a first step perturbed in physical space after the multiplier must show
-    # up in the residual: F[I^a f] comes from a round trip, not from m_a F[f]
-    original = riesz._potential
+    # a first step perturbed in physical space after the multiplier, in the
+    # slab its last inverse pass writes, must show up in the residual:
+    # F[I^a f] comes from a round trip, not from m_a F[f]
+    original = riesz._forward_slab
     pattern = 1e-9 * np.sin(TWO_PI * nodes(32))[:, None]
+    slabs = []
 
-    def perturbed(alpha, grid, spectra, out, mult, work):
-        return original(alpha, grid, spectra, out, mult, work) + pattern
+    def perturbed(grid, sl, parts, spectra):
+        slabs.append(sl)
+        for part in parts:
+            part += pattern[sl]
+        return original(grid, sl, parts, spectra)
 
     f = _periodic_sample(2, 32)
     alphas = [0.3, 0.6, 0.9]
     assert composition_residual(alphas, f) < RIESZ_TOL
-    monkeypatch.setattr(riesz, "_potential", perturbed)
+    monkeypatch.setattr(riesz, "_forward_slab", perturbed)
     assert composition_residual(alphas, f) > RIESZ_TOL
+    assert slabs
+
+
+def test_composition_residual_names_a_non_finite_first_step_by_its_global_index(monkeypatch):
+    # the first step is checked slab by slab, yet the message names the
+    # index in the whole sample; (31, 5, 3) lies past the first slab at 3D/32
+    original = riesz._forward_slab
+
+    def poisoned(grid, sl, parts, spectra):
+        if sl.start <= 31 < sl.stop:
+            assert sl.start > 0
+            parts[-1][31 - sl.start, 5, 3] = np.nan
+        return original(grid, sl, parts, spectra)
+
+    monkeypatch.setattr(riesz, "_forward_slab", poisoned)
+    f = _periodic_sample(3, 32)
+    for values in (f, f + 1j * np.roll(f, 3, axis=1)):
+        with pytest.raises(ValueError, match=r"non-finite sample at index \(31, 5, 3\)"):
+            composition_residual([0.5, 1.0], values)
 
 
 def test_composition_residual_rejects_orders_outside_range_before_transforming(monkeypatch):
@@ -307,6 +359,20 @@ def test_output_zero_mode_is_zero():
         out = riesz_potential(0.5, values)
         assert np.all(np.isfinite(out))
         assert abs(out.sum()) < 1e-14
+
+
+def test_log_xi_is_the_full_spectrum_table_cut_to_the_half_spectrum():
+    # built on the half spectrum in place, bit for bit the log of xi_norm's
+    # first M/2 + 1 columns, +inf at the zero mode only
+    for dim, m in ((1, 256), (2, 128), (3, 64), (3, 16), (2, 6)):
+        grid = PeriodicGridND(dim, m)
+        xi = grid.xi_norm()[..., : m // 2 + 1]
+        table = _log_xi(grid)
+        assert table.shape == xi.shape
+        assert table[(0,) * dim] == np.inf
+        nz = xi > 0.0
+        assert np.count_nonzero(~nz) == 1
+        assert table[nz].tobytes() == np.log(xi[nz]).tobytes()
 
 
 def test_alternating_grids_match_fresh_tables():
