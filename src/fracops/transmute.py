@@ -38,9 +38,9 @@ shrinks under refinement.
 The direct route costs O(N (J + K + B)) time for 0 < alpha < 1: nodes go
 in blocks of B = 32, each takes exact kernel moments on the cells from
 K = 4 grid nodes before it, and the rest of its prefix comes from a history
-of J positive-weight exponentials, J = 10 (1 + ceil(log2(40 R / delta))) for
+of J positive-weight exponentials, J = 10 + 26 ceil(ln(40 R / delta) / 4) for
 the image length R and the least image gap delta across K nodes at a block
-start (J = 180 for the unit jump at N = 4096). The kernel tables are built
+start (J = 88 for the unit jump at N = 4096). The kernel tables are built
 for a chunk of blocks at once, as many as keep a history table (J x cells)
 within 65536 entries, in one workspace per call: the decays, cell moments
 and far-read exponentials of the history, and the near-field moments. Only
@@ -70,7 +70,7 @@ from .grid import (
     l1_distance,
     sample_array,
 )
-from .rl_core import _check_order, _gauss_legendre, rl_integral
+from .rl_core import _check_order, rl_integral
 
 # segment ends that should meet, and the declared domain against the
 # segments, are judged on the domain's own scale (_boundary_tol); image gaps
@@ -415,32 +415,27 @@ def _near_field(
     out /= alpha  # both moments were alpha times their value
 
 
-# A sum of exponentials for a kernel power: Gauss points per rule, and
-# s * delta at its top rate, where e^(-s delta) < 5e-18.
+# A sum of exponentials for a kernel power: Gauss-Jacobi points, Gauss points per
+# panel of ln s, the widest panel, and s delta at its top rate (e^(-s delta) < 5e-18).
 _GAUSS_POINTS = 10
+_PANEL_POINTS = 26
+_SOE_PANEL = 4.0
 _SOE_CUT = 40.0
-_GAUSS_RULE = _gauss_legendre(  # on [0, 1]; numpy.polynomial.legendre.leggauss(10)
-    (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-     0.9739065285171717),
-    (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
-     0.06667134430868814),
-)
 
 
-def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 < alpha < 1.
+def _gauss_jacobi(alpha: float, points: int = _GAUSS_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - alpha) t^(-alpha) on [0, 1], 0 <= alpha < 1.
 
     Golub-Welsch (Math. Comp. 23, 1969) on the Jacobi matrix of
     (1 + x)^(-alpha) on [-1, 1]: the nodes are its eigenvalues, in ascending
     order, and the weights the squared first components of its eigenvectors,
-    divided by their sum, so they are positive and sum to 1.
+    divided by their sum, so they are positive and sum to 1. alpha = 0 is
+    Gauss-Legendre.
     """
     b = -alpha
-    k = np.arange(_GAUSS_POINTS, dtype=np.float64)
-    diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
-    diag[0] = b / (b + 2.0)
-    k = k[1:]
+    k = np.arange(1, points, dtype=np.float64)
     c = 2.0 * k + b
+    diag = np.concatenate([[b / (b + 2.0)], b * b / (c * (c + 2.0))])
     off = 2.0 * k * (k - alpha) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
     x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     v = vec[0] ** 2
@@ -453,23 +448,25 @@ def _sum_of_exponentials(
     """Rates s_j and positive weights w_j with sum_j w_j e^(-s_j r) = r^(alpha-1).
 
     For 0 < alpha < 1, r^(alpha-1) = int_0^inf s^(-alpha) e^(-s r) ds / Gamma(1-alpha).
-    Gauss-Jacobi with weight s^(-alpha) covers [0, 1/length] and
-    Gauss-Legendre each dyadic interval above it, up to _SOE_CUT / delta,
-    which leaves a tail below e^(-_SOE_CUT). The relative error stays near
-    2e-15 on [delta, length] for every alpha in (0, 1), and the count is
-    _GAUSS_POINTS * (1 + max(1, ceil(log2(_SOE_CUT * length / delta)))),
-    whatever alpha. The rates come out sorted.
+    Gauss-Jacobi with weight s^(-alpha) covers [0, 1/length], and Gauss-Legendre in
+    x = ln s, where e^((1-alpha) x - r e^x) is analytic in a strip (McLean, 2018),
+    equal panels at most _SOE_PANEL wide up to ln(_SOE_CUT / delta), leaving a tail
+    below e^(-_SOE_CUT). The relative error stays near 2e-15 on [delta, length] for
+    every alpha in (0, 1), and the count is _GAUSS_POINTS + _PANEL_POINTS *
+    ceil(ln(_SOE_CUT length / delta) / _SOE_PANEL), whatever alpha. Rates ascend.
     """
     t, v = _gauss_jacobi(alpha)
     # (1 - alpha) Gamma(1 - alpha) = Gamma(2 - alpha)
     s_low = t / length
     w_low = v * length ** (alpha - 1.0) / math.gamma(2.0 - alpha)
-    octaves = max(1, math.ceil(math.log2(_SOE_CUT * length / delta)))
-    lo = 2.0 ** np.arange(octaves)[:, None] / length
-    y, wy = _GAUSS_RULE
-    s_high = (lo * (1.0 + y)).ravel()
-    w_high = (lo * wy).ravel() * s_high ** (-alpha) / math.gamma(1.0 - alpha)
-    return np.concatenate([s_low, s_high]), np.concatenate([w_low, w_high])
+    span = math.log(_SOE_CUT * length / delta)
+    panels = math.ceil(span / _SOE_PANEL)
+    width = span / panels
+    # per call: a LAPACK call at import would add ~0.6 MB of RSS to every command
+    y, wy = _gauss_jacobi(0.0, _PANEL_POINTS)
+    x = width * (np.arange(panels)[:, None] + y).ravel() - math.log(length)
+    w_high = np.tile(width * wy, panels) * np.exp((1.0 - alpha) * x) / math.gamma(1.0 - alpha)
+    return np.concatenate([s_low, np.exp(x)]), np.concatenate([w_low, w_high])
 
 
 def _far_field_exponentials(
@@ -479,8 +476,9 @@ def _far_field_exponentials(
 
     A block starting at node m0 reads its far field from the cutoff phi(t_(m0-K)),
     so every far distance lies in [delta, R] with delta the least gap from a
-    block start to its cutoff and R = phi(T) - phi(a). Orders >= 1 have a
-    bounded kernel and take the exact rule over the whole prefix instead.
+    block start to its cutoff and R = phi(T) - phi(a): 10 + 26 ceil(ln(40 R /
+    delta) / 4) exponentials. Orders >= 1 have a bounded kernel and take the
+    exact rule over the whole prefix instead.
     """
     starts = np.arange(1 + _BLOCK, len(x), _BLOCK)
     if alpha >= 1.0 or len(starts) == 0:

@@ -563,33 +563,38 @@ def test_transmutation_residual_builds_one_mesh_and_one_exponential_sum(monkeypa
 
 def test_far_field_count_grows_logarithmically_for_flat_integrator():
     # phi = 1e-6 s packs the image into [0, 1e-6], so delta is tiny, but only
-    # R / delta enters the count: one octave of Gauss points per doubling of N
+    # R / delta enters the count: one panel of 26 Gauss points in ln s per
+    # factor e^4 in N, which 4096 / 256 = 16 < e^4 crosses at most once
     phi = linear_integrator(0.0, 1.0, 1e-6)
     counts = []
     for n in (256, 512, 1024, 2048, 4096):
         x = phi.value(UniformGrid1D(0.0, 1.0, n).nodes)
         s, _ = _far_field_exponentials(0.5, x)
         counts.append(len(s))
-    assert np.all(np.diff(counts) <= 10)
-    assert counts[-1] == 10 * (1 + math.ceil(math.log2(40.0 * 4096 / _NEAR)))
+    assert np.all(np.diff(counts) >= 0) and counts[-1] - counts[0] <= 26
+    assert counts[-1] == 10 + 26 * math.ceil(math.log(40.0 * 4096 / _NEAR) / 4.0)
     assert _far_field_exponentials(1.5, x) is None  # bounded kernel: exact rule
     assert _far_field_exponentials(0.5, x[: _BLOCK + 1]) is None  # one block, no far field
 
 
 def test_sum_of_exponentials_is_uniform_in_alpha():
     # the count depends on R / delta only, so alpha -> 1 costs no more time
-    # or memory, and the kernel error stays near rounding
-    delta, length = 4.0 / 4096.0, 2.0
-    r = np.geomspace(delta, length, 2001)
-    counts = set()
-    for alpha in (1e-8, 0.5, 0.999, 1.0 - 1e-9):
-        s, w = _sum_of_exponentials(alpha, delta, length)
-        counts.add(len(s))
-        assert np.all(w > 0.0) and np.all(np.diff(s) > 0.0)
-        kernel = np.exp(-np.outer(r, s)) @ w
-        assert np.abs(kernel / r ** (alpha - 1.0) - 1.0).max() < 5e-15, alpha
-    assert counts == {10 * (1 + math.ceil(math.log2(40.0 * length / delta)))}
-    assert counts == {180}
+    # or memory, and the kernel error stays near rounding, from few panels in
+    # ln s to many, and on panels of the widest width, 4 (R / delta = e^12 / 40)
+    length = 2.0
+    for ratio in (1e2, 1024.0 * length, 8.2e4, 1e6, 1e8, math.exp(12.0 - 1e-6) / 40.0):
+        delta = length / ratio
+        r = np.geomspace(delta, length, 2001)
+        counts = set()
+        for alpha in (1e-8, 0.5, 0.999, 1.0 - 1e-9):
+            s, w = _sum_of_exponentials(alpha, delta, length)
+            counts.add(len(s))
+            assert np.all(w > 0.0) and np.all(np.diff(s) > 0.0)
+            kernel = np.exp(-np.outer(r, s)) @ w
+            assert np.abs(kernel / r ** (alpha - 1.0) - 1.0).max() < 5e-15, (ratio, alpha)
+        assert counts == {10 + 26 * math.ceil(math.log(40.0 * ratio) / 4.0)}, ratio
+    # the unit jump at N = 4096: delta = 4 / 4096 on an image of length 2
+    assert len(_sum_of_exponentials(0.5, 4.0 / 4096.0, length)[0]) == 88
 
 
 def test_gauss_jacobi_is_exact_to_degree_19():
@@ -602,6 +607,22 @@ def test_gauss_jacobi_is_exact_to_degree_19():
         assert np.abs(moments - (1.0 - alpha) / (m + 1.0 - alpha)).max() <= 2e-15, alpha
         assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < 1.0, alpha
         assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15, alpha
+
+
+def test_gauss_legendre_is_exact_to_degree_2p_minus_1():
+    # the rule of the history's panels in ln s is the zero-exponent case of
+    # the Gauss-Jacobi rule: p points integrate t^m exactly on [0, 1] for
+    # m <= 2p - 1, and they are numpy's Gauss-Legendre points up to rounding
+    for p in (1, 2, 10, 26, 40):
+        m = np.arange(2.0 * p)
+        t, v = _gauss_jacobi(0.0, p)
+        moments = (t[:, None] ** m * v[:, None]).sum(axis=0)
+        assert np.abs(moments - 1.0 / (m + 1.0)).max() <= 2e-15, p
+        assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < 1.0, p
+        assert np.all(v > 0.0) and abs(v.sum() - 1.0) < 1e-15, p
+        x, w = np.polynomial.legendre.leggauss(p)
+        assert np.abs(t - 0.5 * (x + 1.0)).max() <= 1e-15, p
+        assert np.abs(v - 0.5 * w).max() <= 2e-15, p
 
 
 # --------------------------------------------------------- transmuted route
