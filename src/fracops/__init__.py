@@ -35,14 +35,7 @@ from .transforms import (
     semigroup_table,
     semigroup_table_nd,
 )
-from .riesz import (
-    MultiplierFamily,
-    PeriodicGridND,
-    composition_residual,
-    exact_riesz_family,
-    multiplier_family_check,
-    riesz_potential,
-)
+from .riesz import PeriodicGridND, composition_residual, riesz_potential
 from .transmute import (
     Integrator,
     Jump,

@@ -11,7 +11,9 @@ one inverse transform per part. ``composition_residual`` checks the law
 I^b I^a = I^(a+b) with one forward transform of its sample and one of each
 first step I^a f, one inverse per first step and one per compared pair, of
 the spectral difference m_b F[I^a f] - m_(a+b) F[f]: 5 forward and 20
-inverse transforms for 4 orders on a real 3D sample.
+inverse transforms for 4 orders on a real 3D sample. The multiplier check
+``_judge_multiplier`` judges a table, which ``riesz-check`` fills with the
+``_multiplier`` values this module applies, not with a formula for them.
 
 Only spectra are held whole. Multipliers and spectral products are made in
 slabs along axis 0, about ``_SLAB_BYTES`` of spectrum each so that they stay
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -330,96 +332,49 @@ def _pair_residuals(
             yield a, b, worst
 
 
-@dataclass(frozen=True)
-class MultiplierFamily:
-    """Positive multiplier evaluation m(alpha, xi) with an anchor order."""
-
-    dim: int
-    evaluate: Callable[[float, np.ndarray], float]
-    anchor: float
-
-
-def exact_riesz_family(dim: int, anchor: float) -> MultiplierFamily:
-    return MultiplierFamily(
-        dim, lambda a, xi: float(np.linalg.norm(xi) ** (-a)), anchor
-    )
-
-
-@dataclass(frozen=True)
-class MultiplierCheckReport:
-    """Outcome of the restricted-domain multiplier-family check."""
-
-    xi_grid: tuple
-    slopes: np.ndarray = field(repr=False)
-    max_residual: float
-    anchor_violation: float
-    multiplicative: bool
-    violation: tuple | None
-
-
-def multiplier_family_check(
-    fam: MultiplierFamily,
+def _judge_multiplier(
     alpha_grid: Sequence[float],
-    xi_grid: Sequence,
-) -> MultiplierCheckReport:
-    """Check a multiplier family against the exact |xi|^(-alpha) behavior.
+    anchor: float,
+    dim: int,
+    points: np.ndarray,
+    table: Mapping[float, np.ndarray],
+) -> dict:
+    """Judge a table of a multiplier m(alpha, p) against p^(-alpha) and the product law.
 
-    Verifies the restricted-domain product law m(a+b) = m(a) m(b) in log
-    scale for every in-range pair of grid orders, fits log m = d(xi) * alpha
-    per frequency, and measures the anchor deviation at the family's anchor
-    order. Residuals are relative to |xi|^(-alpha).
+    ``table`` maps every grid order, and every sum a + b < ``dim`` of two
+    grid orders, to the row m(order, p) over the positive ``points``. Every
+    grid order must lie in (0, ``dim``), the anchor on the grid, and every
+    entry must be positive. Returned are ``max_residual``, the worst relative
+    deviation from p^(-alpha) over the grid orders; ``anchor_violation``,
+    that deviation at the anchor order; and ``multiplicative``, whether
+    log m(a+b) = log m(a) + log m(b) holds within ``MULT_TOL`` at every
+    point for every in-range pair.
     """
-    n = fam.dim
     alphas = [float(a) for a in alpha_grid]
     if len(alphas) < 3:
         raise ValueError(f"need at least 3 orders, got {len(alphas)}")
     for a in alphas:
-        if not 0.0 < a < n:
-            raise ValueError(f"order {a} outside (0, {n})")
-    if not any(math.isclose(a, fam.anchor) for a in alphas):
-        raise ValueError(f"anchor {fam.anchor} is not on the order grid")
-    xis = [np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xi_grid]
-    for x in xis:
-        if x.shape != (n,) or not np.linalg.norm(x) > 0.0:
-            raise ValueError(f"frequency {x} must be a nonzero {n}-vector")
-
-    in_range_pairs = [
-        (a, b) for i, a in enumerate(alphas) for b in alphas[i:] if a + b < n
-    ]
-    if not in_range_pairs:
+        _check_order(a, dim)
+    if not any(math.isclose(a, anchor) for a in alphas):
+        raise ValueError(f"anchor {anchor} is not on the order grid")
+    pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i:] if a + b < dim]
+    if not pairs:
         raise ValueError(
-            f"no order pairs with alpha + beta below {n}; the product law "
+            f"no order pairs with alpha + beta below {dim}; the product law "
             "cannot be exercised on this grid"
         )
-    avec = np.array(alphas)
-    scaled = avec / avec.max()  # keeps the slope's normal equation clear of underflow
-    slopes = np.empty(len(xis))
-    max_residual = 0.0
-    anchor_violation = 0.0
-    violation = None
-    for j, xi in enumerate(xis):
-        norm = float(np.linalg.norm(xi))
-        m = np.array([fam.evaluate(a, xi) for a in alphas])
-        if np.any(m <= 0.0):
-            k = int(np.nonzero(m <= 0.0)[0][0])
-            raise ValueError(f"nonpositive multiplier at alpha={alphas[k]}, xi={xi}")
-        logs = np.log(m)
-        log_at = dict(zip(alphas, logs))
-        for a, b in in_range_pairs:
-            dev = abs(math.log(fam.evaluate(a + b, xi)) - log_at[a] - log_at[b])
-            if dev > MULT_TOL and violation is None:
-                violation = (a, b, tuple(xi), dev)
-        slopes[j] = float(np.dot(scaled, logs) / np.dot(scaled, avec))
-        rel = np.abs(m - norm ** (-avec)) / norm ** (-avec)
-        max_residual = max(max_residual, float(rel.max()))
-        ia = int(np.argmin(np.abs(avec - fam.anchor)))
-        anchor_violation = max(anchor_violation, float(rel[ia]))
-    return MultiplierCheckReport(
-        xi_grid=tuple(tuple(x) for x in xis),
-        slopes=slopes,
-        max_residual=max_residual,
-        anchor_violation=anchor_violation,
-        multiplicative=violation is None,
-        violation=violation,
+    for a, row in table.items():
+        if not np.all(row > 0.0):  # also rejects NaN
+            raise ValueError(f"nonpositive multiplier at alpha={a}")
+    logs = {a: np.log(row) for a, row in table.items()}
+    multiplicative = all(
+        bool(np.all(np.abs(logs[a + b] - logs[a] - logs[b]) <= MULT_TOL)) for a, b in pairs
     )
-
+    avec = np.array(alphas)
+    exact = points ** -avec[:, None]
+    rel = (np.abs(np.array([table[a] for a in alphas]) - exact) / exact).max(axis=1)
+    return {
+        "max_residual": float(rel.max()),
+        "anchor_violation": float(rel[np.argmin(np.abs(avec - anchor))]),
+        "multiplicative": multiplicative,
+    }

@@ -17,9 +17,10 @@ from fracops.harness import RunConfig, run_matrix
 from fracops.rl_core import estimate_order, make_family, rl_integral
 from fracops.rl_nd import commutation_residual
 from fracops.riesz import (
-    MultiplierFamily,
-    exact_riesz_family,
-    multiplier_family_check,
+    PeriodicGridND,
+    _judge_multiplier,
+    _log_xi,
+    _multiplier,
     riesz_potential,
 )
 from fracops.transforms import (
@@ -120,21 +121,22 @@ def test_criterion_5_riesz_spectral_semigroup():
     one_step = riesz_potential(0.7, f)
     comp_gap = float(np.abs(two_step - one_step).max())
 
-    xis = [np.array([2.0 * math.pi * k]) for k in (1, 2, 3, 5, 8)]
+    # the multiplier the potential applies, read at modes 1, 2, 3, 5 and 8
+    modes = [1, 2, 3, 5, 8]
+    xis = 2.0 * math.pi * np.array(modes, dtype=float)
+    log_xi = _log_xi(PeriodicGridND(1, 256))[modes]
     alphas = [0.25, 0.5, 0.7]
-    exact = multiplier_family_check(exact_riesz_family(1, 0.5), alphas, xis)
-    perturbed = multiplier_family_check(
-        MultiplierFamily(
-            1, lambda a, xi: (2.0 ** a) * float(np.linalg.norm(xi) ** (-a)), 0.5
-        ),
-        alphas,
-        xis,
+    orders = alphas + [a + b for a in alphas for b in alphas if a + b < 1.0]
+    table = {a: _multiplier(a, log_xi, np.empty_like(log_xi)) for a in orders}
+    exact = _judge_multiplier(alphas, 0.5, 1, xis, table)
+    perturbed = _judge_multiplier(
+        alphas, 0.5, 1, xis, {a: 2.0 ** a * row for a, row in table.items()}
     )
     elapsed = time.perf_counter() - start
 
     ok = comp_gap < 1e-12
-    ok &= exact.max_residual < 1e-12
-    ok &= abs(perturbed.anchor_violation - (2.0 ** 0.5 - 1.0)) < 1e-12
+    ok &= exact["max_residual"] < 1e-12
+    ok &= abs(perturbed["anchor_violation"] - (2.0 ** 0.5 - 1.0)) < 1e-12
     ok &= elapsed < 5.0
     report(5, f"spectral semigroup, gap {comp_gap:.1e}, {elapsed:.1f}s", ok)
 

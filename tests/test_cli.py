@@ -126,6 +126,10 @@ def test_config_error_exit_two(tmp_path, capsys):
             ["axioms", "--grid-n", "64", "--interval=1e17,1e18"],
             "interval [1e+17, 1e+18] leaves no unit continuity window [a, a + 1]",
         ),
+        (
+            ["riesz-check", "--dim=1", "--modes=16", "--alpha-grid=0.6,0.7,0.8"],
+            "no order pairs with alpha + beta below 1",
+        ),
     ):
         code = main(argv)
         assert code == 2, argv
@@ -241,6 +245,26 @@ def test_riesz_check_cli(tmp_path):
     assert payload["multiplier"]["pass"]
     assert payload["composition"]["pass"]
     assert payload["multiplier"]["max_residual"] < 1e-12
+
+
+def test_riesz_check_fails_on_a_wrong_multiplier(monkeypatch, capsys):
+    # |xi|^(-2 alpha) and 2^alpha |xi|^(-alpha) both obey the composition
+    # law, so only the multiplier check, which reads the table the potential
+    # applies, can tell them from |xi|^(-alpha)
+    applied = riesz._multiplier
+    wrong = (
+        lambda a, log_xi, out: applied(2.0 * a, log_xi, out),
+        lambda a, log_xi, out: np.multiply(applied(a, log_xi, out), 2.0 ** a, out=out),
+    )
+    configs = (
+        ["--dim=1", "--modes=256", "--alpha-grid=0.25,0.5,0.7"],
+        ["--dim=3", "--modes=64", "--alpha-grid=0.25,0.5,0.7,1.0"],
+    )
+    for multiplier in wrong:
+        monkeypatch.setattr(riesz, "_multiplier", multiplier)
+        for config in configs:
+            assert main(["riesz-check"] + config) == 1, config
+            assert capsys.readouterr().out.endswith("multiplier FAIL, composition pass\n")
 
 
 def test_riesz_check_second_step_transforms_the_first_step(monkeypatch, tmp_path):
@@ -424,6 +448,7 @@ LAPLACE_HUGE_WINDOW = [
 @example(argv=LAPLACE_HUGE_WINDOW)
 @example(argv=LAPLACE_HUGE_WINDOW[:4] + ["--x-grid=1e-300,2", "--t-big=1e300"])
 @example(argv=["riesz-check", "--dim=1", "--modes=16", "--alpha-grid=1e-300,1e-300,1e-300"])
+@example(argv=["riesz-check", "--dim=1", "--modes=16", "--alpha-grid=0.6,0.7,0.8"])  # no pair
 @example(argv=["axioms", "--grid-n=8", "--interval=-710,-709"])  # e^(-t) overflows
 def test_float_flags_fuzz_exit_cleanly(argv):
     # exit 0, 1 or 2 and never a traceback or a float warning; exit 1 only

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +9,10 @@ from hypothesis import strategies as st
 from fracops import cli, riesz
 from fracops.cli import RIESZ_TOL
 from fracops.riesz import (
-    MultiplierFamily,
     PeriodicGridND,
+    _judge_multiplier,
     _log_xi,
     composition_residual,
-    exact_riesz_family,
-    multiplier_family_check,
     riesz_potential,
 )
 
@@ -451,71 +448,51 @@ def test_rejects_non_finite_samples_by_index():
         riesz_potential(0.5, g)
 
 
-def xi_set_1d():
-    return [np.array([TWO_PI * k]) for k in (1, 2, 3, 5)]
+ALPHAS = [0.25, 0.5, 0.7]
+MODES = [1, 2, 3, 5]
+XI = TWO_PI * np.array(MODES, dtype=float)
+
+
+def applied(alpha):
+    """The multiplier ``riesz_potential`` applies at ``MODES`` of a 1D/256 grid."""
+    log_xi = _log_xi(PeriodicGridND(1, 256))[MODES]
+    return riesz._multiplier(alpha, log_xi, np.empty_like(log_xi))
+
+
+def table(m):
+    """Rows m(order) at each grid order and each sum a + b < 1 of two."""
+    orders = ALPHAS + [a + b for a in ALPHAS for b in ALPHAS if a + b < 1.0]
+    return {s: m(s) for s in orders}
 
 
 def test_multiplier_check_exact_family():
-    fam = exact_riesz_family(1, 0.5)
-    report = multiplier_family_check(fam, [0.25, 0.5, 0.7], xi_set_1d())
-    assert report.max_residual < 1e-12
-    assert report.multiplicative
-    assert report.anchor_violation < 1e-12
-    for (xi,), d in zip(report.xi_grid, report.slopes):
-        assert abs(d + math.log(abs(xi))) < 1e-12
-
-
-def test_multiplier_check_slopes_at_tiny_orders():
-    # the squares of the orders underflow to 0, and |xi|^(-1e-300) rounds to
-    # 1: the fitted slope is 0, not the 0/0 of the plain normal equation
-    fam = exact_riesz_family(1, 1e-300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        report = multiplier_family_check(fam, [1e-300] * 3, xi_set_1d())
-    assert np.all(report.slopes == 0.0)
+    verdict = _judge_multiplier(ALPHAS, 0.5, 1, XI, table(applied))
+    assert verdict["max_residual"] < 1e-12
+    assert verdict["multiplicative"]
+    assert verdict["anchor_violation"] < 1e-12
 
 
 def test_multiplier_check_scaled_family_reports_anchor_violation():
-    fam = MultiplierFamily(
-        1, lambda a, xi: (2.0 ** a) * float(np.linalg.norm(xi) ** (-a)), 0.5
-    )
-    report = multiplier_family_check(fam, [0.25, 0.5, 0.7], xi_set_1d())
-    assert report.multiplicative  # 2^a is itself additive in the exponent
-    assert report.anchor_violation == pytest.approx(2.0 ** 0.5 - 1.0, abs=1e-12)
+    verdict = _judge_multiplier(ALPHAS, 0.5, 1, XI, table(lambda a: 2.0 ** a * applied(a)))
+    assert verdict["multiplicative"]  # 2^a is itself additive in the exponent
+    assert verdict["anchor_violation"] == pytest.approx(2.0 ** 0.5 - 1.0, abs=1e-12)
 
 
 def test_multiplier_check_detects_nonadditive_exponent():
-    fam = MultiplierFamily(
-        1, lambda a, xi: float(np.linalg.norm(xi) ** (-(a * a))), 0.5
-    )
-    report = multiplier_family_check(fam, [0.25, 0.5, 0.7], xi_set_1d())
-    assert not report.multiplicative
-    a, b, xi, dev = report.violation
-    assert a + b < 1.0
-    assert dev > 1e-3
+    verdict = _judge_multiplier(ALPHAS, 0.5, 1, XI, table(lambda a: XI ** -(a * a)))
+    assert not verdict["multiplicative"]
 
 
 def test_multiplier_check_validation():
-    fam = exact_riesz_family(1, 0.5)
+    exact = table(applied)
     with pytest.raises(ValueError, match="at least 3"):
-        multiplier_family_check(fam, [0.25, 0.5], xi_set_1d())
+        _judge_multiplier([0.25, 0.5], 0.5, 1, XI, exact)
     with pytest.raises(ValueError, match="anchor"):
-        multiplier_family_check(fam, [0.25, 0.3, 0.7], xi_set_1d())
-    with pytest.raises(ValueError, match="outside"):
-        multiplier_family_check(fam, [0.25, 0.5, 1.5], xi_set_1d())
-    bad = MultiplierFamily(1, lambda a, xi: -1.0, 0.5)
+        _judge_multiplier([0.25, 0.3, 0.7], 0.5, 1, XI, exact)
+    with pytest.raises(ValueError, match=r"order must lie in \(0, 1\), got 1.5"):
+        _judge_multiplier([0.25, 0.5, 1.5], 0.5, 1, XI, exact)
     with pytest.raises(ValueError, match="nonpositive"):
-        multiplier_family_check(bad, [0.25, 0.5, 0.7], xi_set_1d())
-
-
-def test_limit_anchor_near_dimension():
-    fam = exact_riesz_family(1, 0.5)
-    for xi in (TWO_PI, 4.0 * math.pi):
-        d_far = math.log(fam.evaluate(0.9, np.array([xi]))) / 0.9
-        d_near = math.log(fam.evaluate(0.99, np.array([xi]))) / 0.99
-        target = -math.log(xi)
-        assert abs(d_near - target) <= abs(d_far - target) + 1e-15
-        assert abs(d_near - target) < 1e-12
+        _judge_multiplier(ALPHAS, 0.5, 1, XI, table(lambda a: -np.ones(len(XI))))
 
 
 def test_3d_composition_smoke():
