@@ -2,12 +2,13 @@
 
 Exit status encodes the outcome: 0 when every verdict matches its
 expectation, 1 on a mismatch (naming the offending family and axiom), 2 on
-configuration errors.
+configuration errors, sizes included that cannot be allocated.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -51,15 +52,7 @@ def _write_out(payload, path: str | None) -> None:
 
 
 def _cmd_axioms(args) -> int:
-    config = RunConfig(
-        family=args.family,
-        grid_n=args.grid_n,
-        interval=args.interval,
-        tol_identity=args.tol_identity,
-        tol_index=args.tol_index,
-        tol_continuity=args.tol_continuity,
-        tol_positivity=args.tol_positivity,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
     reports = run_matrix(config)
     if args.out:
         with open(args.out, "w") as fh:
@@ -225,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

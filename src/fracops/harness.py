@@ -21,9 +21,11 @@ check applies a family to its whole probe list at once, so each order is
 swept once per run over each list of probes, one same-shape GEMM per probe,
 and the sweep is shared by the families.
 
-A report per family records residuals, verdicts, the expected profile, and
-whether they agree. Identical configurations produce byte-identical
-reports.
+A report per family holds, field for field, the dict that ``fracops axioms
+--out`` writes for it: ``family``, ``axioms`` (each axiom's residuals and
+``pass`` verdict), ``expected_profile`` and ``config_echo``; ``match`` is
+read from the verdicts and the profile. Identical configurations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -163,42 +165,20 @@ def check_positivity(
 @dataclass(frozen=True)
 class AxiomReport:
     family: str
-    identity_residual: float
-    index_residual: float
-    continuity_residuals: tuple[float, ...]
-    positivity_min_real: float
-    positivity_max_imag: float
-    verdicts: dict[str, bool]
+    axioms: dict[str, dict]
     expected_profile: dict[str, bool]
-    match: bool
     config_echo: dict = field(repr=False)
 
+    @property
+    def verdicts(self) -> dict[str, bool]:
+        return {axiom: check["pass"] for axiom, check in self.axioms.items()}
+
+    @property
+    def match(self) -> bool:
+        return self.verdicts == self.expected_profile
+
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "axioms": {
-                "identity": {
-                    "residual": self.identity_residual,
-                    "pass": self.verdicts["identity"],
-                },
-                "index_law": {
-                    "residual": self.index_residual,
-                    "pass": self.verdicts["index_law"],
-                },
-                "continuity": {
-                    "residuals": list(self.continuity_residuals),
-                    "pass": self.verdicts["continuity"],
-                },
-                "positivity": {
-                    "min_real": self.positivity_min_real,
-                    "max_imag": self.positivity_max_imag,
-                    "pass": self.verdicts["positivity"],
-                },
-            },
-            "expected_profile": self.expected_profile,
-            "match": self.match,
-            "config_echo": self.config_echo,
-        }
+        return {**asdict(self), "match": self.match}
 
 
 def run_family(
@@ -223,25 +203,25 @@ def run_family(
     }
     min_real, max_imag = check_positivity(family, nonneg, POSITIVITY_ALPHAS)
 
-    verdicts = {
-        "identity": bool(identity_res < config.tol_identity),
-        "index_law": bool(index_res < config.tol_index),
-        "continuity": continuity_verdict(cont_res, config.tol_continuity),
-        "positivity": bool(
-            min_real >= -config.tol_positivity and max_imag <= config.tol_positivity
-        ),
+    axioms = {
+        "identity": {"residual": identity_res, "pass": bool(identity_res < config.tol_identity)},
+        "index_law": {"residual": index_res, "pass": bool(index_res < config.tol_index)},
+        "continuity": {
+            "residuals": cont_res,
+            "pass": continuity_verdict(cont_res, config.tol_continuity),
+        },
+        "positivity": {
+            "min_real": min_real,
+            "max_imag": max_imag,
+            "pass": bool(
+                min_real >= -config.tol_positivity and max_imag <= config.tol_positivity
+            ),
+        },
     }
-    expected = asdict(family.expected_profile)
     return AxiomReport(
         family=family_name,
-        identity_residual=identity_res,
-        index_residual=index_res,
-        continuity_residuals=tuple(cont_res),
-        positivity_min_real=min_real,
-        positivity_max_imag=max_imag,
-        verdicts=verdicts,
-        expected_profile=expected,
-        match=verdicts == expected,
+        axioms=axioms,
+        expected_profile=asdict(family.expected_profile),
         config_echo=asdict(config),
     )
 

@@ -210,11 +210,17 @@ class Integrator:
                     f"wider than the tolerance {tol:.3g}"
                 )
         for seg in segments:
-            if not np.all(np.isfinite(seg.eval([seg.lo, seg.hi]))):
+            ends = seg.eval([seg.lo, seg.hi])
+            if not np.all(np.isfinite(ends)):
                 raise ValueError(f"segment on [{seg.lo}, {seg.hi}] is not finite")
             if not _strictly_increasing(seg):
                 raise ValueError(
                     f"segment on [{seg.lo}, {seg.hi}] is not strictly increasing"
+                )
+            if not ends[0] < ends[1]:
+                raise ValueError(
+                    f"segment on [{seg.lo}, {seg.hi}] has the image [{ends[0]}, {ends[1]}], "
+                    "which has no length in floating point"
                 )
         for prev, cur in zip(jumps, jumps[1:]):
             if prev.at == cur.at:

@@ -53,10 +53,10 @@ def test_criterion_1_violation_matrix():
     elapsed = time.perf_counter() - start
 
     ok = all(r.match for r in reports.values())
-    ok &= abs(reports["scaled_order"].index_residual - 11.0 / 24.0) < 1e-3
-    ok &= abs(reports["doubled_order"].identity_residual - 1.0 / 3.0) < 1e-3
-    ok &= abs(reports["geometric"].identity_residual - 0.5) < 1e-3
-    ok &= reports["phase"].positivity_min_real <= -1.12
+    ok &= abs(reports["scaled_order"].axioms["index_law"]["residual"] - 11.0 / 24.0) < 1e-3
+    ok &= abs(reports["doubled_order"].axioms["identity"]["residual"] - 1.0 / 3.0) < 1e-3
+    ok &= abs(reports["geometric"].axioms["identity"]["residual"] - 0.5) < 1e-3
+    ok &= reports["phase"].axioms["positivity"]["min_real"] <= -1.12
     ok &= all(reports["riemann_liouville"].verdicts.values())
     ok &= elapsed < 30.0
     report(1, f"violation matrix, {elapsed:.1f}s", ok)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from fracops import riesz
 from fracops.cli import build_parser, main
-from fracops.harness import RunConfig
+from fracops.harness import RunConfig, reports_to_json, run_matrix
 from fracops.transmute import integrator_to_dict, unit_jump_integrator
 
 
@@ -37,6 +38,12 @@ def test_axioms_single_family(tmp_path):
     assert len(reports) == 1
     assert reports[0]["family"] == "riemann_liouville"
     assert all(v["pass"] for v in reports[0]["axioms"].values())
+
+
+def test_axioms_out_file_is_the_reports_json(tmp_path):
+    out = tmp_path / "reports.json"
+    assert main(["axioms", "--out", str(out)]) == 0
+    assert out.read_text() == reports_to_json(run_matrix(RunConfig())) + "\n"
 
 
 def test_axioms_intervals_and_tolerances_are_parsed(tmp_path):
@@ -182,19 +189,29 @@ def test_transmute_check_rejects_a_hole_on_a_tiny_domain(tmp_path, capsys):
     assert "declared domain [0.0, 1e-13] does not match" in capsys.readouterr().err
 
 
+def test_transmute_check_rejects_an_image_of_no_floating_point_length(tmp_path, capsys):
+    # -0.5 + e^(1e-300 s) increases, but reads 0.5 at both ends in floats
+    flat = {"interval": [0.5, 1.0], "kind": "exp", "coefficients": [-0.5, 1.0, 1e-300]}
+    ramp = {"interval": [0.0, 0.5], "kind": "poly", "coefficients": [0.0, 1.0]}
+    alone = {"interval": [0.0, 1.0], "kind": "exp", "coefficients": [0.0, 1.0, 1e-300]}
+    path = tmp_path / "phi.json"
+    out = tmp_path / "tm.json"
+    for segments, message in (
+        ([ramp, flat], "segment on [0.5, 1.0] has the image [0.5, 0.5]"),
+        ([alone], "segment on [0.0, 1.0] has the image [1.0, 1.0]"),
+    ):
+        path.write_text(json.dumps({"domain": [0.0, 1.0], "segments": segments}))
+        argv = ["transmute-check", "--phi", str(path), "--alpha", "0.5", "--grid-n", "64"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"error: {message}, which has no length in floating point" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_axioms_defaults_match_run_config():
     args = build_parser().parse_args(["axioms"])
     config = RunConfig()
-    for name in (
-        "family",
-        "grid_n",
-        "interval",
-        "tol_identity",
-        "tol_index",
-        "tol_continuity",
-        "tol_positivity",
-    ):
-        assert getattr(args, name) == getattr(config, name), name
+    for field in dataclasses.fields(RunConfig):
+        assert getattr(args, field.name) == getattr(config, field.name), field.name
 
 
 def test_laplace_fit_cli(tmp_path):
@@ -364,6 +381,20 @@ def test_transmute_check_overflow_exits_two_without_warnings(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: the order-{alpha} integral with respect to phi overflows" in err
+
+
+def test_unallocatable_sizes_exit_two(unit_jump_spec, capsys):
+    # 10^18 nodes or modes ask for exabytes, which no overcommit setting maps
+    huge = "1000000000000000000"
+    for argv in (
+        ["axioms", "--grid-n", huge],
+        ["laplace-fit", "--family", "riemann_liouville", "--alpha-grid", "0.5,1",
+         "--x-grid", "1,2", "--grid-n", huge],
+        ["transmute-check", "--phi", str(unit_jump_spec), "--alpha", "0.5", "--grid-n", huge],
+        ["riesz-check", "--dim", "1", "--modes", huge, "--alpha-grid", "0.25,0.5,0.7"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 @pytest.fixture(scope="module")

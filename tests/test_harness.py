@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -188,10 +189,10 @@ def test_matrix_failures_are_structural_not_noise():
     # each designated failure exceeds 10x the tolerance of its axiom
     config = small_config()
     by_name = {r.family: r for r in run_matrix(config)}
-    assert by_name["scaled_order"].index_residual > 10.0 * config.tol_index
-    assert by_name["doubled_order"].identity_residual > 10.0 * config.tol_identity
-    assert by_name["geometric"].identity_residual > 10.0 * config.tol_identity
-    assert by_name["phase"].positivity_min_real < -10.0 * config.tol_positivity
+    assert by_name["scaled_order"].axioms["index_law"]["residual"] > 10.0 * config.tol_index
+    assert by_name["doubled_order"].axioms["identity"]["residual"] > 10.0 * config.tol_identity
+    assert by_name["geometric"].axioms["identity"]["residual"] > 10.0 * config.tol_identity
+    assert by_name["phase"].axioms["positivity"]["min_real"] < -10.0 * config.tol_positivity
 
 
 def test_reports_are_deterministic():
@@ -211,6 +212,20 @@ def test_report_schema():
     assert set(rep["axioms"]["continuity"]) == {"residuals", "pass"}
     assert set(rep["axioms"]["positivity"]) == {"min_real", "max_imag", "pass"}
     assert rep["config_echo"]["grid_n"] == 128
+
+
+def test_verdicts_and_match_are_read_from_the_axioms():
+    config = small_config(grid_n=128)
+    ones = ones_on(UniformGrid1D(0.0, 1.0, 128))
+    rep = run_family("riemann_liouville", config, f_set(config), ones)
+    assert rep.match
+    assert rep.verdicts == {axiom: check["pass"] for axiom, check in rep.axioms.items()}
+    # one pass that disagrees with the expected profile is a mismatch
+    axioms = {**rep.axioms, "positivity": {**rep.axioms["positivity"], "pass": False}}
+    flipped = dataclasses.replace(rep, axioms=axioms)
+    assert flipped.verdicts == {**rep.verdicts, "positivity": False}
+    assert not flipped.match
+    assert flipped.as_dict()["match"] is False
 
 
 def test_config_validation():
