@@ -1,4 +1,4 @@
-"""Command-line surface: axiom matrix, transform fits, and spot checks.
+"""Command-line surface: parsing, ``--out``, summaries; each check is its module's.
 
 Exit status encodes the outcome: 0 when every verdict matches its
 expectation, 1 on a mismatch (naming the offending family and axiom), 2 on
@@ -10,19 +10,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
-import numpy as np
-
-from . import riesz, transmute
 from .harness import TEST_FUNCTIONS, RunConfig, reports_to_json, run_matrix
+from .riesz import riesz_check
 from .rl_core import FAMILY_NAMES, make_family
-from .transforms import fit_affine, semigroup_table
+from .transforms import laplace_fit
+from .transmute import load_integrator, transmute_check
 
 DEFAULT_LAPLACE_N = 4096
-TRANSMUTE_TOL = 5e-3
-RIESZ_TOL = 1e-12
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -75,98 +71,38 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_laplace_fit(args) -> int:
-    family = make_family(args.family)
-    table = semigroup_table(
-        family, args.alpha_grid, args.x_grid, args.t_big, args.grid_n
+    payload = laplace_fit(
+        make_family(args.family), args.alpha_grid, args.x_grid, args.t_big, args.grid_n
     )
-    fit = fit_affine(table)
-    xs = np.array(table.x_grid)
-    d_expected = -np.log(xs)
-    payload = {
-        "family": family.name,
-        "table": json.loads(table.to_json()),
-        "fit": {
-            "x_grid": list(table.x_grid),
-            "c": fit.intercepts.tolist(),
-            "d": fit.slopes.tolist(),
-            "max_log_residual": fit.max_residual,
-            "d_minus_neg_log_x": (fit.slopes - d_expected).tolist(),
-        },
-    }
     _write_out(payload, args.out)
+    fit = payload["fit"]
     print(
-        f"laplace-fit {family.name}: max log-residual {fit.max_residual:.3e}, "
-        f"max |d + ln x| {float(np.abs(fit.slopes - d_expected).max()):.3e}"
+        f"laplace-fit {payload['family']}: max log-residual {fit['max_log_residual']:.3e}, "
+        f"max |d + ln x| {max(map(abs, fit['d_minus_neg_log_x'])):.3e}"
     )
     return 0
 
 
 def _cmd_riesz_check(args) -> int:
-    dim = args.dim
-    grid = riesz.PeriodicGridND(dim, args.modes)
-    alphas = args.alpha_grid
-    # the multiplier the potential applies, read at modes k = 1..4 along
-    # axis 0 and, for dim > 1, on the diagonal
-    modes = []
-    for k in range(1, min(args.modes // 2, 5)):
-        modes.append((k,) + (0,) * (dim - 1))
-        if dim > 1:
-            modes.append((k,) * dim)
-    log_xi = np.array([riesz._log_xi(grid)[k] for k in modes])
-    xi = np.array([2.0 * math.pi * math.hypot(*k) for k in modes])
-    orders = alphas + [a + b for a in alphas for b in alphas if a + b < dim]
-    table = {s: riesz._multiplier(s, log_xi, np.empty_like(log_xi)) for s in orders}
-    verdict = riesz._judge_multiplier(alphas, alphas[len(alphas) // 2], dim, xi, table)
-
-    nodes = grid.axis_nodes()
-    mesh = np.meshgrid(*([nodes] * dim), indexing="ij", sparse=True)
-    f = np.sin(2.0 * np.pi * mesh[0]) + 0.5 * np.cos(6.0 * np.pi * mesh[0])
-    for axis in range(1, dim):
-        f = f * np.cos(2.0 * np.pi * mesh[axis])
-    comp_worst = riesz.composition_residual(alphas, f)
-    mult_pass = verdict["max_residual"] < RIESZ_TOL and verdict["multiplicative"]
-    comp_pass = comp_worst < RIESZ_TOL
-    payload = {
-        "dim": dim,
-        "modes": args.modes,
-        "alpha_grid": list(alphas),
-        "multiplier": {**verdict, "pass": mult_pass},
-        "composition": {"max_pointwise": comp_worst, "pass": comp_pass},
-    }
+    payload = riesz_check(args.dim, args.modes, args.alpha_grid)
     _write_out(payload, args.out)
+    mult, comp = payload["multiplier"]["pass"], payload["composition"]["pass"]
     print(
-        f"riesz-check dim={dim} modes={args.modes}: multiplier "
-        f"{'pass' if mult_pass else 'FAIL'}, composition "
-        f"{'pass' if comp_pass else 'FAIL'}"
+        f"riesz-check dim={args.dim} modes={args.modes}: multiplier "
+        f"{'pass' if mult else 'FAIL'}, composition {'pass' if comp else 'FAIL'}"
     )
-    return 0 if (mult_pass and comp_pass) else 1
+    return 0 if (mult and comp) else 1
 
 
 def _cmd_transmute_check(args) -> int:
-    phi = transmute.load_integrator(args.phi)
-    names = ("one", "t")
-    residuals = transmute.transmutation_residual(
-        args.alpha, phi, [TEST_FUNCTIONS[name] for name in names], args.grid_n
-    )
-    results = dict(zip(names, residuals))
-    worst = max(residuals)
-    measure = transmute.pushforward_measure(phi, phi.a, phi.T)
-    jump_total = sum(j.size for j in phi.jumps)
-    payload = {
-        "phi": transmute.integrator_to_dict(phi),
-        "alpha": args.alpha,
-        "grid_n": args.grid_n,
-        "residuals": results,
-        "pushforward_measure_full": measure,
-        "jump_total": jump_total,
-        "pass": worst < TRANSMUTE_TOL,
-    }
+    probes = {name: TEST_FUNCTIONS[name] for name in ("one", "t")}
+    payload = transmute_check(args.alpha, load_integrator(args.phi), probes, args.grid_n)
     _write_out(payload, args.out)
     print(
         f"transmute-check alpha={args.alpha} N={args.grid_n}: worst residual "
-        f"{worst:.3e} ({'pass' if worst < TRANSMUTE_TOL else 'FAIL'})"
+        f"{max(payload['residuals'].values()):.3e} ({'pass' if payload['pass'] else 'FAIL'})"
     )
-    return 0 if worst < TRANSMUTE_TOL else 1
+    return 0 if payload["pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

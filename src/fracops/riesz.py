@@ -11,9 +11,9 @@ one inverse transform per part. ``composition_residual`` checks the law
 I^b I^a = I^(a+b) with one forward transform of its sample and one of each
 first step I^a f, one inverse per first step and one per compared pair, of
 the spectral difference m_b F[I^a f] - m_(a+b) F[f]: 5 forward and 20
-inverse transforms for 4 orders on a real 3D sample. The multiplier check
-``_judge_multiplier`` judges a table, which ``riesz-check`` fills with the
-``_multiplier`` values this module applies, not with a formula for them.
+inverse transforms for 4 orders on a real 3D sample. ``riesz_check``
+builds the ``riesz-check`` report: ``_judge_multiplier`` judges a table of
+the multiplier the potential's slabs apply, not a formula for it.
 
 Only spectra are held whole. Multipliers and spectral products are made in
 slabs along axis 0, about ``_SLAB_BYTES`` of spectrum each so that they stay
@@ -38,6 +38,7 @@ import numpy as np
 
 MEAN_TOL = 1e-10
 MULT_TOL = 1e-9  # log-scale slack of the product law m(a+b) = m(a) m(b)
+RIESZ_TOL = 1e-12  # each check of ``riesz_check`` passes below it
 _SLAB_BYTES = 256 * 1024  # complex half spectrum per slab
 
 
@@ -333,20 +334,16 @@ def _pair_residuals(
 
 
 def _judge_multiplier(
-    alpha_grid: Sequence[float],
-    anchor: float,
-    dim: int,
-    points: np.ndarray,
-    table: Mapping[float, np.ndarray],
+    alpha_grid: Sequence[float], dim: int, points: np.ndarray, table: Mapping[float, np.ndarray]
 ) -> dict:
     """Judge a table of a multiplier m(alpha, p) against p^(-alpha) and the product law.
 
     ``table`` maps every grid order, and every sum a + b < ``dim`` of two
     grid orders, to the row m(order, p) over the positive ``points``. Every
-    grid order must lie in (0, ``dim``), the anchor on the grid, and every
-    entry must be positive. Returned are ``max_residual``, the worst relative
-    deviation from p^(-alpha) over the grid orders; ``anchor_violation``,
-    that deviation at the anchor order; and ``multiplicative``, whether
+    grid order must lie in (0, ``dim``) and every entry must be positive.
+    Returned are ``max_residual``, the worst relative deviation from
+    p^(-alpha) over the grid orders; ``anchor_violation``, that deviation at
+    the middle grid order; and ``multiplicative``, whether
     log m(a+b) = log m(a) + log m(b) holds within ``MULT_TOL`` at every
     point for every in-range pair.
     """
@@ -355,8 +352,6 @@ def _judge_multiplier(
         raise ValueError(f"need at least 3 orders, got {len(alphas)}")
     for a in alphas:
         _check_order(a, dim)
-    if not any(math.isclose(a, anchor) for a in alphas):
-        raise ValueError(f"anchor {anchor} is not on the order grid")
     pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i:] if a + b < dim]
     if not pairs:
         raise ValueError(
@@ -370,11 +365,45 @@ def _judge_multiplier(
     multiplicative = all(
         bool(np.all(np.abs(logs[a + b] - logs[a] - logs[b]) <= MULT_TOL)) for a, b in pairs
     )
-    avec = np.array(alphas)
-    exact = points ** -avec[:, None]
+    exact = points ** -np.array(alphas)[:, None]
     rel = (np.abs(np.array([table[a] for a in alphas]) - exact) / exact).max(axis=1)
     return {
         "max_residual": float(rel.max()),
-        "anchor_violation": float(rel[np.argmin(np.abs(avec - anchor))]),
+        "anchor_violation": float(rel[len(alphas) // 2]),
         "multiplicative": multiplicative,
+    }
+
+
+def riesz_check(dim: int, modes: int, alpha_grid: Sequence[float]) -> dict:
+    """The ``riesz-check`` report: the multiplier table judged, and the composition residual.
+
+    The table is read from the log|xi| rows of the potential's ``_Slabs``, at
+    modes k = 1..min(4, M/2 - 1) along axis 0 and, for dim > 1, on the
+    diagonal, for every grid order and every sum a + b < dim.
+    """
+    grid = PeriodicGridND(dim, modes)
+    alphas = list(alpha_grid)
+    ks = []
+    for k in range(1, min(modes // 2, 5)):
+        ks.append((k,) + (0,) * (dim - 1))
+        if dim > 1:
+            ks.append((k,) * dim)
+    rows = _Slabs(grid, 1).log_xi  # a 1D line's rows have a leading axis of length 1
+    log_xi = np.array([rows[(0,) * (dim == 1) + k] for k in ks])
+    xi = np.array([2.0 * math.pi * math.hypot(*k) for k in ks])
+    orders = alphas + [a + b for a in alphas for b in alphas if a + b < dim]
+    table = {s: _multiplier(s, log_xi, np.empty_like(log_xi)) for s in orders}
+    verdict = _judge_multiplier(alphas, dim, xi, table)
+    mesh = np.meshgrid(*([grid.axis_nodes()] * dim), indexing="ij", sparse=True)
+    f = np.sin(2.0 * np.pi * mesh[0]) + 0.5 * np.cos(6.0 * np.pi * mesh[0])
+    for axis in range(1, dim):
+        f = f * np.cos(2.0 * np.pi * mesh[axis])
+    worst = composition_residual(alphas, f)
+    mult_pass = verdict["max_residual"] < RIESZ_TOL and verdict["multiplicative"]
+    return {
+        "dim": dim,
+        "modes": modes,
+        "alpha_grid": alphas,
+        "multiplier": {**verdict, "pass": mult_pass},
+        "composition": {"max_pointwise": worst, "pass": worst < RIESZ_TOL},
     }

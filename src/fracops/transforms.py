@@ -32,7 +32,6 @@ domains, checking each new value against distinct decompositions.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,7 +211,7 @@ class TransformTable:
     Entries must be strictly positive (they are fitted on a log scale), so
     NaN entries are rejected too. Orders and transform points are floats in
     1D and equal-length tuples in higher dimension; sequences, such as the
-    lists that ``to_json`` writes, are stored as tuples.
+    lists that JSON reads back, are stored as tuples.
     """
 
     order_grid: tuple
@@ -243,14 +242,14 @@ class TransformTable:
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
 
-    def to_json(self) -> str:
-        payload = {
-            "order_grid": self.order_grid,
-            "x_grid": self.x_grid,
+    def as_dict(self) -> dict:
+        """The table as JSON takes it: grids as lists, entries as one row-major list."""
+        return {
+            "order_grid": list(self.order_grid),
+            "x_grid": list(self.x_grid),
             "entries": self.entries.ravel(order="C").tolist(),
             "meta": self.meta,
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def semigroup_table(
@@ -349,6 +348,26 @@ def fit_affine(table: TransformTable) -> FitResult:
 
 # fit_affine fits tuple orders too; the nD name stays for the callers that use it
 fit_affine_nd = fit_affine
+
+
+def laplace_fit(
+    family: OperatorFamily1D, order_grid: Sequence[float], x_grid: Sequence[float],
+    t_big: float, n: int,
+) -> dict:
+    """The ``laplace-fit`` payload: ``semigroup_table`` and its ``fit_affine``, with d(x) + ln x."""
+    table = semigroup_table(family, order_grid, x_grid, t_big, n)
+    fit = fit_affine(table)
+    return {
+        "family": family.name,
+        "table": table.as_dict(),
+        "fit": {
+            "x_grid": list(table.x_grid),
+            "c": fit.intercepts.tolist(),
+            "d": fit.slopes.tolist(),
+            "max_log_residual": fit.max_residual,
+            "d_minus_neg_log_x": (fit.slopes + np.log(table.x_grid)).tolist(),
+        },
+    }
 
 
 ADDITIVITY_TOL = 1e-9

@@ -59,7 +59,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -86,6 +86,7 @@ _NEAR = 4
 # Most rows x mesh nodes of a block that reads whole prefixes, and most
 # rates x cells of a chunk's history table.
 _BLOCK_ENTRIES = 65536
+TRANSMUTE_TOL = 5e-3  # the largest residual that ``transmute_check`` passes
 
 # Taylor coefficients in z of the two cell moments of _history_increments,
 # (-1)^n / (n! (n+2)) and (-1)^n / (n! (n+1) (n+2)): 19 terms reach double
@@ -356,15 +357,20 @@ def _image_mesh(
     at a jump. G has one row per g, zero on the frame copies, so seam cells
     have zero length and jump-gap cells are zero-filled. ``live`` marks the
     cells that can carry g: positive length, not between two frame copies.
-    Only G depends on g.
+    Only G depends on g. At a seam without a jump the earlier segment's end
+    image is the later one's start image, phi at the seam as ``value`` reads
+    it, so an image mismatch that ``Integrator`` tolerates leaves no gap.
     """
     nodes = grid.nodes
     seg_of = np.searchsorted([seg.lo for seg in phi.segments], nodes, side="right") - 1
     ends = np.ones(len(nodes), dtype=np.intp)
     zero = np.zeros((len(gvals), 1), dtype=np.complex128)
+    jumps = {jump.at for jump in phi.jumps}
     u_parts, G_parts, frames = [], [], []
     start = 0
     for j, (snodes, images, values) in enumerate(_pieces(phi, grid, gvals)):
+        if j and phi.segments[j - 1].hi not in jumps:
+            u_parts[-2][-1] = images[0]  # the earlier end frame is a view: it moves too
         u_parts += [images[:1], images, images[-1:]]
         G_parts += [zero, values, zero]
         frames += [start, start + len(snodes) + 1]
@@ -760,6 +766,20 @@ def transmutation_residual(
     gs = [sample_array(expr, grid) for expr in g_exprs]
     direct = rl_wrt_phi_direct(alpha, phi, gs)
     return [l1_distance(d, rl_wrt_phi_transmuted(alpha, phi, g)) for d, g in zip(direct, gs)]
+
+
+def transmute_check(alpha: float, phi: Integrator, probes: Mapping[str, Callable], n: int) -> dict:
+    """The ``transmute-check`` report: each named probe's residual, phi's measure and jumps."""
+    residuals = transmutation_residual(alpha, phi, list(probes.values()), n)
+    return {
+        "phi": integrator_to_dict(phi),
+        "alpha": alpha,
+        "grid_n": n,
+        "residuals": dict(zip(probes, residuals)),
+        "pushforward_measure_full": pushforward_measure(phi, phi.a, phi.T),
+        "jump_total": sum(j.size for j in phi.jumps),
+        "pass": max(residuals) < TRANSMUTE_TOL,
+    }
 
 
 def integrator_to_dict(phi: Integrator) -> dict:

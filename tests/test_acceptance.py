@@ -128,10 +128,8 @@ def test_criterion_5_riesz_spectral_semigroup():
     alphas = [0.25, 0.5, 0.7]
     orders = alphas + [a + b for a in alphas for b in alphas if a + b < 1.0]
     table = {a: _multiplier(a, log_xi, np.empty_like(log_xi)) for a in orders}
-    exact = _judge_multiplier(alphas, 0.5, 1, xis, table)
-    perturbed = _judge_multiplier(
-        alphas, 0.5, 1, xis, {a: 2.0 ** a * row for a, row in table.items()}
-    )
+    exact = _judge_multiplier(alphas, 1, xis, table)
+    perturbed = _judge_multiplier(alphas, 1, xis, {a: 2.0 ** a * row for a, row in table.items()})
     elapsed = time.perf_counter() - start
 
     ok = comp_gap < 1e-12

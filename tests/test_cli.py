@@ -12,8 +12,15 @@ from hypothesis import strategies as st
 
 from fracops import riesz
 from fracops.cli import build_parser, main
-from fracops.harness import RunConfig, reports_to_json, run_matrix
-from fracops.transmute import integrator_to_dict, unit_jump_integrator
+from fracops.harness import TEST_FUNCTIONS, RunConfig, reports_to_json, run_matrix
+from fracops.rl_core import make_family
+from fracops.transforms import laplace_fit
+from fracops.transmute import (
+    integrator_to_dict,
+    load_integrator,
+    transmute_check,
+    unit_jump_integrator,
+)
 
 
 def test_axioms_all_families(tmp_path, capsys):
@@ -282,6 +289,61 @@ def test_riesz_check_fails_on_a_wrong_multiplier(monkeypatch, capsys):
         for config in configs:
             assert main(["riesz-check"] + config) == 1, config
             assert capsys.readouterr().out.endswith("multiplier FAIL, composition pass\n")
+
+
+def test_riesz_check_reads_the_multiplier_its_slabs_apply(monkeypatch, capsys):
+    # ln 2 added to the slabs' log|xi| rows scales what the potential applies
+    # by 2^(-alpha), which keeps the composition law: only a table read from
+    # the slabs, not from the log|xi| cache behind them, can see it
+    init = riesz._Slabs.__init__
+
+    def shifted(self, grid, parts):
+        init(self, grid, parts)
+        self.log_xi = self.log_xi + math.log(2.0)
+
+    monkeypatch.setattr(riesz._Slabs, "__init__", shifted)
+    argv = ["riesz-check", "--dim", "1", "--modes", "256", "--alpha-grid", "0.25,0.5,0.7"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.endswith("multiplier FAIL, composition pass\n")
+
+
+@pytest.mark.parametrize(
+    "argv, report, summary",
+    [
+        (
+            ["riesz-check", "--dim", "1", "--modes", "256", "--alpha-grid", "0.25,0.5,0.7"],
+            lambda spec: riesz.riesz_check(1, 256, [0.25, 0.5, 0.7]),
+            "riesz-check dim=1 modes=256: multiplier pass, composition pass\n",
+        ),
+        (
+            ["transmute-check", "--phi", "SPEC", "--alpha", "0.5", "--grid-n", "4096"],
+            lambda spec: transmute_check(
+                0.5, load_integrator(spec), {k: TEST_FUNCTIONS[k] for k in ("one", "t")}, 4096
+            ),
+            "transmute-check alpha=0.5 N=4096: worst residual 2.573e-04 (pass)\n",
+        ),
+        (
+            ["laplace-fit", "--family", "riemann_liouville", "--alpha-grid",
+             "0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0", "--x-grid", "1,2,4,8", "--t-big", "40"],
+            lambda spec: laplace_fit(
+                make_family("riemann_liouville"), [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
+                [1.0, 2.0, 4.0, 8.0], 40.0, 4096,
+            ),
+            "laplace-fit riemann_liouville: max log-residual 3.555e-12, max |d + ln x| 3.696e-12\n",
+        ),
+    ],
+    ids=["riesz-check", "transmute-check", "laplace-fit"],
+)
+def test_cli_writes_the_owning_modules_report(
+    unit_jump_spec, tmp_path, capsys, argv, report, summary
+):
+    # the README configurations: cli only writes what the module returns and
+    # prints one summary line, which the move of each check must not change
+    out = tmp_path / "out.json"
+    argv = [str(unit_jump_spec) if a == "SPEC" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == summary
+    assert json.loads(out.read_text()) == report(str(unit_jump_spec))
 
 
 def test_riesz_check_second_step_transforms_the_first_step(monkeypatch, tmp_path):

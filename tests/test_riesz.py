@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracops import cli, riesz
-from fracops.cli import RIESZ_TOL
 from fracops.riesz import (
+    RIESZ_TOL,
     PeriodicGridND,
     _judge_multiplier,
     _log_xi,
@@ -466,33 +466,31 @@ def table(m):
 
 
 def test_multiplier_check_exact_family():
-    verdict = _judge_multiplier(ALPHAS, 0.5, 1, XI, table(applied))
+    verdict = _judge_multiplier(ALPHAS, 1, XI, table(applied))
     assert verdict["max_residual"] < 1e-12
     assert verdict["multiplicative"]
     assert verdict["anchor_violation"] < 1e-12
 
 
 def test_multiplier_check_scaled_family_reports_anchor_violation():
-    verdict = _judge_multiplier(ALPHAS, 0.5, 1, XI, table(lambda a: 2.0 ** a * applied(a)))
+    verdict = _judge_multiplier(ALPHAS, 1, XI, table(lambda a: 2.0 ** a * applied(a)))
     assert verdict["multiplicative"]  # 2^a is itself additive in the exponent
     assert verdict["anchor_violation"] == pytest.approx(2.0 ** 0.5 - 1.0, abs=1e-12)
 
 
 def test_multiplier_check_detects_nonadditive_exponent():
-    verdict = _judge_multiplier(ALPHAS, 0.5, 1, XI, table(lambda a: XI ** -(a * a)))
+    verdict = _judge_multiplier(ALPHAS, 1, XI, table(lambda a: XI ** -(a * a)))
     assert not verdict["multiplicative"]
 
 
 def test_multiplier_check_validation():
     exact = table(applied)
     with pytest.raises(ValueError, match="at least 3"):
-        _judge_multiplier([0.25, 0.5], 0.5, 1, XI, exact)
-    with pytest.raises(ValueError, match="anchor"):
-        _judge_multiplier([0.25, 0.3, 0.7], 0.5, 1, XI, exact)
+        _judge_multiplier([0.25, 0.5], 1, XI, exact)
     with pytest.raises(ValueError, match=r"order must lie in \(0, 1\), got 1.5"):
-        _judge_multiplier([0.25, 0.5, 1.5], 0.5, 1, XI, exact)
+        _judge_multiplier([0.25, 0.5, 1.5], 1, XI, exact)
     with pytest.raises(ValueError, match="nonpositive"):
-        _judge_multiplier(ALPHAS, 0.5, 1, XI, table(lambda a: -np.ones(len(XI))))
+        _judge_multiplier(ALPHAS, 1, XI, table(lambda a: -np.ones(len(XI))))
 
 
 def test_3d_composition_smoke():

@@ -48,3 +48,19 @@ def test_every_private_module_name_is_referenced_elsewhere():
         if not used.get(name, set()) - {(module, line)}
     ]
     assert not unused, unused
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # each check is computed by the module that owns it, so the command line
+    # needs none of their private names: the AST form of
+    # grep -n "\b[a-z_]*\._[a-z]" src/fracops/cli.py
+    modules = {path.stem for path in SOURCE.glob("*.py")} | {"fracops"}
+    read = []
+    for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fracops")):
+            read += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                read.append(node.attr)
+    private = [name for name in read if name.startswith("_") and not name.startswith("__")]
+    assert not private, private

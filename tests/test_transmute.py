@@ -198,6 +198,51 @@ def test_direct_off_grid_boundary_against_quadrature_oracle():
         assert abs(out.values[m].real - oracle) < 1e-9
 
 
+def assert_direct_is_exact_on_one(phi, n, alpha):
+    # for g = 1 and a continuous phi the integral is (phi(t) - phi(a))^alpha / Gamma(alpha + 1)
+    grid = UniformGrid1D(phi.a, phi.T, n)
+    got = rl_wrt_phi_direct(alpha, phi, sample(lambda t: 1.0, grid)).values
+    ref = (phi.value(grid.nodes) - phi.phi_a) ** alpha / gamma(alpha + 1.0)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (n, alpha)
+
+
+def test_direct_integrates_a_continuous_seam_as_continuous():
+    # 0.01 s, then (0.005 - 0.5) + s: the later image starts 4.3e-18 above
+    # the earlier one's end, which is within the gap tolerance, so no jump;
+    # read as a gap, that sliver cost 0.14 max|ref| at the seam for alpha = 0.05
+    phi = Integrator(
+        (Segment(0.0, 0.5, "poly", (0.0, 0.01)), Segment(0.5, 1.0, "poly", (0.005 - 0.5, 1.0)))
+    )
+    assert float(phi.segments[1].eval(0.5) - phi.segments[0].eval(0.5)) > 0.0
+    for n in (1024, 4096):
+        for alpha in (0.05, 0.3, 0.5, 0.95, 1.3):
+            assert_direct_is_exact_on_one(phi, n, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seam=st.integers(64, 448),
+    k1=st.floats(0.01, 10.0),
+    k2=st.floats(0.01, 10.0),
+    mismatch=st.floats(-0.5, 0.5),
+    alpha=st.sampled_from([0.05, 0.3, 0.5, 0.95, 1.3]),
+)
+def test_direct_integrates_drawn_continuous_seams_as_continuous(seam, k1, k2, mismatch, alpha):
+    # two lines meeting at the grid node seam / 512, the later shifted by up
+    # to half the gap tolerance, up or down (the rest absorbs the rounding of
+    # its evaluation): a seam judged continuous
+    s0 = seam / 512
+    first = Segment(0.0, s0, "poly", (0.0, k1))
+    end = float(first.eval(s0))
+
+    def later(shift):
+        return Segment(s0, 1.0, "poly", (end + shift - k2 * s0, k2))
+
+    phi = Integrator((first, later(mismatch * transmute._image_gap_tol(first, later(0.0)))))
+    assert not phi.jumps
+    assert_direct_is_exact_on_one(phi, 512, alpha)
+
+
 def test_direct_left_endpoint_zero():
     phi = unit_jump_integrator()
     f = sample(lambda t: 1.0, UniformGrid1D(0.0, 1.0, 64))
